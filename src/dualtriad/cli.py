@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Collection, NamedTuple, Optional, Sequence
 
 from .dynsys import (
     convolve_fibonomial,
@@ -23,29 +23,18 @@ from .misprints import format_ledger
 from .output import OutputDocument
 from .sequences import RootSequence
 from .triads import (
+    FAMILIES,
+    STEP_MATRIX,
+    Family,
     Triangle,
     banded_for_family,
-    canonical_family,
     dual_polynomials,
+    generate_from_banded,
     generate_named,
-    lah_from_roots,
-    persistent_root_polys,
     verify_triad,
 )
 
 DEFAULT_ROW_CAP = 512
-
-FAMILIES = (
-    "pascal",
-    "q-gaussian",
-    "catalan-shifted",
-    "catalan-triad",
-    "fibonomial",
-    "stirling1",
-    "eulerian",
-    "lah",
-)
-BANDED_FAMILIES = ("pascal", "q-gaussian", "catalan-triad")
 
 
 class UsageError(Exception):
@@ -103,26 +92,33 @@ def _checked_rows(args: argparse.Namespace) -> int:
     return rows
 
 
-def _family_inputs(args: argparse.Namespace) -> tuple[str, Optional[Fraction], Optional[RootSequence]]:
-    family = canonical_family(args.family)
+class FamilyInputs(NamedTuple):
+    """A family chosen on the command line, its parameter, and the parameter
+    text that output documents carry."""
+
+    name: str
+    entry: Family
+    q: Optional[Fraction]
+    roots: Optional[RootSequence]
+    params: dict[str, str]
+
+    def triangle(self, rows: int) -> Triangle:
+        return generate_named(self.name, rows, self.q, self.roots)
+
+
+def _family_inputs(args: argparse.Namespace) -> FamilyInputs:
+    entry = FAMILIES[args.family]
     q = _parse_q(args.q) if args.q is not None else None
     roots = parse_roots(args.roots) if args.roots is not None else None
-    if family == "q-gaussian" and q is None:
-        raise UsageError("family q-gaussian needs --q")
-    if family != "q-gaussian" and q is not None:
-        raise UsageError("--q only applies to family q-gaussian")
-    if family == "lah" and roots is None:
-        raise UsageError("family lah needs --roots")
-    if family != "lah" and roots is not None:
-        raise UsageError("--roots only applies to family lah")
-    return family, q, roots
-
-
-def _build_triangle(args: argparse.Namespace, rows: int) -> Triangle:
-    family, q, roots = _family_inputs(args)
-    if family == "lah":
-        return lah_from_roots(roots, rows, params=(("roots", args.roots),))
-    return generate_named(family, rows, q=q)
+    texts = {"q": None if q is None else str(q), "roots": args.roots}
+    for flag, text in texts.items():
+        if entry.param == flag and text is None:
+            raise UsageError(f"family {args.family} needs --{flag}")
+        if entry.param != flag and text is not None:
+            owner = next(name for name, e in FAMILIES.items() if e.param == flag)
+            raise UsageError(f"--{flag} only applies to family {owner}")
+    params = {} if entry.param is None else {entry.param: texts[entry.param]}
+    return FamilyInputs(args.family, entry, q, roots, params)
 
 
 def _emit(doc: OutputDocument, fmt: str) -> None:
@@ -138,69 +134,55 @@ def _poly_rows(polys: Sequence[Polynomial]) -> list[tuple[Fraction, ...]]:
     return [p.coeffs if p.coeffs else (Fraction(0),) for p in polys]
 
 
+def _step_matrix_polys(tri: Triangle, rows: int) -> list[Polynomial]:
+    if rows == 0:
+        return [Polynomial((1,))]
+    return phi_from_step_matrix(solve_step_matrix(tri), rows)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    tri = _build_triangle(args, rows)
-    doc = OutputDocument.from_values(tri.family, tri.params_dict(), tri.rows)
-    _emit(doc, args.format)
+    family = _family_inputs(args)
+    tri = family.triangle(rows)
+    _emit(OutputDocument.from_values(family.name, family.params, tri.rows), args.format)
     return 0
 
 
 def cmd_dual(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family, q, roots = _family_inputs(args)
-    if family in BANDED_FAMILIES or family == "catalan-shifted":
-        # The shifted Catalan triangle shares the Catalan polynomial dual.
-        source = "catalan-triad" if family == "catalan-shifted" else family
-        rec = banded_for_family(source, max(rows - 1, 0), q)
-        phis = dual_polynomials(rec, rows)
-    elif family == "lah":
-        phis = persistent_root_polys(roots, rows)
-    else:
+    family = _family_inputs(args)
+    dual = family.entry.dual
+    if dual is None or dual == STEP_MATRIX:
         raise UsageError(
-            f"family {family} has no banded dual recurrence; "
+            f"family {family.name} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    params = {} if q is None else {"q": str(q)}
-    if roots is not None:
-        params["roots"] = args.roots
-    doc = OutputDocument.from_values(family, params, _poly_rows(phis))
-    _emit(doc, args.format)
+    phis = dual_polynomials(banded_for_family(dual, rows - 1, family.q, family.roots), rows)
+    _emit(OutputDocument.from_values(family.name, family.params, _poly_rows(phis)), args.format)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family, q, roots = _family_inputs(args)
-    if family in BANDED_FAMILIES:
-        tri = _build_triangle(args, rows)
-        phis = dual_polynomials(banded_for_family(family, max(rows - 1, 0), q), rows)
-        route = "banded dual recurrence"
-    elif family == "catalan-shifted":
-        # Checked against the Catalan polynomials on purpose: the printed
-        # indexing does not complete the triad (see --ledger), so this route
-        # reports the exact failure instead of hiding it.
-        tri = _build_triangle(args, rows)
-        phis = dual_polynomials(banded_for_family("catalan-triad", max(rows - 1, 0)), rows)
-        route = "banded dual recurrence (catalan polynomials)"
-    elif family == "lah":
-        tri = _build_triangle(args, rows)
-        phis = persistent_root_polys(roots, rows)
-        route = "persistent-root polynomials"
-    elif family in ("fibonomial", "stirling1"):
-        tri = _build_triangle(args, rows)
-        if rows == 0:
-            phis = [Polynomial((1,))]
-        else:
-            phis = phi_from_step_matrix(solve_step_matrix(tri), rows)
-        route = "step-matrix polynomials"
-    else:
+    family = _family_inputs(args)
+    dual = family.entry.dual
+    if dual is None:
         raise UsageError(
-            f"family {family} admits no dual construction "
+            f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
+    if dual == STEP_MATRIX:
+        tri = family.triangle(rows)
+        phis = _step_matrix_polys(tri, rows)
+    else:
+        rec = banded_for_family(dual, rows - 1, family.q, family.roots)
+        if dual == family.name:  # one recurrence builds both sides
+            tri = generate_from_banded(rec, rows, family.name)
+        else:
+            tri = family.triangle(rows)
+        phis = dual_polynomials(rec, rows)
     report = verify_triad(tri, phis)
-    print(f"route: {route}")
+    print(f"route: {family.entry.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
         return 0
@@ -213,7 +195,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     if rows < 5:
         raise UsageError("fit needs --rows of at least 5")
-    tri = _build_triangle(args, rows)
+    tri = _family_inputs(args).triangle(rows)
     result = fit_banded(tri)
     if result.fits:
         rec = result.recurrence
@@ -231,23 +213,17 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    tri = _build_triangle(args, rows + 1)
-    sm = solve_step_matrix(tri)
-    params = tri.params_dict()
-    doc = OutputDocument.from_values(tri.family, params, sm.rows)
-    _emit(doc, args.format)
+    family = _family_inputs(args)
+    sm = solve_step_matrix(family.triangle(rows + 1))
+    _emit(OutputDocument.from_values(family.name, family.params, sm.rows), args.format)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    tri = _build_triangle(args, rows)
-    if rows == 0:
-        phis = [Polynomial((1,))]
-    else:
-        phis = phi_from_step_matrix(solve_step_matrix(tri), rows)
-    doc = OutputDocument.from_values(tri.family, tri.params_dict(), _poly_rows(phis))
-    _emit(doc, args.format)
+    family = _family_inputs(args)
+    phis = _step_matrix_polys(family.triangle(rows), rows)
+    _emit(OutputDocument.from_values(family.name, family.params, _poly_rows(phis)), args.format)
     return 0
 
 
@@ -275,7 +251,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, families: Sequence[str]) -> None:
+def _add_common(sub: argparse.ArgumentParser, families: Collection[str]) -> None:
     sub.add_argument("--family", required=True, choices=families)
     sub.add_argument("--q", help="q parameter for the q-gaussian family (exact, e.g. 2 or 1/2)")
     sub.add_argument("--roots", help="roots for the lah family: comma list, optionally ending in ...")

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import Polynomial, Rational, X, as_fraction
+from .exact import Polynomial, Rational, X, as_fraction, forward_substitute
 from .sequences import fibonacci
-from .triads import BandedRecurrence, Triangle, generate_from_banded
+from .triads import BandedRecurrence, Triangle, banded_step, generate_from_banded
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class StepMatrix:
     def row_count(self) -> int:
         return len(self.rows)
 
-    def entry(self, n: int, k: int) -> Fraction:
-        if 0 <= n < len(self.rows) and 0 <= k <= n + 1:
-            return self.rows[n][k]
-        return Fraction(0)
-
 
 def solve_step_matrix(tri: Triangle) -> StepMatrix:
     """Solve C F = (row shift of C) by forward substitution.
@@ -64,17 +59,7 @@ def solve_step_matrix(tri: Triangle) -> StepMatrix:
         raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
     if tri.max_row < 1:
         raise ValueError("need at least rows 0..1 to solve for a step matrix")
-    frows: list[tuple[Fraction, ...]] = []
-    for n in range(tri.max_row):
-        acc = [Fraction(0)] * (n + 2)
-        row_n = tri.rows[n]
-        for k in range(n):
-            c = row_n[k]
-            if c:
-                for j, v in enumerate(frows[k]):
-                    acc[j] += c * v
-        frows.append(tuple(t - a for t, a in zip(tri.rows[n + 1], acc)))
-    return StepMatrix(tuple(frows))
+    return StepMatrix(tuple(forward_substitute(tri.rows, tri.rows[1:])))
 
 
 def phi_from_step_matrix(
@@ -110,16 +95,8 @@ def invert_unipotent(tri: Triangle) -> Triangle:
     the degree-n basis polynomial dual to the triangle's expansion."""
     if not tri.is_unipotent():
         raise ValueError("only unipotent triangles invert over their own entries")
-    inv: list[tuple[Fraction, ...]] = []
-    for n in range(tri.max_row + 1):
-        row = [Fraction(0)] * (n + 1)
-        row[n] = Fraction(1)
-        for j in range(n):
-            c = tri.rows[n][j]
-            if c:
-                for k, v in enumerate(inv[j]):
-                    row[k] -= c * v
-        inv.append(tuple(row))
+    units = [(Fraction(0),) * n + (Fraction(1),) for n in range(tri.max_row + 1)]
+    inv = forward_substitute(tri.rows, units)
     family = f"{tri.family}-inverse" if tri.family else "inverse"
     return Triangle(tuple(inv), family=family, params=tri.params)
 
@@ -154,17 +131,7 @@ def evolve(
                 f"transition tabulated to level {transition.depth}, evolution reaches level {reach}"
             )
         for _ in range(steps):
-            nxt = []
-            for k in range(len(vec)):
-                total = Fraction(0)
-                if k >= 1 and vec[k - 1]:
-                    total += transition.up[k - 1] * vec[k - 1]
-                if vec[k]:
-                    total += transition.stay[k] * vec[k]
-                if k + 1 < len(vec) and vec[k + 1]:
-                    total += transition.down[k + 1] * vec[k + 1]
-                nxt.append(total)
-            vec = nxt
+            vec = banded_step(transition, vec, len(vec))
         return tuple(vec)
     if isinstance(transition, StepMatrix):
         if transition.row_count < reach:

@@ -200,6 +200,28 @@ def linear_combination(
     return Polynomial(acc)
 
 
+def forward_substitute(
+    lower: Sequence[Sequence[Rational]], rhs_rows: Sequence[Sequence[Rational]]
+) -> list[tuple[Rational, ...]]:
+    """Rows Y with L Y = R for a unit lower-triangular L, by forward substitution.
+
+    Row i of Y is rhs_rows[i] minus lower[i][j] * Y[j] summed over j < i.  The
+    diagonal of L is taken to be 1 and never read, nor is anything above it;
+    each Y[j] with j < i must be no wider than rhs_rows[i].
+    """
+    out: list[tuple[Rational, ...]] = []
+    for i, rhs in enumerate(rhs_rows):
+        acc = list(rhs)
+        row = lower[i]
+        for j in range(i):
+            c = row[j]
+            if c:
+                for k, v in enumerate(out[j]):
+                    acc[k] -= c * v
+        out.append(tuple(acc))
+    return out
+
+
 def solve_unit_lower(
     matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
 ) -> tuple[Fraction, ...]:
@@ -212,7 +234,7 @@ def solve_unit_lower(
     n = len(rhs)
     if len(matrix) != n:
         raise ValueError("matrix and right-hand side sizes differ")
-    out: list[Fraction] = []
+    lower = []
     for i in range(n):
         row = matrix[i]
         if len(row) <= i:
@@ -222,10 +244,6 @@ def solve_unit_lower(
                 f"diagonal entry at row {i} is {row[i]}; only unit-diagonal "
                 "systems are supported"
             )
-        total = as_fraction(rhs[i])
-        for j in range(i):
-            lij = as_fraction(row[j])
-            if lij:
-                total -= lij * out[j]
-        out.append(total)
-    return tuple(out)
+        lower.append(tuple(as_fraction(v) for v in row[:i]))
+    solved = forward_substitute(lower, [(as_fraction(v),) for v in rhs])
+    return tuple(y for (y,) in solved)

@@ -130,6 +130,38 @@ class TestExitCodes:
         assert "published" in out and "33880" in out
 
 
+COMMANDS = ("generate", "dual", "verify", "fit", "solve-f", "phi", "convolve")
+ROUTE_MATRIX = {
+    # family: exit codes of COMMANDS at --rows 0, at --rows 6; verify's route
+    "pascal": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "banded dual recurrence"),
+    "q-gaussian": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "banded dual recurrence"),
+    "catalan-shifted": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 1, 0, 0, 0, 2),
+                        "banded dual recurrence (catalan polynomials)"),
+    "catalan-triad": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "banded dual recurrence"),
+    "fibonomial": ((0, 2, 0, 2, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0), "step-matrix polynomials"),
+    "stirling1": ((0, 2, 0, 2, 0, 0, 2), (0, 2, 0, 0, 0, 0, 2), "step-matrix polynomials"),
+    "eulerian": ((0, 2, 2, 2, 1, 0, 2), (0, 2, 2, 0, 1, 1, 2), None),
+    "lah": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "persistent-root polynomials"),
+}
+
+
+class TestRouteMatrix:
+    @pytest.mark.parametrize("family", sorted(ROUTE_MATRIX))
+    def test_exit_codes_and_verify_route(self, family):
+        at_rows0, at_rows6, route = ROUTE_MATRIX[family]
+        extra = {"q-gaussian": ["--q", "2"], "lah": ["--roots", "1,2,3,..."]}.get(family, [])
+        for rows, expected in (("0", at_rows0), ("6", at_rows6)):
+            for command, code in zip(COMMANDS, expected):
+                argv = [command, "--family", family, "--rows", rows] + extra
+                if command == "convolve":
+                    argv += ["--a", "ones", "--b", "ones"]
+                got, out, _ = run_cli(argv)
+                assert got == code, (command, rows)
+                if command == "verify":
+                    lines = out.splitlines()
+                    assert lines[:1] == ([] if route is None else [f"route: {route}"])
+
+
 class TestRootsParsing:
     def test_arithmetic_continuation(self):
         r = parse_roots("0,1,2,3,…")
@@ -161,10 +193,16 @@ class TestRootsParsing:
             parse_roots("1,,2")
 
     def test_explicit_list_too_short_for_rows(self):
-        code, _, err = run_cli(["verify", "--family", "lah", "--roots", "1,2",
-                                "--rows", "10"])
-        assert code == 1
-        assert "only 2 levels" in err
+        # Rows 0..N read the roots r_1..r_N, so two roots cover exactly N = 2.
+        code, out, _ = run_cli(["verify", "--family", "lah", "--roots", "1,2",
+                                "--rows", "2"])
+        assert code == 0
+        assert "holds up to n=2" in out
+        for rows in ("3", "10"):
+            code, _, err = run_cli(["verify", "--family", "lah", "--roots", "1,2",
+                                    "--rows", rows])
+            assert code == 1
+            assert "only 2 levels" in err
 
 
 class TestCliRoundTrips:

@@ -304,6 +304,14 @@ class TestLahFromRoots:
             named = generate_named("q-gaussian", 16, q=q)
             assert lah.rows == named.rows
 
+    def test_empty_root_list_covers_row_zero(self):
+        # Row 0 and phi_0 read no root at all.
+        empty = RootSequence.explicit([])
+        assert lah_from_roots(empty, 0).rows == ((1,),)
+        assert persistent_root_polys(empty, 0) == [Polynomial((1,))]
+        with pytest.raises(ValueError, match="only 0 levels"):
+            lah_from_roots(empty, 1)
+
     def test_zero_roots_give_identity(self):
         lah = lah_from_roots(RootSequence.constant(0), 6)
         for n in range(7):
