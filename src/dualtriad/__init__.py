@@ -3,13 +3,22 @@
 A duality triad is three things that determine each other: a triangle
 recurrence for connection constants c[n][k], a dual three-term recurrence for
 polynomials phi_k, and the completing identity x^n = sum_k c[n][k] phi_k(x).
-This package generates the classical triangle families exactly (arbitrary
-precision ints and rationals throughout), constructs and verifies their
-triads symbolically, and decides algorithmically whether a triangle admits
-banded time-independent update weights at all.
+This package generates the classical triangle families exactly (an int for
+every integral value, a Fraction only for a true rational), constructs and
+verifies their triads symbolically, and decides algorithmically whether a
+triangle admits banded time-independent update weights at all.
 """
 
-from .exact import Polynomial, X, as_fraction, linear_combination, solve_unit_lower
+from .exact import (
+    Polynomial,
+    X,
+    as_exact,
+    exact_div,
+    format_exact,
+    linear_combination,
+    parse_exact,
+    solve_unit_lower,
+)
 from .sequences import (
     RootSequence,
     binomial,
@@ -48,7 +57,7 @@ from .dynsys import (
     solve_step_matrix,
 )
 from .misprints import LEDGER, MisprintEntry, format_ledger
-from .output import OutputDocument, format_exact, parse_exact
+from .output import OutputDocument
 
 __version__ = "0.1.0"
 
@@ -64,7 +73,7 @@ __all__ = [
     "Triangle",
     "TriadReport",
     "X",
-    "as_fraction",
+    "as_exact",
     "banded_for_family",
     "binomial",
     "catalan_entry",
@@ -74,6 +83,7 @@ __all__ = [
     "dual_polynomials",
     "eulerian",
     "evolve",
+    "exact_div",
     "expand_in_basis",
     "fibonacci",
     "fibonomial",

@@ -18,7 +18,7 @@ from .dynsys import (
     phi_from_step_matrix,
     solve_step_matrix,
 )
-from .exact import Polynomial
+from .exact import Polynomial, Rational, format_exact
 from .misprints import format_ledger
 from .output import OutputDocument
 from .sequences import RootSequence
@@ -130,8 +130,8 @@ def _emit(doc: OutputDocument, fmt: str) -> None:
         sys.stdout.write(doc.to_pretty())
 
 
-def _poly_rows(polys: Sequence[Polynomial]) -> list[tuple[Fraction, ...]]:
-    return [p.coeffs if p.coeffs else (Fraction(0),) for p in polys]
+def _poly_rows(polys: Sequence[Polynomial]) -> list[tuple[Rational, ...]]:
+    return [p.coeffs if p.coeffs else (0,) for p in polys]
 
 
 def _step_matrix_polys(tri: Triangle, rows: int) -> list[Polynomial]:
@@ -202,7 +202,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print("fit: banded time-independent recurrence found")
         print("k\ti_k\tq_k\td_k")
         for k in range(rec.depth + 1):
-            print(f"{k}\t{rec.up[k]}\t{rec.stay[k]}\t{rec.down[k]}")
+            print(k, *(format_exact(w[k]) for w in (rec.up, rec.stay, rec.down)), sep="\t")
     else:
         print("fit: no banded time-independent recurrence")
         print(f"inconsistent column: k={result.column}")
@@ -227,16 +227,16 @@ def cmd_phi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sequence(text: str, length: int, flag: str) -> list[Fraction]:
+def _parse_sequence(text: str, length: int, flag: str) -> list[Rational]:
     if text == "ones":
-        return [Fraction(1)] * length
+        return [1] * length
     try:
         values = [Fraction(t.strip()) for t in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse {flag} value {text!r}") from None
     if len(values) > length:
         raise UsageError(f"{flag} has {len(values)} entries, more than rows+1 = {length}")
-    return values + [Fraction(0)] * (length - len(values))
+    return values + [0] * (length - len(values))
 
 
 def cmd_convolve(args: argparse.Namespace) -> int:

@@ -16,10 +16,9 @@ convolution built from fibonomial coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import Polynomial, Rational, X, as_fraction, forward_substitute
+from .exact import Polynomial, Rational, as_exact, exact_div, forward_substitute
 from .sequences import fibonacci
 from .triads import BandedRecurrence, Triangle, banded_step, generate_from_banded
 
@@ -33,14 +32,14 @@ class StepMatrix:
     level l in n steps.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Rational, ...], ...]
 
     def __post_init__(self) -> None:
         coerced = []
         for n, row in enumerate(self.rows):
             if len(row) != n + 2:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 2}")
-            coerced.append(tuple(as_fraction(v) for v in row))
+            coerced.append(tuple(as_exact(v) for v in row))
         object.__setattr__(self, "rows", tuple(coerced))
 
     @property
@@ -82,11 +81,14 @@ def phi_from_step_matrix(
         row = sm.rows[n]
         if row[n + 1] != 1:
             raise ValueError(f"non-unit superdiagonal at row {n}: {row[n + 1]}")
-        nxt = X * phis[n]
+        # Coefficients of x*phi_n - sum_l F[n][l]*phi_l, in one pass each.
+        nxt = [0, *phis[n].coeffs]
         for l in range(n + 1):
-            if row[l]:
-                nxt = nxt - row[l] * phis[l]
-        phis.append(nxt)
+            f = row[l]
+            if f:
+                for j, c in enumerate(phis[l].coeffs):
+                    nxt[j] -= f * c
+        phis.append(Polynomial(nxt))
     return phis
 
 
@@ -95,7 +97,7 @@ def invert_unipotent(tri: Triangle) -> Triangle:
     the degree-n basis polynomial dual to the triangle's expansion."""
     if not tri.is_unipotent():
         raise ValueError("only unipotent triangles invert over their own entries")
-    units = [(Fraction(0),) * n + (Fraction(1),) for n in range(tri.max_row + 1)]
+    units = [(0,) * n + (1,) for n in range(tri.max_row + 1)]
     inv = forward_substitute(tri.rows, units)
     family = f"{tri.family}-inverse" if tri.family else "inverse"
     return Triangle(tuple(inv), family=family, params=tri.params)
@@ -105,7 +107,7 @@ def evolve(
     state: Sequence[Rational],
     transition: Union[BandedRecurrence, StepMatrix],
     steps: int,
-) -> tuple[Fraction, ...]:
+) -> tuple[Rational, ...]:
     """Apply a transition matrix to a row vector a given number of times.
 
     The vector's length is the truncation window.  Each step can widen the
@@ -113,7 +115,7 @@ def evolve(
     one slot per step; anything narrower would silently drop mass and is
     refused instead.
     """
-    vec = [as_fraction(v) for v in state]
+    vec = [as_exact(v) for v in state]
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if steps == 0:
@@ -132,14 +134,14 @@ def evolve(
             )
         for _ in range(steps):
             vec = banded_step(transition, vec, len(vec))
-        return tuple(vec)
+        return tuple(map(as_exact, vec))
     if isinstance(transition, StepMatrix):
         if transition.row_count < reach:
             raise ValueError(
                 f"step matrix has {transition.row_count} rows, evolution reaches level {reach - 1}"
             )
         for _ in range(steps):
-            nxt = [Fraction(0)] * len(vec)
+            nxt: list[Rational] = [0] * len(vec)
             for j, v in enumerate(vec):
                 if not v:
                     continue
@@ -147,7 +149,7 @@ def evolve(
                     if f:
                         nxt[l] += v * f
             vec = nxt
-        return tuple(vec)
+        return tuple(map(as_exact, vec))
     raise TypeError(f"cannot evolve with {type(transition).__name__}")
 
 
@@ -175,14 +177,14 @@ _PIVOT_ORDER = (1, 0, 2)  # prefer pinning stay, then up, then down
 
 
 def _eliminate(
-    equations: Sequence[tuple[int, tuple[Fraction, Fraction, Fraction], Fraction]],
-) -> tuple[Optional[tuple[Fraction, Fraction, Fraction]], Optional[frozenset[int]]]:
+    equations: Sequence[tuple[int, tuple[Rational, Rational, Rational], Rational]],
+) -> tuple[Optional[tuple[Rational, Rational, Rational]], Optional[frozenset[int]]]:
     """Exact Gaussian elimination on a 3-unknown column system.
 
     Returns (solution, None) with free unknowns set to 0, or (None, tags)
     where tags are the row indices of equations combining to 0 = nonzero.
     """
-    pivots: list[tuple[int, list[Fraction], Fraction, frozenset[int]]] = []
+    pivots: list[tuple[int, list[Rational], Rational, frozenset[int]]] = []
     for tag, a, b in equations:
         coeffs = list(a)
         rhs = b
@@ -198,11 +200,11 @@ def _eliminate(
             if rhs:
                 return None, tags
             continue
-        inv = 1 / coeffs[var]
+        pivot = coeffs[var]
         pivots.append(
-            (var, [c * inv for c in coeffs], rhs * inv, tags)
+            (var, [exact_div(c, pivot) for c in coeffs], exact_div(rhs, pivot), tags)
         )
-    solution = [Fraction(0)] * 3
+    solution: list[Rational] = [0] * 3
     for var, coeffs, rhs, _ in reversed(pivots):
         solution[var] = rhs - sum(
             coeffs[v] * solution[v] for v in range(3) if v != var
@@ -212,7 +214,7 @@ def _eliminate(
 
 def _column_equations(
     tri: Triangle, k: int
-) -> list[tuple[int, tuple[Fraction, Fraction, Fraction], Fraction]]:
+) -> list[tuple[int, tuple[Rational, Rational, Rational], Rational]]:
     # Unknowns per column k: (up[k-1], stay[k], down[k+1]).
     eqs = []
     for n in range(max(k - 1, 0), tri.max_row):
@@ -222,7 +224,7 @@ def _column_equations(
 
 
 def _minimal_conflict(
-    equations: Sequence[tuple[int, tuple[Fraction, Fraction, Fraction], Fraction]],
+    equations: Sequence[tuple[int, tuple[Rational, Rational, Rational], Rational]],
     tags: frozenset[int],
 ) -> list[int]:
     by_tag = {tag: (tag, a, b) for tag, a, b in equations}
@@ -259,9 +261,9 @@ def fit_banded(tri: Triangle) -> FitResult:
         raise ValueError("need rows 0..4 at least to overdetermine the fit")
     if tri.rows[0][0] != 1:
         raise ValueError("fit requires the seed entry 1 at (0, 0)")
-    up = [Fraction(0)] * n_max
-    stay = [Fraction(0)] * n_max
-    down = [Fraction(0)] * n_max
+    up: list[Rational] = [0] * n_max
+    stay: list[Rational] = [0] * n_max
+    down: list[Rational] = [0] * n_max
     for k in range(n_max + 1):
         eqs = _column_equations(tri, k)
         solution, tags = _eliminate(eqs)
@@ -284,7 +286,7 @@ def fit_banded(tri: Triangle) -> FitResult:
 
 def convolve_fibonomial(
     a: Sequence[Rational], b: Sequence[Rational], upto: int
-) -> tuple[Fraction, ...]:
+) -> tuple[Rational, ...]:
     """Weighted convolution c_n = sum_k fibonomial(n, k) * a_k * b_{n-k}.
 
     Both sequences must cover indices 0..upto.  Bilinear and commutative by
@@ -294,16 +296,16 @@ def convolve_fibonomial(
         raise ValueError("upto must be nonnegative")
     if len(a) < upto + 1 or len(b) < upto + 1:
         raise ValueError(f"sequences must cover indices 0..{upto}")
-    av = [as_fraction(v) for v in a[: upto + 1]]
-    bv = [as_fraction(v) for v in b[: upto + 1]]
+    av = [as_exact(v) for v in a[: upto + 1]]
+    bv = [as_exact(v) for v in b[: upto + 1]]
     ffact = [1]
     for m in range(1, upto + 1):
         ffact.append(ffact[-1] * fibonacci(m))
     out = []
     for n in range(upto + 1):
-        total = Fraction(0)
+        total = 0
         for k in range(n + 1):
             if av[k] and bv[n - k]:
-                total += Fraction(ffact[n], ffact[k] * ffact[n - k]) * av[k] * bv[n - k]
-        out.append(total)
+                total += exact_div(ffact[n], ffact[k] * ffact[n - k]) * av[k] * bv[n - k]
+        out.append(as_exact(total))
     return tuple(out)

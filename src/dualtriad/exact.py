@@ -1,28 +1,106 @@
-"""Exact univariate polynomials and unit-triangular solves.
+"""Exact scalars, univariate polynomials and unit-triangular solves.
 
-Scalars are plain Python ints and fractions.Fraction: both are arbitrary
-precision, and Fraction keeps every value in lowest terms with a positive
-denominator.  Floats are rejected so nothing silently leaves exact
-arithmetic.
+A scalar is an int when integral, a Fraction otherwise: both are arbitrary
+precision, Fraction keeps every value in lowest terms with a positive
+denominator, and an integral value is never held as a Fraction.  Python's
+int arithmetic is native while every Fraction operation pays for a gcd, so
+the integer families never touch Fraction at all.  Floats are rejected so
+nothing silently leaves exact arithmetic.
+
+Two rules keep the representation: values are stored through as_exact, and
+every division goes through exact_div (int / int would give a float).
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 
-def as_fraction(value: Rational) -> Fraction:
-    """Coerce an int or Fraction to Fraction; refuse anything inexact."""
-    if isinstance(value, Fraction):
+def as_exact(value: Rational) -> Rational:
+    """An int for an int or integral Fraction, the Fraction otherwise; refuse
+    anything inexact.  A bool becomes the int 0 or 1."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(
         f"exact arithmetic accepts int or Fraction, got {type(value).__name__}"
     )
+
+
+def exact_div(a: Rational, b: Rational) -> Rational:
+    """a / b as an int when the quotient is integral, a Fraction otherwise.
+
+    Both operands must already be exact; b == 0 raises ZeroDivisionError.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_exact(a / b)
+
+
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+_EXACT_RE = re.compile(r"-?\d+(/\d+)?\Z")
+
+
+def _int_str(n: int) -> str:
+    # str() refuses ints longer than sys.get_int_max_str_digits(); past that
+    # the digits are produced in blocks small enough to stay under it.
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    blocks = []
+    while n:
+        n, low = divmod(n, _CHUNK)
+        blocks.append(low)
+    head, *rest = reversed(blocks)
+    return sign + str(head) + "".join(str(b).zfill(_CHUNK_DIGITS) for b in rest)
+
+
+def format_exact(value: Rational) -> str:
+    """Render as 'p' or 'p/q' in lowest terms with a positive denominator,
+    however many digits p and q have."""
+    v = as_exact(value)
+    if type(v) is int:
+        return _int_str(v)
+    return f"{_int_str(v.numerator)}/{_int_str(v.denominator)}"
+
+
+def _parse_digits(digits: str) -> int:
+    # int() refuses strings longer than sys.get_int_max_str_digits(); past
+    # that the digits are read in blocks small enough to stay under it.
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    value = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK_DIGITS):
+        value = value * _CHUNK + int(digits[i : i + _CHUNK_DIGITS])
+    return value
+
+
+def parse_exact(text: str) -> Rational:
+    """Inverse of format_exact; rejects anything but integer or p/q strings.
+
+    Returns an int when the value is integral, a Fraction otherwise.
+    """
+    if not _EXACT_RE.match(text):
+        raise ValueError(f"not an exact value: {text!r}")
+    num, _, den = text.partition("/")
+    sign, digits = (-1, num[1:]) if num.startswith("-") else (1, num)
+    value = sign * _parse_digits(digits)
+    if not den:
+        return value
+    d = _parse_digits(den)
+    if d == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return as_exact(Fraction(value, d))
 
 
 class Polynomial:
@@ -36,10 +114,10 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()) -> None:
-        cs = [as_fraction(c) for c in coeffs]
+        cs = [as_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rational, ...] = tuple(cs)
 
     @classmethod
     def monomial(cls, power: int, coeff: Rational = 1) -> "Polynomial":
@@ -53,16 +131,16 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Rational:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, power: int) -> Fraction:
+    def coefficient(self, power: int) -> Rational:
         """Coefficient of x**power (0 beyond the degree)."""
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return Fraction(0)
+        return 0
 
     @staticmethod
     def _coerce(value: object) -> "Polynomial | None":
@@ -115,13 +193,13 @@ class Polynomial:
 
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            f = as_fraction(other)
+            f = as_exact(other)
             return Polynomial(tuple(c * f for c in self.coeffs))
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -132,10 +210,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Rational) -> "Polynomial":
-        f = as_fraction(scalar)
+        f = as_exact(scalar)
         if f == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Polynomial(tuple(c / f for c in self.coeffs))
+        return Polynomial(tuple(exact_div(c, f) for c in self.coeffs))
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -145,13 +223,13 @@ class Polynomial:
             result = result * self
         return result
 
-    def __call__(self, point: Rational) -> Fraction:
+    def __call__(self, point: Rational) -> Rational:
         """Evaluate at an exact point (Horner)."""
-        x = as_fraction(point)
-        total = Fraction(0)
+        x = as_exact(point)
+        total = 0
         for c in reversed(self.coeffs):
             total = total * x + c
-        return total
+        return as_exact(total)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -166,10 +244,10 @@ class Polynomial:
                 continue
             mag = abs(c)
             if power == 0:
-                body = str(mag)
+                body = format_exact(mag)
             else:
                 xpart = "x" if power == 1 else f"x^{power}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
+                body = xpart if mag == 1 else f"{format_exact(mag)}*{xpart}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -188,13 +266,13 @@ def linear_combination(
         raise ValueError(
             f"{len(coeffs)} coefficients given for {len(polys)} polynomials"
         )
-    acc: list[Fraction] = []
+    acc: list[Rational] = []
     for c, p in zip(coeffs, polys):
-        cf = as_fraction(c)
+        cf = as_exact(c)
         if cf == 0 or not p:
             continue
         if len(p.coeffs) > len(acc):
-            acc.extend([Fraction(0)] * (len(p.coeffs) - len(acc)))
+            acc.extend([0] * (len(p.coeffs) - len(acc)))
         for j, pj in enumerate(p.coeffs):
             acc[j] += cf * pj
     return Polynomial(acc)
@@ -224,7 +302,7 @@ def forward_substitute(
 
 def solve_unit_lower(
     matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
-) -> tuple[Fraction, ...]:
+) -> tuple[Rational, ...]:
     """Forward substitution for L y = rhs, L lower triangular with unit diagonal.
 
     Rows may carry their full width or just columns 0..i; anything above the
@@ -239,11 +317,11 @@ def solve_unit_lower(
         row = matrix[i]
         if len(row) <= i:
             raise ValueError(f"row {i} is shorter than its diagonal")
-        if as_fraction(row[i]) != 1:
+        if as_exact(row[i]) != 1:
             raise ValueError(
                 f"diagonal entry at row {i} is {row[i]}; only unit-diagonal "
                 "systems are supported"
             )
-        lower.append(tuple(as_fraction(v) for v in row[:i]))
-    solved = forward_substitute(lower, [(as_fraction(v),) for v in rhs])
-    return tuple(y for (y,) in solved)
+        lower.append(tuple(as_exact(v) for v in row[:i]))
+    solved = forward_substitute(lower, [(as_exact(v),) for v in rhs])
+    return tuple(as_exact(y) for (y,) in solved)

@@ -9,29 +9,10 @@ centered display only and is not meant to be parsed.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Rational, as_fraction
-
-_EXACT_RE = re.compile(r"-?\d+(/\d+)?\Z")
-
-
-def format_exact(value: Rational) -> str:
-    """Render as 'p' or 'p/q' in lowest terms with a positive denominator."""
-    return str(as_fraction(value))
-
-
-def parse_exact(text: str) -> Fraction:
-    """Inverse of format_exact; rejects anything but integer or p/q strings."""
-    if not _EXACT_RE.match(text):
-        raise ValueError(f"not an exact value: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+from .exact import Rational, format_exact, parse_exact
 
 
 @dataclass
@@ -55,7 +36,7 @@ class OutputDocument:
         rows = [[format_exact(v) for v in row] for row in value_rows]
         return cls(family=family, params=dict(params), rows=rows, report=report)
 
-    def value_rows(self) -> list[list[Fraction]]:
+    def value_rows(self) -> list[list[Rational]]:
         return [[parse_exact(s) for s in row] for row in self.rows]
 
     def to_json(self) -> str:
@@ -95,7 +76,7 @@ class OutputDocument:
         return "".join(",".join(row) + "\n" for row in self.rows)
 
     @classmethod
-    def rows_from_csv(cls, text: str) -> list[list[Fraction]]:
+    def rows_from_csv(cls, text: str) -> list[list[Rational]]:
         return [
             [parse_exact(item) for item in line.split(",")]
             for line in text.splitlines()

@@ -1,6 +1,6 @@
 """Scalar combinatorial sequences in closed form.
 
-Every function returns exact values: int where integrality is guaranteed,
+Every function returns exact values: an int when the value is integral, a
 Fraction otherwise.  Out-of-range indices give 0 rather than an error so that
 recurrences can run without boundary branches.
 """
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import Rational, as_fraction
+from .exact import Rational, as_exact, exact_div
 
 
 def fibonacci(n: int) -> int:
@@ -31,44 +30,46 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def q_int(n: int, q: Rational) -> Fraction:
+def q_int(n: int, q: Rational) -> Rational:
     """The q-integer (1 - q^n)/(1 - q) = 1 + q + ... + q^(n-1); n at q = 1."""
-    qf = as_fraction(q)
+    qf = as_exact(q)
     if qf == 0:
         raise ValueError("q must be nonzero")
     if n < 0:
         raise ValueError("q-integer index must be nonnegative")
     if qf == 1:
-        return Fraction(n)
-    return (1 - qf**n) / (1 - qf)
+        return n
+    return exact_div(1 - qf**n, 1 - qf)
 
 
-def q_factorial(n: int, q: Rational) -> Fraction:
+def q_factorial(n: int, q: Rational) -> Rational:
     """Product of the q-integers 1..n; empty product 1 for n = 0."""
-    result = Fraction(1)
+    result = 1
     for m in range(1, n + 1):
         result *= q_int(m, q)
-    return result
+    return as_exact(result)
 
 
-def q_binomial(n: int, k: int, q: Rational) -> Fraction:
+def q_binomial(n: int, k: int, q: Rational) -> Rational:
     """Gaussian binomial: falling q-factorial of length k over the q-factorial
     of k.  Returns 0 outside 0 <= k <= n and 1 at k = 0.
 
     Over the rationals a denominator q-integer can vanish only at q = -1,
-    where this factored form is undefined; that case raises.
+    where this factored form is undefined; that case raises.  After step j
+    the running product is the Gaussian binomial of n - k + j over j, so it
+    stays an int for integer q.
     """
     if n < 0 or k < 0 or k > n:
-        return Fraction(0)
-    result = Fraction(1)
+        return 0
+    result = 1
     for j in range(1, k + 1):
         den = q_int(j, q)
         if den == 0:
             raise ValueError(
-                f"q-integer {j} vanishes at q = {as_fraction(q)}; the "
+                f"q-integer {j} vanishes at q = {as_exact(q)}; the "
                 "factorial form of the coefficient is undefined there"
             )
-        result *= q_int(n - k + j, q) / den
+        result = exact_div(result * q_int(n - k + j, q), den)
     return result
 
 
@@ -79,12 +80,12 @@ def fibonomial(n: int, k: int) -> int:
     """
     if n < 0 or k < 0 or k > n:
         return 0
-    result = Fraction(1)
+    result = 1
     for j in range(1, k + 1):
-        result *= Fraction(fibonacci(n - k + j), fibonacci(j))
-    if result.denominator != 1:  # pragma: no cover - integrality is a theorem
+        result = exact_div(result * fibonacci(n - k + j), fibonacci(j))
+    if not isinstance(result, int):  # pragma: no cover - integrality is a theorem
         raise ArithmeticError(f"fibonomial({n}, {k}) evaluated non-integral")
-    return result.numerator
+    return result
 
 
 def catalan_entry(n: int, k: int) -> int:
@@ -96,10 +97,10 @@ def catalan_entry(n: int, k: int) -> int:
         raise ValueError("closed-form rows start at n = 1")
     if k <= 0 or k > n:
         return 0
-    value = Fraction(math.comb(2 * n, n - k) * k, n)
-    if value.denominator != 1:  # pragma: no cover - integrality is a theorem
+    value = exact_div(math.comb(2 * n, n - k) * k, n)
+    if not isinstance(value, int):  # pragma: no cover - integrality is a theorem
         raise ArithmeticError(f"catalan_entry({n}, {k}) evaluated non-integral")
-    return value.numerator
+    return value
 
 
 def stirling_first(n: int, k: int) -> int:
@@ -149,39 +150,39 @@ class RootSequence:
     """
 
     rule: str
-    data: tuple[Fraction, ...]
+    data: tuple[Rational, ...]
 
     @classmethod
     def constant(cls, value: Rational) -> "RootSequence":
-        return cls("constant", (as_fraction(value),))
+        return cls("constant", (as_exact(value),))
 
     @classmethod
     def arithmetic(cls, start: Rational = 0, step: Rational = 1) -> "RootSequence":
         """r_s = start + (s - 1) * step; the default gives 0, 1, 2, ..."""
-        return cls("arithmetic", (as_fraction(start), as_fraction(step)))
+        return cls("arithmetic", (as_exact(start), as_exact(step)))
 
     @classmethod
     def geometric(cls, ratio: Rational, first: Rational = 1) -> "RootSequence":
         """r_s = first * ratio**(s - 1); the default gives 1, q, q^2, ..."""
-        r = as_fraction(ratio)
+        r = as_exact(ratio)
         if r == 0:
             raise ValueError("geometric ratio must be nonzero")
-        return cls("geometric", (as_fraction(first), r))
+        return cls("geometric", (as_exact(first), r))
 
     @classmethod
     def explicit(cls, values) -> "RootSequence":
-        return cls("explicit", tuple(as_fraction(v) for v in values))
+        return cls("explicit", tuple(as_exact(v) for v in values))
 
-    def value(self, level: int) -> Fraction:
+    def value(self, level: int) -> Rational:
         """Root r_level; levels are indexed from 1."""
         if level < 1:
             raise ValueError("root levels are indexed from 1")
         if self.rule == "constant":
             return self.data[0]
         if self.rule == "arithmetic":
-            return self.data[0] + (level - 1) * self.data[1]
+            return as_exact(self.data[0] + (level - 1) * self.data[1])
         if self.rule == "geometric":
-            return self.data[0] * self.data[1] ** (level - 1)
+            return as_exact(self.data[0] * self.data[1] ** (level - 1))
         if self.rule == "explicit":
             if level > len(self.data):
                 raise ValueError(
@@ -190,6 +191,6 @@ class RootSequence:
             return self.data[level - 1]
         raise ValueError(f"unknown root rule {self.rule!r}")
 
-    def prefix(self, count: int) -> tuple[Fraction, ...]:
+    def prefix(self, count: int) -> tuple[Rational, ...]:
         """Roots r_1..r_count."""
         return tuple(self.value(s) for s in range(1, count + 1))

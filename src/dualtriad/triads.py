@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .exact import Polynomial, Rational, as_fraction, linear_combination
+from .exact import Polynomial, Rational, as_exact, exact_div, format_exact, linear_combination
 from .sequences import RootSequence, fibonacci
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
-
-_ZERO = Fraction(0)
 
 
 def canonical_family(name: str) -> str:
@@ -45,7 +43,7 @@ class Triangle:
     through entry().
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[Rational, ...], ...]
     family: str = ""
     params: tuple[tuple[str, str], ...] = ()
 
@@ -54,17 +52,17 @@ class Triangle:
         for n, row in enumerate(self.rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-            coerced.append(tuple(as_fraction(v) for v in row))
+            coerced.append(tuple(as_exact(v) for v in row))
         object.__setattr__(self, "rows", tuple(coerced))
 
     @property
     def max_row(self) -> int:
         return len(self.rows) - 1
 
-    def entry(self, n: int, k: int) -> Fraction:
+    def entry(self, n: int, k: int) -> Rational:
         if 0 <= n < len(self.rows) and 0 <= k <= n:
             return self.rows[n][k]
-        return Fraction(0)
+        return 0
 
     def is_unipotent(self) -> bool:
         return all(row[n] == 1 for n, row in enumerate(self.rows))
@@ -73,12 +71,12 @@ class Triangle:
         return dict(self.params)
 
 
-def _levels(spec: LevelSpec, depth: int) -> tuple[Fraction, ...]:
+def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
     if callable(spec):
-        return tuple(as_fraction(spec(k)) for k in range(depth + 1))
+        return tuple(as_exact(spec(k)) for k in range(depth + 1))
     if isinstance(spec, (int, Fraction)):
-        return tuple(as_fraction(spec) for _ in range(depth + 1))
-    vals = tuple(as_fraction(v) for v in spec)
+        return (as_exact(spec),) * (depth + 1)
+    vals = tuple(as_exact(v) for v in spec)
     if len(vals) < depth + 1:
         raise ValueError(f"level sequence covers {len(vals)} levels, need {depth + 1}")
     return vals[: depth + 1]
@@ -93,14 +91,14 @@ class BandedRecurrence:
     carried for uniform indexing but never multiplies anything.
     """
 
-    up: tuple[Fraction, ...]
-    stay: tuple[Fraction, ...]
-    down: tuple[Fraction, ...]
+    up: tuple[Rational, ...]
+    stay: tuple[Rational, ...]
+    down: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "up", tuple(as_fraction(v) for v in self.up))
-        object.__setattr__(self, "stay", tuple(as_fraction(v) for v in self.stay))
-        object.__setattr__(self, "down", tuple(as_fraction(v) for v in self.down))
+        object.__setattr__(self, "up", tuple(as_exact(v) for v in self.up))
+        object.__setattr__(self, "stay", tuple(as_exact(v) for v in self.stay))
+        object.__setattr__(self, "down", tuple(as_exact(v) for v in self.down))
         if not (len(self.up) == len(self.stay) == len(self.down)):
             raise ValueError("up, stay and down must cover the same levels")
 
@@ -144,7 +142,7 @@ def root_recurrence(roots: RootSequence, depth: int) -> BandedRecurrence:
     return BandedRecurrence((1,) * levels, roots.prefix(levels), (0,) * levels)
 
 
-def banded_step(rec: BandedRecurrence, vec: Sequence[Fraction], width: int) -> list[Fraction]:
+def banded_step(rec: BandedRecurrence, vec: Sequence[Rational], width: int) -> list[Rational]:
     """Row vector vec times the tridiagonal step matrix of rec, cut to width.
 
     Entry k is up[k-1]*vec[k-1] + stay[k]*vec[k] + down[k+1]*vec[k+1].  vec is
@@ -153,7 +151,7 @@ def banded_step(rec: BandedRecurrence, vec: Sequence[Fraction], width: int) -> l
     """
     up, stay, down = rec.up, rec.stay, rec.down
     out = [(v if s == 1 else s * v) if v else v for s, v in zip(stay, vec)]
-    out.extend([_ZERO] * (width - len(out)))
+    out.extend([0] * (width - len(out)))
     for k, v in enumerate(vec):
         if v:
             if k + 1 < width:
@@ -182,52 +180,52 @@ def generate_from_banded(
         raise ValueError(
             f"recurrence tabulated to level {rec.depth}; {rows} rows need level {rows - 1}"
         )
-    out: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+    out: list[tuple[Rational, ...]] = [(1,)]
     for n in range(rows):
         out.append(tuple(banded_step(rec, out[-1], n + 2)))
     return Triangle(rows=tuple(out), family=family, params=params)
 
 
-def _catalan_shifted_rows(rows: int) -> list[tuple[Fraction, ...]]:
+def _catalan_shifted_rows(rows: int) -> list[tuple[int, ...]]:
     # Column 0 is pinned to 0 from row 1 on; the interior follows the
     # symmetric three-term update seeded with the single 1 at (1, 1).
-    out: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+    out: list[tuple[int, ...]] = [(1,)]
     if rows >= 1:
-        out.append((_ZERO, Fraction(1)))
+        out.append((0, 1))
     for n in range(1, rows):
-        p = (_ZERO,) + out[-1] + (_ZERO, _ZERO)  # p[j + 1] is entry j of row n
-        out.append((_ZERO,) + tuple(p[k] + 2 * p[k + 1] + p[k + 2] for k in range(1, n + 2)))
+        p = (0,) + out[-1] + (0, 0)  # p[j + 1] is entry j of row n
+        out.append((0,) + tuple(p[k] + 2 * p[k + 1] + p[k + 2] for k in range(1, n + 2)))
     return out
 
 
-def _fibonomial_rows(rows: int) -> list[tuple[Fraction, ...]]:
+def _fibonomial_rows(rows: int) -> list[tuple[int, ...]]:
     # Update weights F_{k+1} and F_{n-k} depend on the row index n, so this
     # cannot be phrased as a BandedRecurrence.  The new diagonal entry is the
     # boundary value 1 (empty product), like the k = 0 column.
     fibs = [fibonacci(i) for i in range(rows + 2)]
-    out: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+    out: list[tuple[int, ...]] = [(1,)]
     for n in range(rows):
         prev = out[-1]
-        row = [Fraction(1)]
+        row = [1]
         for k in range(1, n + 1):
             row.append(fibs[k + 1] * prev[k] + fibs[n - k] * prev[k - 1])
-        row.append(Fraction(1))
+        row.append(1)
         out.append(tuple(row))
     return out
 
 
-def _stirling_first_rows(rows: int) -> list[tuple[Fraction, ...]]:
-    out: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+def _stirling_first_rows(rows: int) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = [(1,)]
     for n in range(rows):
-        p = (_ZERO,) + out[-1] + (_ZERO,)  # p[j + 1] is entry j of row n
+        p = (0,) + out[-1] + (0,)  # p[j + 1] is entry j of row n
         out.append(tuple(p[k] + n * p[k + 1] for k in range(n + 2)))
     return out
 
 
-def _eulerian_rows(rows: int) -> list[tuple[Fraction, ...]]:
-    out: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+def _eulerian_rows(rows: int) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = [(1,)]
     for n in range(rows):
-        p = (_ZERO,) + out[-1] + (_ZERO,)  # p[j + 1] is entry j of row n
+        p = (0,) + out[-1] + (0,)  # p[j + 1] is entry j of row n
         out.append(tuple((k + 1) * p[k + 1] + (n + 1 - k) * p[k] for k in range(n + 2)))
     return out
 
@@ -252,7 +250,7 @@ class Family:
     route: Optional[str]
     param: Optional[str] = None
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]] = None
-    rows: Optional[Callable[[int], list[tuple[Fraction, ...]]]] = None
+    rows: Optional[Callable[[int], list[tuple[int, ...]]]] = None
 
 
 FAMILIES: dict[str, Family] = {
@@ -282,7 +280,11 @@ def _resolve(
     entry = FAMILIES.get(name)
     if entry is None:
         raise ValueError(f"unknown family {family!r}")
-    value = {"q": q, "roots": roots}.get(entry.param)
+    given = {"q": q, "roots": roots}
+    for param, supplied in given.items():
+        if supplied is not None and param != entry.param:
+            raise ValueError(f"family {name!r} does not take the parameter {param}")
+    value = given.get(entry.param)
     if entry.param is not None and value is None:
         raise ValueError(f"family {name!r} needs the parameter {entry.param}")
     return name, entry, value
@@ -322,7 +324,7 @@ def generate_named(
     name, entry, value = _resolve(family, q, roots)
     if entry.recurrence is None:
         return Triangle(tuple(entry.rows(rows)), family=name)
-    params = (("q", str(value)),) if entry.param == "q" else ()
+    params = (("q", format_exact(value)),) if entry.param == "q" else ()
     return generate_from_banded(entry.recurrence(value, rows - 1), rows, family=name, params=params)
 
 
@@ -351,14 +353,14 @@ def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
             f"recurrence tabulated to level {rec.depth}; {count} polynomials need level {count - 1}"
         )
     phis = [Polynomial((1,))]
-    prev: tuple[Fraction, ...] = ()
+    prev: tuple[Rational, ...] = ()
     for k in range(count):
         up, stay, down = rec.up[k], rec.stay[k], rec.down[k]
         if up == 0:
             raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
         cur = phis[k].coeffs
         # Coefficient j of x*phi_k - stay*phi_k - down*phi_{k-1}, in one pass.
-        nxt = [_ZERO, *cur]
+        nxt = [0, *cur]
         for j, c in enumerate(cur):
             t = nxt[j]
             if stay:
@@ -367,7 +369,7 @@ def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
                 t -= down * prev[j]
             nxt[j] = t
         if up != 1:
-            nxt = [t / up for t in nxt]
+            nxt = [exact_div(t, up) for t in nxt]
         phis.append(Polynomial(nxt))
         prev = cur
     return phis
@@ -400,7 +402,7 @@ def verify_triad(tri: Triangle, phis: Sequence[Polynomial]) -> TriadReport:
     return TriadReport(tri.max_row, True, None)
 
 
-def expand_in_basis(p: Polynomial, phis: Sequence[Polynomial]) -> list[Fraction]:
+def expand_in_basis(p: Polynomial, phis: Sequence[Polynomial]) -> list[Rational]:
     """Coefficients a_k with p = sum a_k phi_k, by back-substitution.
 
     Requires deg phi_k = k for every k up to deg p (graded basis); the
@@ -414,10 +416,10 @@ def expand_in_basis(p: Polynomial, phis: Sequence[Polynomial]) -> list[Fraction]
     for k in range(deg + 1):
         if phis[k].degree != k:
             raise ValueError(f"basis polynomial {k} must have degree {k}")
-    coeffs = [Fraction(0)] * (deg + 1)
+    coeffs: list[Rational] = [0] * (deg + 1)
     rest = p
     for k in range(deg, -1, -1):
-        c = rest.coefficient(k) / phis[k].leading
+        c = exact_div(rest.coefficient(k), phis[k].leading)
         coeffs[k] = c
         if c:
             rest = rest - c * phis[k]
@@ -445,7 +447,7 @@ def catalan_triad_from_shifted(tri: Triangle) -> Triangle:
 def catalan_shifted_from_triad(tri: Triangle) -> Triangle:
     """Inverse of catalan_triad_from_shifted: prepend the zero column and the
     bare seed row."""
-    rows = [(Fraction(1),)]
+    rows = [(1,)]
     for n in range(tri.max_row + 1):
-        rows.append((Fraction(0),) + tri.rows[n])
+        rows.append((0,) + tri.rows[n])
     return Triangle(tuple(rows), family="catalan-shifted")

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from dualtriad.cli import main, parse_roots
-from dualtriad.output import OutputDocument
-from dualtriad.sequences import RootSequence
+from dualtriad.output import OutputDocument, parse_exact
+from dualtriad.sequences import RootSequence, q_binomial
 from dualtriad.triads import generate_named
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -224,6 +224,20 @@ class TestCliRoundTrips:
         rows = OutputDocument.rows_from_csv(out)
         tri = generate_named("catalan-shifted", 16)
         assert [tuple(r) for r in rows] == list(tri.rows)
+
+    def test_entries_past_the_int_string_limit(self):
+        # The middle entry of row 132 at q = 10 has more digits than the
+        # default limit (4300) of int <-> str conversion.
+        code, out, err = run_cli(["generate", "--family", "q-gaussian", "--q", "10", "--rows", "132"])
+        assert (code, err) == (0, "")
+        middle = out.splitlines()[-1].split(",")[66]
+        assert len(middle) > 4300
+        assert parse_exact(middle) == q_binomial(132, 66, 10)
+
+    def test_fit_weights_past_the_int_string_limit(self):
+        code, out, err = run_cli(["fit", "--family", "q-gaussian", "--q", str(10**200), "--rows", "23"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "\t".join(("22", "1", "1" + "0" * 4400, "0"))
 
 
 class TestSubprocessEntryPoint:

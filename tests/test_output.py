@@ -1,10 +1,12 @@
 """Lossless JSON/CSV serialization and the display format."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dualtriad.exact import Polynomial
 from dualtriad.output import OutputDocument, format_exact, parse_exact
 from dualtriad.sequences import RootSequence
 from dualtriad.triads import generate_named, lah_from_roots
@@ -33,6 +35,20 @@ class TestExactStrings:
     def test_round_trip_is_identity(self):
         for v in (Fraction(0), Fraction(10**40), Fraction(-7, 13), Fraction(255, 256)):
             assert parse_exact(format_exact(v)) == v
+
+    def test_beyond_the_int_string_limit(self):
+        # The default limit on int <-> str conversion is 4300 digits; values
+        # past it must still format and parse without touching the limit.
+        limit = sys.get_int_max_str_digits()
+        big = 10**4999 + 12345678901234567890
+        for v in (big, -big, Fraction(-7, big), Fraction(big + 1, 3)):
+            assert parse_exact(format_exact(v)) == v
+        assert format_exact(big) == "1" + "0" * 4979 + "12345678901234567890"
+        assert format_exact(Fraction(-7, big)).startswith("-7/1000")
+        assert len(format_exact(Fraction(-7, big))) == 3 + 5000
+        assert str(Polynomial((0, -big))) == "-" + format_exact(big) + "*x"
+        assert generate_named("q-gaussian", 1, q=big).params_dict() == {"q": format_exact(big)}
+        assert sys.get_int_max_str_digits() == limit
 
     def test_rejects_inexact_text(self):
         for bad in ("1.5", "1e3", "", "x", "1/0", "--3", "3 / 4"):

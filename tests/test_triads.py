@@ -123,6 +123,15 @@ class TestGenerateNamed:
         with pytest.raises(ValueError):
             generate_named("q-gaussian", 3)
 
+    def test_parameter_of_another_family_rejected(self):
+        with pytest.raises(ValueError, match="does not take the parameter q"):
+            generate_named("pascal", 3, q=2)
+        with pytest.raises(ValueError, match="does not take the parameter roots"):
+            generate_named("q-gaussian", 3, q=2, roots=RootSequence.constant(1))
+        with pytest.raises(ValueError, match="does not take the parameter q"):
+            banded_for_family("lah", 3, q=2, roots=RootSequence.arithmetic())
+        assert generate_named("pascal", 3, q=None, roots=None) == generate_named("pascal", 3)
+
     def test_underscore_names_accepted(self):
         assert generate_named("catalan_triad", 3).rows == generate_named("catalan-triad", 3).rows
 
