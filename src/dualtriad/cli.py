@@ -106,7 +106,9 @@ class FamilyInputs(NamedTuple):
         return generate_named(self.name, rows, self.q, self.roots)
 
 
-def _family_inputs(args: argparse.Namespace) -> FamilyInputs:
+def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
+    """The family flags, checked; levels is how many roots r_1, r_2, ... the
+    command reads, which an explicit --roots list must cover."""
     entry = FAMILIES[args.family]
     q = _parse_q(args.q) if args.q is not None else None
     roots = parse_roots(args.roots) if args.roots is not None else None
@@ -117,6 +119,8 @@ def _family_inputs(args: argparse.Namespace) -> FamilyInputs:
         if entry.param != flag and text is not None:
             owner = next(name for name, e in FAMILIES.items() if e.param == flag)
             raise UsageError(f"--{flag} only applies to family {owner}")
+    if roots is not None and roots.rule == "explicit" and len(roots.data) < levels:
+        raise UsageError(f"explicit root sequence has only {len(roots.data)} levels")
     params = {} if entry.param is None else {entry.param: texts[entry.param]}
     return FamilyInputs(args.family, entry, q, roots, params)
 
@@ -134,15 +138,16 @@ def _poly_rows(polys: Sequence[Polynomial]) -> list[tuple[Rational, ...]]:
     return [p.coeffs if p.coeffs else (0,) for p in polys]
 
 
-def _step_matrix_polys(tri: Triangle, rows: int) -> list[Polynomial]:
-    if rows == 0:
-        return [Polynomial((1,))]
-    return phi_from_step_matrix(solve_step_matrix(tri), rows)
+def _step_matrix_polys(family: FamilyInputs, tri: Triangle) -> list[Polynomial]:
+    # The step matrix needs rows 0..1 even when only phi_0 is asked for, so
+    # that a family without a unit diagonal fails at row 0 as at any row.
+    base = tri if tri.max_row else family.triangle(1)
+    return phi_from_step_matrix(solve_step_matrix(base), tri.max_row)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args)
+    family = _family_inputs(args, rows)
     tri = family.triangle(rows)
     _emit(OutputDocument.from_values(family.name, family.params, tri.rows), args.format)
     return 0
@@ -150,7 +155,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_dual(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args)
+    family = _family_inputs(args, rows)
     dual = family.entry.dual
     if dual is None or dual == STEP_MATRIX:
         raise UsageError(
@@ -164,16 +169,17 @@ def cmd_dual(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args)
+    family = _family_inputs(args, rows)
     dual = family.entry.dual
     if dual is None:
         raise UsageError(
             f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
+    rec = None
     if dual == STEP_MATRIX:
         tri = family.triangle(rows)
-        phis = _step_matrix_polys(tri, rows)
+        phis = _step_matrix_polys(family, tri)
     else:
         rec = banded_for_family(dual, rows - 1, family.q, family.roots)
         if dual == family.name:  # one recurrence builds both sides
@@ -181,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             tri = family.triangle(rows)
         phis = dual_polynomials(rec, rows)
-    report = verify_triad(tri, phis)
+    report = verify_triad(tri, phis, rec)
     print(f"route: {family.entry.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
@@ -195,7 +201,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     if rows < 5:
         raise UsageError("fit needs --rows of at least 5")
-    tri = _family_inputs(args).triangle(rows)
+    tri = _family_inputs(args, rows).triangle(rows)
     result = fit_banded(tri)
     if result.fits:
         rec = result.recurrence
@@ -213,7 +219,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args)
+    family = _family_inputs(args, rows + 1)
     sm = solve_step_matrix(family.triangle(rows + 1))
     _emit(OutputDocument.from_values(family.name, family.params, sm.rows), args.format)
     return 0
@@ -221,8 +227,8 @@ def cmd_solve_f(args: argparse.Namespace) -> int:
 
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args)
-    phis = _step_matrix_polys(family.triangle(rows), rows)
+    family = _family_inputs(args, rows)
+    phis = _step_matrix_polys(family, family.triangle(rows))
     _emit(OutputDocument.from_values(family.name, family.params, _poly_rows(phis)), args.format)
     return 0
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .exact import Polynomial, Rational, as_exact, exact_div, forward_substitute
-from .sequences import fibonacci
-from .triads import BandedRecurrence, Triangle, banded_step, generate_from_banded
+from .triads import BandedRecurrence, Triangle, banded_step, fibonomial_rows, generate_from_banded
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,8 @@ def convolve_fibonomial(
     """Weighted convolution c_n = sum_k fibonomial(n, k) * a_k * b_{n-k}.
 
     Both sequences must cover indices 0..upto.  Bilinear and commutative by
-    the symmetry of the weights.
+    the symmetry of the weights, which come one row at a time from the
+    fibonomial row recurrence.
     """
     if upto < 0:
         raise ValueError("upto must be nonnegative")
@@ -298,14 +298,11 @@ def convolve_fibonomial(
         raise ValueError(f"sequences must cover indices 0..{upto}")
     av = [as_exact(v) for v in a[: upto + 1]]
     bv = [as_exact(v) for v in b[: upto + 1]]
-    ffact = [1]
-    for m in range(1, upto + 1):
-        ffact.append(ffact[-1] * fibonacci(m))
     out = []
-    for n in range(upto + 1):
+    for n, weights in enumerate(fibonomial_rows(upto)):
         total = 0
-        for k in range(n + 1):
+        for k, w in enumerate(weights):
             if av[k] and bv[n - k]:
-                total += exact_div(ffact[n], ffact[k] * ffact[n - k]) * av[k] * bv[n - k]
+                total += w * av[k] * bv[n - k]
         out.append(as_exact(total))
     return tuple(out)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .exact import Polynomial, Rational, as_exact, exact_div, format_exact, linear_combination
 from .sequences import RootSequence, fibonacci
@@ -125,12 +125,15 @@ class TriadReport:
 
     holds is True iff the expansion residual vanished for every checked row;
     otherwise first_failure carries the first failing row index and the exact
-    residual polynomial.
+    residual polynomial.  method names the proof: "certificate" when the
+    banded recurrence checks of verify_triad proved every row at once,
+    "brute" when each row was expanded.
     """
 
     verified_up_to: int
     holds: bool
     first_failure: Optional[tuple[int, Polynomial]] = None
+    method: str = "brute"
 
 
 def root_recurrence(roots: RootSequence, depth: int) -> BandedRecurrence:
@@ -198,20 +201,25 @@ def _catalan_shifted_rows(rows: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _fibonomial_rows(rows: int) -> list[tuple[int, ...]]:
-    # Update weights F_{k+1} and F_{n-k} depend on the row index n, so this
-    # cannot be phrased as a BandedRecurrence.  The new diagonal entry is the
-    # boundary value 1 (empty product), like the k = 0 column.
+def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of the fibonomial triangle, one at a time.
+
+    Update weights F_{k+1} and F_{n-k} depend on the row index n, so this
+    cannot be phrased as a BandedRecurrence.  Only the previous row is held,
+    so a caller that consumes each row as it comes never holds the triangle.
+    """
     fibs = [fibonacci(i) for i in range(rows + 2)]
-    out: list[tuple[int, ...]] = [(1,)]
+    row: tuple[int, ...] = (1,)
+    yield row
     for n in range(rows):
-        prev = out[-1]
-        row = [1]
+        # The new diagonal entry is the boundary value 1 (empty product),
+        # like the k = 0 column.
+        nxt = [1]
         for k in range(1, n + 1):
-            row.append(fibs[k + 1] * prev[k] + fibs[n - k] * prev[k - 1])
-        row.append(1)
-        out.append(tuple(row))
-    return out
+            nxt.append(fibs[k + 1] * row[k] + fibs[n - k] * row[k - 1])
+        nxt.append(1)
+        row = tuple(nxt)
+        yield row
 
 
 def _stirling_first_rows(rows: int) -> list[tuple[int, ...]]:
@@ -250,7 +258,7 @@ class Family:
     route: Optional[str]
     param: Optional[str] = None
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]] = None
-    rows: Optional[Callable[[int], list[tuple[int, ...]]]] = None
+    rows: Optional[Callable[[int], Iterable[tuple[int, ...]]]] = None
 
 
 FAMILIES: dict[str, Family] = {
@@ -265,7 +273,7 @@ FAMILIES: dict[str, Family] = {
                               rows=_catalan_shifted_rows),
     "catalan-triad": Family(dual="catalan-triad", route=_BANDED_ROUTE,
                             recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
-    "fibonomial": Family(dual=STEP_MATRIX, route="step-matrix polynomials", rows=_fibonomial_rows),
+    "fibonomial": Family(dual=STEP_MATRIX, route="step-matrix polynomials", rows=fibonomial_rows),
     "stirling1": Family(dual=STEP_MATRIX, route="step-matrix polynomials", rows=_stirling_first_rows),
     "eulerian": Family(dual=None, route=None, rows=_eulerian_rows),
     "lah": Family(dual="lah", route="persistent-root polynomials", param="roots",
@@ -339,6 +347,27 @@ def lah_from_roots(
     return generate_from_banded(root_recurrence(roots, rows - 1), rows, family="lah", params=params)
 
 
+def _dual_step(
+    rec: BandedRecurrence, k: int, cur: Sequence[Rational], prev: Sequence[Rational]
+) -> list[Rational]:
+    """Coefficients of x*phi_k - stay[k]*phi_k - down[k]*phi_{k-1}.
+
+    cur and prev are the coefficients of phi_k and phi_{k-1}, of any lengths.
+    The dual recurrence sets the result equal to up[k]*phi_{k+1}: solving for
+    phi_{k+1} builds the duals, comparing with it checks given ones.
+    """
+    stay, down = rec.stay[k], rec.down[k]
+    out = [0, *cur]
+    if stay:
+        for j, c in enumerate(cur):
+            out[j] -= stay * c
+    if down:
+        out.extend([0] * (len(prev) - len(out)))
+        for j, c in enumerate(prev):
+            out[j] -= down * c
+    return out
+
+
 def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
     """Solve the polynomial recurrence dual to a banded recurrence.
 
@@ -355,19 +384,11 @@ def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
     phis = [Polynomial((1,))]
     prev: tuple[Rational, ...] = ()
     for k in range(count):
-        up, stay, down = rec.up[k], rec.stay[k], rec.down[k]
+        up = rec.up[k]
         if up == 0:
             raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
         cur = phis[k].coeffs
-        # Coefficient j of x*phi_k - stay*phi_k - down*phi_{k-1}, in one pass.
-        nxt = [0, *cur]
-        for j, c in enumerate(cur):
-            t = nxt[j]
-            if stay:
-                t -= stay * c
-            if down and j < len(prev):
-                t -= down * prev[j]
-            nxt[j] = t
+        nxt = _dual_step(rec, k, cur, prev)
         if up != 1:
             nxt = [exact_div(t, up) for t in nxt]
         phis.append(Polynomial(nxt))
@@ -384,16 +405,54 @@ def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
     return dual_polynomials(root_recurrence(roots, count - 1), count)
 
 
-def verify_triad(tri: Triangle, phis: Sequence[Polynomial]) -> TriadReport:
+def _certified(tri: Triangle, phis: Sequence[Polynomial], rec: BandedRecurrence) -> bool:
+    """True when R_0 = 0, the rows follow rec and the phis follow its dual.
+
+    With R_n = sum_k c[n][k] phi_k - x^n, the two recurrences give
+    R_{n+1} = x * R_n, so R_0 = 0 makes every R_n vanish.  Each check costs
+    O(N) scalar operations per row or level.
+    """
+    top = tri.max_row
+    if rec.depth < top - 1:
+        return False
+    head = phis[0].coeffs
+    if len(head) != 1 or tri.rows[0][0] * head[0] != 1:
+        return False
+    for n in range(top):
+        if banded_step(rec, tri.rows[n], n + 2) != list(tri.rows[n + 1]):
+            return False
+    prev: tuple[Rational, ...] = ()
+    for k in range(top):
+        cur = phis[k].coeffs
+        got = _dual_step(rec, k, cur, prev)
+        while got and not got[-1]:
+            got.pop()
+        up = rec.up[k]
+        if got != ([up * c for c in phis[k + 1].coeffs] if up else []):
+            return False
+        prev = cur
+    return True
+
+
+def verify_triad(
+    tri: Triangle, phis: Sequence[Polynomial], rec: Optional[BandedRecurrence] = None
+) -> TriadReport:
     """Check x^n = sum_k c[n][k] * phi_k(x) symbolically for every row.
 
-    The residual is computed exactly; the report carries the first failing row
+    rec is the banded recurrence the caller says the rows and the phis follow.
+    Given it, the identity is first certified for every row at once in O(N^2):
+    c[0][0] * phi_0 = 1, each row is the banded step of the one before, and
+    x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} for k < N.
+    If rec is absent or any check fails, every row is expanded (O(N^3)); the
+    residual is computed exactly, and the report carries the first failing row
     and its residual polynomial so a failure is a concrete counterexample.
     """
     if len(phis) != tri.max_row + 1:
         raise ValueError(
             f"{len(phis)} polynomials for rows 0..{tri.max_row}; counts must match"
         )
+    if rec is not None and _certified(tri, phis, rec):
+        return TriadReport(tri.max_row, True, None, "certificate")
     for n in range(tri.max_row + 1):
         combo = linear_combination(tri.rows[n], phis[: n + 1])
         residual = combo - Polynomial.monomial(n)

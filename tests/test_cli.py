@@ -140,7 +140,7 @@ ROUTE_MATRIX = {
     "catalan-triad": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "banded dual recurrence"),
     "fibonomial": ((0, 2, 0, 2, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0), "step-matrix polynomials"),
     "stirling1": ((0, 2, 0, 2, 0, 0, 2), (0, 2, 0, 0, 0, 0, 2), "step-matrix polynomials"),
-    "eulerian": ((0, 2, 2, 2, 1, 0, 2), (0, 2, 2, 0, 1, 1, 2), None),
+    "eulerian": ((0, 2, 2, 2, 1, 1, 2), (0, 2, 2, 0, 1, 1, 2), None),
     "lah": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "persistent-root polynomials"),
 }
 
@@ -201,8 +201,20 @@ class TestRootsParsing:
         for rows in ("3", "10"):
             code, _, err = run_cli(["verify", "--family", "lah", "--roots", "1,2",
                                     "--rows", rows])
-            assert code == 1
+            assert code == 2
             assert "only 2 levels" in err
+
+    def test_explicit_list_too_short_exits_2_on_every_command(self):
+        # Five roots cover rows 0..5; solve-f reads the triangle to row N + 1,
+        # so for it they cover rows 0..4 only.
+        for command in ("generate", "dual", "verify", "fit", "solve-f", "phi"):
+            for rows in ("5", "6"):
+                code, _, err = run_cli([command, "--family", "lah", "--roots", "1,2,3,4,5",
+                                        "--rows", rows])
+                if rows == "5" and command != "solve-f":
+                    assert code == 0, command
+                else:
+                    assert (code, "only 5 levels" in err) == (2, True), (command, rows)
 
 
 class TestCliRoundTrips:

@@ -353,6 +353,15 @@ class TestConvolveFibonomial:
         assert sums == [1, 2, 3, 6, 14]
         assert convolve_fibonomial([1] * 5, [1] * 5, 4) == tuple(sums)
 
+    def test_streamed_weights_match_closed_form(self):
+        rng = random.Random(4)
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(31)]
+        b = [rng.randint(-9, 9) for _ in range(31)]
+        expected = tuple(
+            sum(fibonomial(n, k) * a[k] * b[n - k] for k in range(n + 1)) for n in range(31)
+        )
+        assert convolve_fibonomial(a, b, 30) == expected
+
     def test_shifted_delta(self):
         delta1 = [0, 1, 0]
         out = convolve_fibonomial(delta1, delta1, 2)

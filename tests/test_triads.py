@@ -1,5 +1,7 @@
 """Triangle generation, dual polynomial sequences, and the triad identity."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualtriad import cli
+from dualtriad.dynsys import phi_from_step_matrix, solve_step_matrix
 from dualtriad.exact import Polynomial, X, linear_combination
 from dualtriad.sequences import (
     RootSequence,
@@ -18,6 +22,8 @@ from dualtriad.sequences import (
     stirling_first,
 )
 from dualtriad.triads import (
+    FAMILIES,
+    STEP_MATRIX,
     BandedRecurrence,
     Triangle,
     banded_for_family,
@@ -29,6 +35,7 @@ from dualtriad.triads import (
     generate_named,
     lah_from_roots,
     persistent_root_polys,
+    root_recurrence,
     verify_triad,
 )
 
@@ -260,6 +267,140 @@ class TestVerifyTriad:
         rec = BandedRecurrence.tabulate(1, lambda k: k + 1, lambda k: Fraction(1, k + 1), 24)
         tri = generate_from_banded(rec, 24)
         assert verify_triad(tri, dual_polynomials(rec, 24)).holds
+
+
+CERT_N = 40
+# (family, q, explicit lah roots r_1, r_2, ...), the parameters of
+# test_exactness.py at CERT_N rows.
+CERT_CASES = [
+    ("pascal", None, None),
+    ("q-gaussian", 2, None),
+    ("q-gaussian", -3, None),
+    ("q-gaussian", Fraction(2, 3), None),
+    ("q-gaussian", Fraction(-5, 2), None),
+    ("catalan-shifted", None, None),
+    ("catalan-triad", None, None),
+    ("fibonomial", None, None),
+    ("stirling1", None, None),
+    ("eulerian", None, None),
+    ("lah", None, list(range(CERT_N + 1))),
+    ("lah", None, [Fraction(s, 2) for s in range(CERT_N + 1)]),
+    ("lah", None, [Fraction(1, 3) ** s for s in range(1, CERT_N + 2)]),
+    ("lah", None, [1, -1, Fraction(5, 2)] + [-s for s in range(CERT_N)]),
+]
+SELF_DUAL = ("pascal", "q-gaussian", "catalan-triad", "lah")
+
+
+def _same_outcome(a, b):
+    return (a.verified_up_to, a.holds, a.first_failure) == (b.verified_up_to, b.holds, b.first_failure)
+
+
+def _random_banded(rng, depth):
+    ups = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
+    up = tuple(rng.choice(ups) for _ in range(depth + 1))
+    stay = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(depth + 1))
+    down = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(depth + 1))
+    return BandedRecurrence(up, stay, down)
+
+
+class TestVerifyCertificate:
+    @pytest.mark.parametrize("name,q,roots", CERT_CASES)
+    def test_report_equals_brute_on_every_family(self, name, q, roots):
+        # The rows and phis that verify checks on each route.  Families without
+        # a banded dual get the Pascal recurrence, which their rows do not
+        # follow, so the certificate must fail and hand over to the scan.
+        seq = RootSequence.explicit(roots) if roots is not None else None
+        tri = generate_named(name, CERT_N, q=q, roots=seq)
+        dual = FAMILIES[name].dual
+        if dual is None or dual == STEP_MATRIX:
+            rec = root_recurrence(RootSequence.constant(1), CERT_N - 1)
+            if dual is None:
+                phis = dual_polynomials(rec, CERT_N)
+            else:
+                phis = phi_from_step_matrix(solve_step_matrix(tri), CERT_N)
+        else:
+            rec = banded_for_family(dual, CERT_N - 1, q=q, roots=seq)
+            phis = dual_polynomials(rec, CERT_N)
+        fast = verify_triad(tri, phis, rec)
+        brute = verify_triad(tri, phis)
+        assert _same_outcome(fast, brute)
+        assert brute.method == "brute"
+        assert fast.method == ("certificate" if name in SELF_DUAL else "brute")
+        assert fast.holds == (name not in ("catalan-shifted", "eulerian"))
+
+    def test_perturbed_triads_agree_with_brute(self):
+        # One change to a triad that holds: a triangle entry, a coefficient of
+        # one phi_k, or the seed c[0][0] (the whole triangle scaled, so the
+        # rows still follow the recurrence and only R_0 is wrong).
+        rng = random.Random(20261018)
+        kinds = {"entry": 0, "phi": 0, "seed": 0}
+        for trial in range(120):
+            depth = rng.randint(1, 10)
+            rec = _random_banded(rng, depth)
+            rows = [list(r) for r in generate_from_banded(rec, depth + 1).rows]
+            phis = dual_polynomials(rec, depth + 1)
+            kind = ("entry", "phi", "seed")[trial % 3]
+            delta = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+            if kind == "entry":
+                n = rng.randint(0, depth + 1)
+                rows[n][rng.randint(0, n)] += delta
+            elif kind == "phi":
+                k = rng.randint(0, depth + 1)
+                coeffs = list(phis[k].coeffs)
+                coeffs[rng.randint(0, k)] += delta
+                phis[k] = Polynomial(coeffs)
+            else:
+                rows = [[(1 + delta) * v for v in r] for r in rows]
+            tri = Triangle(tuple(tuple(r) for r in rows))
+            fast = verify_triad(tri, phis, rec)
+            brute = verify_triad(tri, phis)
+            assert _same_outcome(fast, brute), (trial, kind)
+            assert not fast.holds and fast.method == "brute"
+            kinds[kind] += 1
+        assert min(kinds.values()) == 40
+
+    def test_unperturbed_random_triads_certified(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            depth = rng.randint(0, 12)
+            rec = _random_banded(rng, depth)
+            tri = generate_from_banded(rec, depth + 1)
+            report = verify_triad(tri, dual_polynomials(rec, depth + 1), rec)
+            assert report.holds and report.method == "certificate"
+
+    def test_recurrence_too_shallow_falls_back(self):
+        rec = banded_for_family("catalan-triad", 3)
+        tri = generate_named("catalan-triad", 6)
+        phis = dual_polynomials(banded_for_family("catalan-triad", 5), 6)
+        report = verify_triad(tri, phis, rec)
+        assert report.holds and report.method == "brute"
+
+    @pytest.mark.parametrize("family,extra,method", [
+        ("pascal", [], "certificate"),
+        ("q-gaussian", ["--q=-5/2"], "certificate"),
+        ("catalan-triad", [], "certificate"),
+        ("lah", ["--roots", "1/2,3/2,..."], "certificate"),
+        ("catalan-shifted", [], "brute"),
+        ("fibonomial", [], "brute"),
+        ("stirling1", [], "brute"),
+    ])
+    def test_cli_verify_route_method(self, monkeypatch, family, extra, method):
+        reports = []
+
+        def recording(*args):
+            reports.append(verify_triad(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "verify_triad", recording)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--family", family, "--rows", "12"] + extra)
+        assert [r.method for r in reports] == [method]
+        if family == "catalan-shifted":
+            assert code == 1
+            assert out.getvalue().splitlines()[1] == "fails at n=1; residual = -2"
+        else:
+            assert code == 0
 
 
 class TestExpandInBasis:
