@@ -2,7 +2,8 @@
 
 Subcommands: generate, dual, verify, fit, solve-f, phi, convolve.  Exit
 codes: 0 for success (a no-fit analysis is a success), 1 for a mathematical
-verification failure or a failed precondition, 2 for usage errors.
+verification failure, a failed precondition or a closed output pipe, 2 for
+usage errors.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Collection, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .dynsys import (
     convolve_fibonomial,
@@ -20,7 +21,7 @@ from .dynsys import (
 )
 from .exact import Polynomial, Rational, format_exact
 from .misprints import format_ledger
-from .output import OutputDocument
+from .output import format_rows, write_document
 from .sequences import RootSequence
 from .triads import (
     FAMILIES,
@@ -31,6 +32,8 @@ from .triads import (
     dual_polynomials,
     generate_from_banded,
     generate_named,
+    iter_dual_polynomials,
+    named_rows,
     verify_triad,
 )
 
@@ -105,6 +108,9 @@ class FamilyInputs(NamedTuple):
     def triangle(self, rows: int) -> Triangle:
         return generate_named(self.name, rows, self.q, self.roots)
 
+    def rows(self, rows: int) -> Iterator[tuple[Rational, ...]]:
+        return named_rows(self.name, rows, self.q, self.roots)
+
 
 def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
     """The family flags, checked; levels is how many roots r_1, r_2, ... the
@@ -125,17 +131,17 @@ def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
     return FamilyInputs(args.family, entry, q, roots, params)
 
 
-def _emit(doc: OutputDocument, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(doc.to_json() + "\n")
-    elif fmt == "csv":
-        sys.stdout.write(doc.to_csv())
-    else:
-        sys.stdout.write(doc.to_pretty())
+def _emit(
+    family: str, params: dict[str, str], value_rows: Iterable[Sequence[Rational]], fmt: str
+) -> None:
+    # Rows are formatted and written as value_rows yields them; a caller
+    # checks every precondition before it calls this, so that a failure
+    # writes nothing.
+    write_document(sys.stdout.write, fmt, family, params, format_rows(value_rows))
 
 
-def _poly_rows(polys: Sequence[Polynomial]) -> list[tuple[Rational, ...]]:
-    return [p.coeffs if p.coeffs else (0,) for p in polys]
+def _poly_rows(polys: Iterable[Polynomial]) -> Iterator[tuple[Rational, ...]]:
+    return (p.coeffs if p.coeffs else (0,) for p in polys)
 
 
 def _step_matrix_polys(family: FamilyInputs, tri: Triangle) -> list[Polynomial]:
@@ -148,8 +154,7 @@ def _step_matrix_polys(family: FamilyInputs, tri: Triangle) -> list[Polynomial]:
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
-    tri = family.triangle(rows)
-    _emit(OutputDocument.from_values(family.name, family.params, tri.rows), args.format)
+    _emit(family.name, family.params, family.rows(rows), args.format)
     return 0
 
 
@@ -162,8 +167,8 @@ def cmd_dual(args: argparse.Namespace) -> int:
             f"family {family.name} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    phis = dual_polynomials(banded_for_family(dual, rows - 1, family.q, family.roots), rows)
-    _emit(OutputDocument.from_values(family.name, family.params, _poly_rows(phis)), args.format)
+    phis = iter_dual_polynomials(banded_for_family(dual, rows - 1, family.q, family.roots), rows)
+    _emit(family.name, family.params, _poly_rows(phis), args.format)
     return 0
 
 
@@ -171,8 +176,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
     dual = family.entry.dual
-    if dual is None:
-        raise UsageError(
+    if dual is None:  # a failed precondition of the family, not of the flags
+        raise ValueError(
             f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
@@ -221,7 +226,7 @@ def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows + 1)
     sm = solve_step_matrix(family.triangle(rows + 1))
-    _emit(OutputDocument.from_values(family.name, family.params, sm.rows), args.format)
+    _emit(family.name, family.params, sm.rows, args.format)
     return 0
 
 
@@ -229,7 +234,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
     phis = _step_matrix_polys(family, family.triangle(rows))
-    _emit(OutputDocument.from_values(family.name, family.params, _poly_rows(phis)), args.format)
+    _emit(family.name, family.params, _poly_rows(phis), args.format)
     return 0
 
 
@@ -250,10 +255,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     a = _parse_sequence(args.a, rows + 1, "--a")
     b = _parse_sequence(args.b, rows + 1, "--b")
     values = convolve_fibonomial(a, b, rows)
-    doc = OutputDocument.from_values(
-        "fibonomial", {"a": args.a, "b": args.b}, [values]
-    )
-    _emit(doc, args.format)
+    _emit("fibonomial", {"a": args.a, "b": args.b}, [values], args.format)
     return 0
 
 
@@ -319,6 +321,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does.  Point the descriptor at
+        # devnull so that the flush at interpreter exit cannot fail again (the
+        # recipe of the Python docs' note on SIGPIPE).
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -4,13 +4,17 @@ Values travel as decimal strings ("123" or "-4/7"), never as native JSON
 numbers: entries outgrow 64-bit integers quickly and exactness is the
 contract.  JSON and CSV round-trip losslessly; the pretty format is a
 centered display only and is not meant to be parsed.
+
+write_document is the one writer of every format.  It takes the rows as an
+iterable and, for JSON and CSV, writes each row as it arrives, so a caller
+that streams rows from a recurrence never holds the whole document.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .exact import Rational, format_exact, parse_exact
 
@@ -30,23 +34,23 @@ class OutputDocument:
         cls,
         family: str,
         params: dict[str, str],
-        value_rows: Sequence[Sequence[Rational]],
+        value_rows: Iterable[Sequence[Rational]],
         report: Optional[dict] = None,
     ) -> "OutputDocument":
-        rows = [[format_exact(v) for v in row] for row in value_rows]
+        rows = list(format_rows(value_rows))
         return cls(family=family, params=dict(params), rows=rows, report=report)
 
     def value_rows(self) -> list[list[Rational]]:
         return [[parse_exact(s) for s in row] for row in self.rows]
 
+    def _render(self, fmt: str) -> str:
+        parts: list[str] = []
+        write_document(parts.append, fmt, self.family, self.params, self.rows, self.report)
+        return "".join(parts)
+
     def to_json(self) -> str:
-        doc = {
-            "family": self.family,
-            "params": self.params,
-            "rows": self.rows,
-            "report": self.report,
-        }
-        return json.dumps(doc, indent=2)
+        """json.dumps of the document with indent=2 (no final newline)."""
+        return self._render("json")[:-1]
 
     @classmethod
     def from_json(cls, text: str) -> "OutputDocument":
@@ -73,7 +77,7 @@ class OutputDocument:
     def to_csv(self) -> str:
         """One row per line, comma-separated, no padding for missing upper
         entries."""
-        return "".join(",".join(row) + "\n" for row in self.rows)
+        return self._render("csv")
 
     @classmethod
     def rows_from_csv(cls, text: str) -> list[list[Rational]]:
@@ -85,8 +89,67 @@ class OutputDocument:
 
     def to_pretty(self) -> str:
         """Rows centered under each other, like a printed triangle."""
-        if not self.rows:
-            return ""
-        texts = [" ".join(row) for row in self.rows]
-        width = max(len(t) for t in texts)
-        return "".join(t.center(width).rstrip() + "\n" for t in texts)
+        return self._render("pretty")
+
+
+def format_rows(value_rows: Iterable[Sequence[Rational]]) -> Iterator[list[str]]:
+    """Each row of exact values as decimal strings, one row at a time."""
+    for row in value_rows:
+        yield [format_exact(v) for v in row]
+
+
+def write_document(
+    write: Callable[[str], object],
+    fmt: str,
+    family: str,
+    params: dict,
+    rows: Iterable[Sequence[str]],
+    report: Optional[dict] = None,
+) -> None:
+    """Write a document in fmt ("json", "csv" or "pretty") through write.
+
+    csv and json make one write per row as the row arrives, so only that row
+    is held; each row's strings are dropped once joined, before the write.
+    pretty holds the joined text of every row, because centering needs the
+    widest row first.  The json text is json.dumps(document, indent=2)
+    followed by a newline; csv and pretty end every row with one.
+    """
+    if fmt == "csv":
+        for text in map(",".join, rows):
+            write(text + "\n")
+            del text  # not held while the next row is made
+    elif fmt == "json":
+        write(f'{{\n  "family": {_nested(family)},\n  "params": {_nested(params)},\n  "rows": [')
+        sep = "\n    "
+        for text in map(_json_row, rows):
+            write(sep + text)
+            del text
+            sep = ",\n    "
+        close = "]" if sep == "\n    " else "\n  ]"
+        write(f'{close},\n  "report": {_nested(report)}\n}}\n')
+    elif fmt == "pretty":
+        texts = list(map(" ".join, rows))
+        width = max(map(len, texts), default=0)
+        for t in texts:
+            write(t.center(width).rstrip() + "\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+# What json.dumps writes for a str item of a list.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_row(row: Sequence[str]) -> str:
+    # json.dumps(row, indent=2) two levels deep, built without the slow
+    # pure-Python encoder that json.dumps uses whenever indent is set.
+    if not row:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(_json_string, row)) + "\n    ]"
+
+
+def _nested(value: object) -> str:
+    # json.dumps(value, indent=2) as the value of a top-level key: JSON text
+    # breaks lines only between tokens, never inside a string, so each line
+    # break gains the one level of indent.
+    return json.dumps(value, indent=2).replace("\n", "\n  ")

@@ -48,12 +48,7 @@ class Triangle:
     params: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        coerced = []
-        for n, row in enumerate(self.rows):
-            if len(row) != n + 1:
-                raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-            coerced.append(tuple(as_exact(v) for v in row))
-        object.__setattr__(self, "rows", tuple(coerced))
+        object.__setattr__(self, "rows", tuple(checked_rows(self.rows)))
 
     @property
     def max_row(self) -> int:
@@ -69,6 +64,15 @@ class Triangle:
 
     def params_dict(self) -> dict[str, str]:
         return dict(self.params)
+
+
+def checked_rows(rows: Iterable[Sequence[Rational]]) -> Iterator[tuple[Rational, ...]]:
+    """Rows as a Triangle stores them, one at a time: row n must have n + 1
+    entries, and every entry passes through as_exact."""
+    for n, row in enumerate(rows):
+        if len(row) != n + 1:
+            raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
+        yield tuple(as_exact(v) for v in row)
 
 
 def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
@@ -165,17 +169,13 @@ def banded_step(rec: BandedRecurrence, vec: Sequence[Rational], width: int) -> l
     return out
 
 
-def generate_from_banded(
-    rec: BandedRecurrence,
-    rows: int,
-    family: str = "banded",
-    params: tuple[tuple[str, str], ...] = (),
-) -> Triangle:
-    """Iterate the banded recurrence from the seed entry 1 at (0, 0).
+def banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
+    """Rows 0..rows of the banded recurrence from the seed entry 1 at (0, 0),
+    one at a time, holding only the previous row.
 
     Row n+1 entry k is up[k-1]*c[n][k-1] + stay[k]*c[n][k] + down[k+1]*c[n][k+1].
     With nonnegative weights, c[n][k] counts the walks from level 0 that reach
-    level k in n steps.
+    level k in n steps.  The arguments are checked here, before the first row.
     """
     if rows < 0:
         raise ValueError("rows must be nonnegative")
@@ -183,22 +183,39 @@ def generate_from_banded(
         raise ValueError(
             f"recurrence tabulated to level {rec.depth}; {rows} rows need level {rows - 1}"
         )
-    out: list[tuple[Rational, ...]] = [(1,)]
+    return _banded_rows(rec, rows)
+
+
+def _banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
+    row: tuple[Rational, ...] = (1,)
+    yield row
     for n in range(rows):
-        out.append(tuple(banded_step(rec, out[-1], n + 2)))
-    return Triangle(rows=tuple(out), family=family, params=params)
+        row = tuple(banded_step(rec, row, n + 2))
+        yield row
 
 
-def _catalan_shifted_rows(rows: int) -> list[tuple[int, ...]]:
+def generate_from_banded(
+    rec: BandedRecurrence,
+    rows: int,
+    family: str = "banded",
+    params: tuple[tuple[str, str], ...] = (),
+) -> Triangle:
+    """The triangle of banded_rows(rec, rows)."""
+    return Triangle(rows=tuple(banded_rows(rec, rows)), family=family, params=params)
+
+
+def _catalan_shifted_rows(rows: int) -> Iterator[tuple[int, ...]]:
     # Column 0 is pinned to 0 from row 1 on; the interior follows the
     # symmetric three-term update seeded with the single 1 at (1, 1).
-    out: list[tuple[int, ...]] = [(1,)]
-    if rows >= 1:
-        out.append((0, 1))
+    yield (1,)
+    if rows < 1:
+        return
+    row: tuple[int, ...] = (0, 1)
+    yield row
     for n in range(1, rows):
-        p = (0,) + out[-1] + (0, 0)  # p[j + 1] is entry j of row n
-        out.append((0,) + tuple(p[k] + 2 * p[k + 1] + p[k + 2] for k in range(1, n + 2)))
-    return out
+        p = (0,) + row + (0, 0)  # p[j + 1] is entry j of row n
+        row = (0,) + tuple(p[k] + 2 * p[k + 1] + p[k + 2] for k in range(1, n + 2))
+        yield row
 
 
 def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
@@ -222,20 +239,22 @@ def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-def _stirling_first_rows(rows: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [(1,)]
+def _stirling_first_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    row: tuple[int, ...] = (1,)
+    yield row
     for n in range(rows):
-        p = (0,) + out[-1] + (0,)  # p[j + 1] is entry j of row n
-        out.append(tuple(p[k] + n * p[k + 1] for k in range(n + 2)))
-    return out
+        p = (0,) + row + (0,)  # p[j + 1] is entry j of row n
+        row = tuple(p[k] + n * p[k + 1] for k in range(n + 2))
+        yield row
 
 
-def _eulerian_rows(rows: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = [(1,)]
+def _eulerian_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    row: tuple[int, ...] = (1,)
+    yield row
     for n in range(rows):
-        p = (0,) + out[-1] + (0,)  # p[j + 1] is entry j of row n
-        out.append(tuple((k + 1) * p[k + 1] + (n + 1 - k) * p[k] for k in range(n + 2)))
-    return out
+        p = (0,) + row + (0,)  # p[j + 1] is entry j of row n
+        row = tuple((k + 1) * p[k + 1] + (n + 1 - k) * p[k] for k in range(n + 2))
+        yield row
 
 
 STEP_MATRIX = "step matrix"
@@ -247,18 +266,18 @@ class Family:
     """How one named family is built, what it takes, and where its duals are.
 
     recurrence maps (parameter value, depth) to the family's banded weights
-    for levels 0..depth; a family without one builds its rows 0..N with
-    rows(N) instead.  param names the parameter the family needs (None, "q" or
-    "roots").  dual is the family whose recurrence gives the dual polynomials,
-    STEP_MATRIX, or None when there is no dual; route is the line verify
-    prints for that dual.
+    for levels 0..depth; a family without one yields its rows 0..N from
+    rows(N) instead, holding only the previous row.  param names the
+    parameter the family needs (None, "q" or "roots").  dual is the family
+    whose recurrence gives the dual polynomials, STEP_MATRIX, or None when
+    there is no dual; route is the line verify prints for that dual.
     """
 
     dual: Optional[str]
     route: Optional[str]
     param: Optional[str] = None
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]] = None
-    rows: Optional[Callable[[int], Iterable[tuple[int, ...]]]] = None
+    rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]] = None
 
 
 FAMILIES: dict[str, Family] = {
@@ -316,24 +335,46 @@ def banded_for_family(
     return entry.recurrence(value, depth)
 
 
+def named_rows(
+    family: str,
+    rows: int,
+    q: Optional[Rational] = None,
+    roots: Optional[RootSequence] = None,
+) -> Iterator[tuple[Rational, ...]]:
+    """Rows 0..rows of a named triangle family, one at a time, checked as a
+    Triangle checks its rows.
+
+    Families with a defining recurrence are generated by that recurrence so
+    the closed forms in the sequences module stay an independent cross-check.
+    The arguments are checked here, before the first row, and only the
+    previous row is held.
+    """
+    return checked_rows(_named_rows(family, rows, q, roots))
+
+
+def _named_rows(
+    family: str, rows: int, q: Optional[Rational], roots: Optional[RootSequence]
+) -> Iterator[tuple[Rational, ...]]:
+    if rows < 0:
+        raise ValueError("rows must be nonnegative")
+    _, entry, value = _resolve(family, q, roots)
+    if entry.recurrence is None:
+        return entry.rows(rows)
+    return banded_rows(entry.recurrence(value, rows - 1), rows)
+
+
 def generate_named(
     family: str,
     rows: int,
     q: Optional[Rational] = None,
     roots: Optional[RootSequence] = None,
 ) -> Triangle:
-    """Rows 0..rows of a named triangle family.
-
-    Families with a defining recurrence are generated by that recurrence so
-    the closed forms in the sequences module stay an independent cross-check.
-    """
-    if rows < 0:
-        raise ValueError("rows must be nonnegative")
-    name, entry, value = _resolve(family, q, roots)
-    if entry.recurrence is None:
-        return Triangle(tuple(entry.rows(rows)), family=name)
-    params = (("q", format_exact(value)),) if entry.param == "q" else ()
-    return generate_from_banded(entry.recurrence(value, rows - 1), rows, family=name, params=params)
+    """The triangle of named_rows(family, rows, q, roots)."""
+    # Triangle checks the rows itself; _resolve lets only a family that takes
+    # q receive one.
+    stream = _named_rows(family, rows, q, roots)
+    params = () if q is None else (("q", format_exact(q)),)
+    return Triangle(tuple(stream), family=canonical_family(family), params=params)
 
 
 def lah_from_roots(
@@ -368,12 +409,14 @@ def _dual_step(
     return out
 
 
-def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
-    """Solve the polynomial recurrence dual to a banded recurrence.
+def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
+    """Solve the polynomial recurrence dual to a banded recurrence, yielding
+    phi_0..phi_count one at a time and holding only phi_{k-1} and phi_k.
 
     x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1}, with
-    phi_0 = 1 and phi_{-1} = 0, solved upward for phi_0..phi_count.  Each
-    up[k] must be nonzero to isolate phi_{k+1}; deg phi_k = k follows.
+    phi_0 = 1 and phi_{-1} = 0.  Each up[k] must be nonzero to isolate
+    phi_{k+1}; deg phi_k = k follows.  The arguments and the up weights are
+    checked here, before the first polynomial.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -381,19 +424,28 @@ def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
         raise ValueError(
             f"recurrence tabulated to level {rec.depth}; {count} polynomials need level {count - 1}"
         )
-    phis = [Polynomial((1,))]
-    prev: tuple[Rational, ...] = ()
     for k in range(count):
-        up = rec.up[k]
-        if up == 0:
+        if rec.up[k] == 0:
             raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
-        cur = phis[k].coeffs
-        nxt = _dual_step(rec, k, cur, prev)
+    return _dual_polynomials(rec, count)
+
+
+def _dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
+    prev: tuple[Rational, ...] = ()
+    phi = Polynomial((1,))
+    for k in range(count):
+        yield phi
+        up = rec.up[k]
+        nxt = _dual_step(rec, k, phi.coeffs, prev)
         if up != 1:
             nxt = [exact_div(t, up) for t in nxt]
-        phis.append(Polynomial(nxt))
-        prev = cur
-    return phis
+        prev, phi = phi.coeffs, Polynomial(nxt)
+    yield phi
+
+
+def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
+    """The polynomials of iter_dual_polynomials(rec, count), phi_0..phi_count."""
+    return list(iter_dual_polynomials(rec, count))
 
 
 def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:

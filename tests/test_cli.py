@@ -2,8 +2,11 @@
 
 import io
 import contextlib
+import errno
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -99,7 +102,6 @@ class TestExitCodes:
         assert run_cli(["generate", "--family", "lah", "--rows", "3"])[0] == 2
         assert run_cli(["generate", "--family", "pascal", "--q", "2", "--rows", "3"])[0] == 2
         assert run_cli(["generate", "--family", "pascal", "--rows", "-1"])[0] == 2
-        assert run_cli(["verify", "--family", "eulerian", "--rows", "5"])[0] == 2
         assert run_cli(["dual", "--family", "fibonomial", "--rows", "5"])[0] == 2
         assert run_cli(["fit", "--family", "pascal", "--rows", "4"])[0] == 2
         assert run_cli(["convolve", "--family", "fibonomial", "--a", "bad,x",
@@ -114,9 +116,13 @@ class TestExitCodes:
         assert len(out.splitlines()) == 601
 
     def test_precondition_failures_are_1(self):
-        # eulerian is not unipotent: no step matrix, no inverse basis
+        # eulerian is not unipotent: no step matrix, no inverse basis, no dual
         assert run_cli(["phi", "--family", "eulerian", "--rows", "3"])[0] == 1
         assert run_cli(["solve-f", "--family", "eulerian", "--rows", "3"])[0] == 1
+        code, out, err = run_cli(["verify", "--family", "eulerian", "--rows", "5"])
+        assert (code, out) == (1, "")
+        assert err == ("error: family eulerian admits no dual construction "
+                       "(not unipotent and no banded recurrence)\n")
 
     def test_verification_failure_is_1(self):
         code, out, _ = run_cli(["verify", "--family", "catalan-shifted", "--rows", "8"])
@@ -140,9 +146,83 @@ ROUTE_MATRIX = {
     "catalan-triad": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "banded dual recurrence"),
     "fibonomial": ((0, 2, 0, 2, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0), "step-matrix polynomials"),
     "stirling1": ((0, 2, 0, 2, 0, 0, 2), (0, 2, 0, 0, 0, 0, 2), "step-matrix polynomials"),
-    "eulerian": ((0, 2, 2, 2, 1, 1, 2), (0, 2, 2, 0, 1, 1, 2), None),
+    "eulerian": ((0, 2, 1, 2, 1, 1, 2), (0, 2, 1, 0, 1, 1, 2), None),
     "lah": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "persistent-root polynomials"),
 }
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone after the first write."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes >= 2:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedOutputPipe:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--family", "pascal", "--rows", "20"],
+        ["dual", "--family", "q-gaussian", "--q", "2", "--rows", "6", "--format", "json"],
+        ["verify", "--family", "pascal", "--rows", "4"],
+    ])
+    def test_exits_1_without_traceback(self, argv, tmp_path):
+        with open(tmp_path / "stdout", "wb") as f:
+            out, err = ClosedPipe(f.fileno()), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, out.writes, err.getvalue()) == (1, 2, "")
+            # The descriptor now points at devnull, so the flush at
+            # interpreter exit cannot raise again.
+            assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+
+
+class CountingSink:
+    """A stdout that counts what is written and keeps none of it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)  # the CLI writes ASCII only: characters are bytes
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestStreamedOutputMemory:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--family", "pascal", "--rows", "400", "--format", "csv"],
+        ["generate", "--family", "pascal", "--rows", "400", "--format", "json"],
+        ["dual", "--family", "q-gaussian", "--q=2/3", "--rows", "80"],
+    ])
+    def test_peak_is_a_small_part_of_the_output(self, argv):
+        # Rows go from the recurrence to stdout one at a time; holding the
+        # whole triangle, its strings or the joined text would cost more
+        # than the output itself.
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.size > 2_000_000
+        assert peak < sink.size / 4, (peak, sink.size)
 
 
 class TestRouteMatrix:

@@ -5,9 +5,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualtriad.exact import Polynomial
-from dualtriad.output import OutputDocument, format_exact, parse_exact
+from dualtriad.output import OutputDocument, format_exact, parse_exact, write_document
 from dualtriad.sequences import RootSequence
 from dualtriad.triads import generate_named, lah_from_roots
 
@@ -114,3 +116,83 @@ class TestPretty:
 
     def test_empty(self):
         assert OutputDocument(family="", params={}, rows=[]).to_pretty() == ""
+
+
+def joined_csv(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def joined_pretty(rows):
+    if not rows:
+        return ""
+    texts = [" ".join(row) for row in rows]
+    width = max(len(t) for t in texts)
+    return "".join(t.center(width).rstrip() + "\n" for t in texts)
+
+
+# Past the 4300-digit limit of int <-> str conversion.
+BIG = format_exact(7 * 10**4400 + 12345)
+texts = st.text(max_size=8) | st.sampled_from(['"', "\\", 'a"b\\c', "\u00e9", "\u2603", "\n", "/"])
+entries = texts | st.integers().map(str) | st.sampled_from([BIG, "-" + BIG, "1/" + BIG])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(texts, inner, max_size=3),
+    max_leaves=8,
+)
+documents = st.builds(
+    OutputDocument,
+    family=texts,
+    params=st.dictionaries(texts, texts, max_size=3),
+    rows=st.lists(st.lists(entries, max_size=4), max_size=5),
+    report=st.none() | st.dictionaries(texts, json_values, max_size=3),
+)
+
+
+class TestOneWriter:
+    """Every format comes from write_document; its text must be the one that
+    json.dumps and plain joins of the whole document give."""
+
+    def assert_renderings(self, doc):
+        whole = {"family": doc.family, "params": doc.params, "rows": doc.rows, "report": doc.report}
+        assert doc.to_json() == json.dumps(whole, indent=2)
+        assert doc.to_csv() == joined_csv(doc.rows)
+        assert doc.to_pretty() == joined_pretty(doc.rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(documents)
+    def test_matches_whole_document_renderings(self, doc):
+        self.assert_renderings(doc)
+
+    def test_edge_documents(self):
+        for doc in (
+            OutputDocument(family="", params={}, rows=[]),
+            OutputDocument(family="x", params={"q": "2"}, rows=[["1"]]),
+            OutputDocument(family="x", params={}, rows=[[], ["1"], []]),
+            OutputDocument(family='q"\\\u00e9', params={"roots": "1,2,…"}, rows=[["1"], ["1", BIG]],
+                           report={"holds": True, "first_failure": [3, ["-2", "1/3"]], "route": {}}),
+        ):
+            self.assert_renderings(doc)
+
+    @pytest.mark.parametrize("fmt,extra", [("csv", 0), ("json", 2), ("pretty", 0)])
+    def test_one_write_per_row(self, fmt, extra):
+        writes = []
+        write_document(writes.append, fmt, "x", {}, [["1"], ["1", "1"], ["1", "2", "1"]])
+        assert len(writes) == 3 + extra
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_written_as_they_arrive(self, fmt):
+        events = []
+
+        def rows():
+            for n in range(3):
+                events.append(f"row {n}")
+                yield [str(n)]
+
+        write_document(lambda text: events.append("write"), fmt, "x", {}, rows())
+        head = ["write"] if fmt == "json" else []
+        tail = ["write"] if fmt == "json" else []
+        assert events == head + ["row 0", "write", "row 1", "write", "row 2", "write"] + tail
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError):
+            write_document(print, "xml", "x", {}, [])
