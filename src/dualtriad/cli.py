@@ -13,24 +13,17 @@ import sys
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .dynsys import (
-    convolve_fibonomial,
-    fit_banded,
-    phi_from_step_matrix,
-    solve_step_matrix,
-)
+from .dynsys import convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
 from .exact import Polynomial, Rational, format_exact
 from .misprints import format_ledger
 from .output import format_rows, write_document
 from .sequences import RootSequence
 from .triads import (
     FAMILIES,
-    STEP_MATRIX,
+    BandedRecurrence,
     Family,
     Triangle,
     banded_for_family,
-    dual_polynomials,
-    generate_from_banded,
     generate_named,
     iter_dual_polynomials,
     named_rows,
@@ -118,7 +111,7 @@ def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
     entry = FAMILIES[args.family]
     q = _parse_q(args.q) if args.q is not None else None
     roots = parse_roots(args.roots) if args.roots is not None else None
-    texts = {"q": None if q is None else str(q), "roots": args.roots}
+    texts = {"q": None if q is None else format_exact(q), "roots": args.roots}
     for flag, text in texts.items():
         if entry.param == flag and text is None:
             raise UsageError(f"family {args.family} needs --{flag}")
@@ -144,11 +137,23 @@ def _poly_rows(polys: Iterable[Polynomial]) -> Iterator[tuple[Rational, ...]]:
     return (p.coeffs if p.coeffs else (0,) for p in polys)
 
 
-def _step_matrix_polys(family: FamilyInputs, tri: Triangle) -> list[Polynomial]:
-    # The step matrix needs rows 0..1 even when only phi_0 is asked for, so
-    # that a family without a unit diagonal fails at row 0 as at any row.
-    base = tri if tri.max_row else family.triangle(1)
-    return phi_from_step_matrix(solve_step_matrix(base), tri.max_row)
+def _phis(
+    family: FamilyInputs, name: str, rows: int, tri: Optional[Triangle] = None
+) -> tuple[Iterable[Polynomial], Optional[BandedRecurrence]]:
+    """phi_0..phi_rows of the named family, with the recurrence they follow.
+
+    A family with a banded recurrence streams the duals of that recurrence.
+    Any other family gives the rows of its inverse triangle: tri when the
+    caller has built it to row rows, else one built here to at least row 1,
+    so that a family without a unit diagonal fails at row 0 as at any row.
+    """
+    if FAMILIES[name].recurrence is not None:
+        rec = banded_for_family(name, rows - 1, family.q, family.roots)
+        return iter_dual_polynomials(rec, rows), rec
+    if tri is None:
+        tri = generate_named(name, max(rows, 1), family.q, family.roots)
+    inv = invert_unipotent(tri)
+    return (Polynomial(row) for row in inv.rows[: rows + 1]), None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -162,12 +167,12 @@ def cmd_dual(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
     dual = family.entry.dual
-    if dual is None or dual == STEP_MATRIX:
+    if dual is None or FAMILIES[dual].recurrence is None:
         raise UsageError(
             f"family {family.name} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    phis = iter_dual_polynomials(banded_for_family(dual, rows - 1, family.q, family.roots), rows)
+    phis, _ = _phis(family, dual, rows)
     _emit(family.name, family.params, _poly_rows(phis), args.format)
     return 0
 
@@ -181,18 +186,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    rec = None
-    if dual == STEP_MATRIX:
-        tri = family.triangle(rows)
-        phis = _step_matrix_polys(family, tri)
-    else:
-        rec = banded_for_family(dual, rows - 1, family.q, family.roots)
-        if dual == family.name:  # one recurrence builds both sides
-            tri = generate_from_banded(rec, rows, family.name)
-        else:
-            tri = family.triangle(rows)
-        phis = dual_polynomials(rec, rows)
-    report = verify_triad(tri, phis, rec)
+    tri = family.triangle(rows)
+    phis, rec = _phis(family, dual, rows, tri if dual == family.name else None)
+    report = verify_triad(tri, list(phis), rec)
     print(f"route: {family.entry.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
@@ -233,7 +229,7 @@ def cmd_solve_f(args: argparse.Namespace) -> int:
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
-    phis = _step_matrix_polys(family, family.triangle(rows))
+    phis, _ = _phis(family, family.name, rows)
     _emit(family.name, family.params, _poly_rows(phis), args.format)
     return 0
 

@@ -2,11 +2,13 @@
 
 Reading triangle rows as states of a walk, the row shift E (which maps row n
 to row n+1) factors through a single matrix F with C F = E C, so that
-C F^n = E^n C.  For a unipotent triangle F exists, is lower Hessenberg with a
-unit superdiagonal, and is found by forward substitution.  Its eigen-style
-recursion x*phi = F*phi then produces the polynomial sequence whose
-coefficient rows are the rows of C^{-1} - the basis in which x^n expands with
-the triangle's own rows as coefficients.
+C F^n = E^n C.  For a unipotent triangle F = C^{-1} E C is unique, lower
+Hessenberg with a unit superdiagonal, and found by forward substitution.
+Its eigen-style recursion x*phi = F*phi yields the phi whose coefficient
+rows are the rows of C^{-1}, which one inversion gives directly: the basis
+in which x^n expands with the triangle's own rows as coefficients.  A banded
+recurrence with unit up weights is the F of its triangle, so its duals are
+that triangle's phi.
 
 This module also decides, exactly, whether a triangle admits banded
 time-independent update weights at all (fit_banded), and carries the weighted
@@ -46,6 +48,11 @@ class StepMatrix:
         return len(self.rows)
 
 
+def _require_unipotent(tri: Triangle) -> None:
+    if not tri.is_unipotent():
+        raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
+
+
 def solve_step_matrix(tri: Triangle) -> StepMatrix:
     """Solve C F = (row shift of C) by forward substitution.
 
@@ -53,8 +60,7 @@ def solve_step_matrix(tri: Triangle) -> StepMatrix:
     C F is checked against the shifted triangle implicitly by construction.
     Requires a unipotent triangle.
     """
-    if not tri.is_unipotent():
-        raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
+    _require_unipotent(tri)
     if tri.max_row < 1:
         raise ValueError("need at least rows 0..1 to solve for a step matrix")
     return StepMatrix(tuple(forward_substitute(tri.rows, tri.rows[1:])))
@@ -94,8 +100,7 @@ def phi_from_step_matrix(
 def invert_unipotent(tri: Triangle) -> Triangle:
     """Exact inverse of a unipotent triangle; row n holds the coefficients of
     the degree-n basis polynomial dual to the triangle's expansion."""
-    if not tri.is_unipotent():
-        raise ValueError("only unipotent triangles invert over their own entries")
+    _require_unipotent(tri)
     units = [(0,) * n + (1,) for n in range(tri.max_row + 1)]
     inv = forward_substitute(tri.rows, units)
     family = f"{tri.family}-inverse" if tri.family else "inverse"

@@ -47,7 +47,7 @@ def exact_div(a: Rational, b: Rational) -> Rational:
 
 _CHUNK_DIGITS = 4000
 _CHUNK = 10**_CHUNK_DIGITS
-_EXACT_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_EXACT_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 
 
 def _int_str(n: int) -> str:

@@ -204,20 +204,6 @@ def generate_from_banded(
     return Triangle(rows=tuple(banded_rows(rec, rows)), family=family, params=params)
 
 
-def _catalan_shifted_rows(rows: int) -> Iterator[tuple[int, ...]]:
-    # Column 0 is pinned to 0 from row 1 on; the interior follows the
-    # symmetric three-term update seeded with the single 1 at (1, 1).
-    yield (1,)
-    if rows < 1:
-        return
-    row: tuple[int, ...] = (0, 1)
-    yield row
-    for n in range(1, rows):
-        p = (0,) + row + (0, 0)  # p[j + 1] is entry j of row n
-        row = (0,) + tuple(p[k] + 2 * p[k + 1] + p[k + 2] for k in range(1, n + 2))
-        yield row
-
-
 def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..rows of the fibonomial triangle, one at a time.
 
@@ -257,7 +243,6 @@ def _eulerian_rows(rows: int) -> Iterator[tuple[int, ...]]:
         yield row
 
 
-STEP_MATRIX = "step matrix"
 _BANDED_ROUTE = "banded dual recurrence"
 
 
@@ -268,9 +253,11 @@ class Family:
     recurrence maps (parameter value, depth) to the family's banded weights
     for levels 0..depth; a family without one yields its rows 0..N from
     rows(N) instead, holding only the previous row.  param names the
-    parameter the family needs (None, "q" or "roots").  dual is the family
-    whose recurrence gives the dual polynomials, STEP_MATRIX, or None when
-    there is no dual; route is the line verify prints for that dual.
+    parameter the family needs (None, "q" or "roots").  dual names the
+    family whose phi sequence completes this one's triad: the duals of that
+    family's recurrence, or the rows of its inverse triangle when it has no
+    recurrence; None when there is no dual.  route is the line verify prints
+    for that dual.
     """
 
     dual: Optional[str]
@@ -285,15 +272,17 @@ FAMILIES: dict[str, Family] = {
                      recurrence=lambda _, depth: root_recurrence(RootSequence.constant(1), depth)),
     "q-gaussian": Family(dual="q-gaussian", route=_BANDED_ROUTE, param="q",
                          recurrence=lambda q, depth: root_recurrence(RootSequence.geometric(q), depth)),
-    # Checked against the Catalan polynomials on purpose: the printed indexing
-    # does not complete the triad (see the misprint ledger), so verify reports
-    # the exact failure instead of hiding it.
+    # Its recurrence is catalan-triad's moved up one level: nothing stays at
+    # level 0 or drops back to it.  Checked against the Catalan polynomials on
+    # purpose: the printed indexing does not complete the triad (see the
+    # misprint ledger), so verify reports the exact failure instead of hiding it.
     "catalan-shifted": Family(dual="catalan-triad", route=_BANDED_ROUTE + " (catalan polynomials)",
-                              rows=_catalan_shifted_rows),
+                              recurrence=lambda _, depth: BandedRecurrence.tabulate(
+                                  1, lambda k: 2 if k else 0, lambda k: 1 if k > 1 else 0, depth)),
     "catalan-triad": Family(dual="catalan-triad", route=_BANDED_ROUTE,
                             recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
-    "fibonomial": Family(dual=STEP_MATRIX, route="step-matrix polynomials", rows=fibonomial_rows),
-    "stirling1": Family(dual=STEP_MATRIX, route="step-matrix polynomials", rows=_stirling_first_rows),
+    "fibonomial": Family(dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows),
+    "stirling1": Family(dual="stirling1", route="step-matrix polynomials", rows=_stirling_first_rows),
     "eulerian": Family(dual=None, route=None, rows=_eulerian_rows),
     "lah": Family(dual="lah", route="persistent-root polynomials", param="roots",
                   recurrence=root_recurrence),
@@ -325,9 +314,9 @@ def banded_for_family(
 ) -> BandedRecurrence:
     """The banded time-independent recurrence of a named family.
 
-    The root families (pascal, q-gaussian, lah) and catalan-triad have one;
-    the other named families provably do not (their update weights depend on
-    the row index).
+    The root families (pascal, q-gaussian, lah) and both Catalan triangles
+    have one; fibonomial, stirling1 and eulerian provably do not (their
+    update weights depend on the row index).
     """
     name, entry, value = _resolve(family, q, roots)
     if entry.recurrence is None:

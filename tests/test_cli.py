@@ -3,15 +3,18 @@
 import io
 import contextlib
 import errno
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dualtriad.cli import main, parse_roots
+from dualtriad.dynsys import phi_from_step_matrix, solve_step_matrix
 from dualtriad.output import OutputDocument, parse_exact
 from dualtriad.sequences import RootSequence, q_binomial
 from dualtriad.triads import generate_named
@@ -60,6 +63,16 @@ GOLDEN_CASES = [
      ["convolve", "--family", "fibonomial", "--a", "ones", "--b", "ones", "--rows", "4"]),
     ("dual_qgaussian_q2_rows4.txt", 0,
      ["dual", "--family", "q-gaussian", "--q", "2", "--rows", "4"]),
+    ("phi_catalan_shifted_rows6.txt", 0,
+     ["phi", "--family", "catalan-shifted", "--rows", "6"]),
+    ("phi_lah_roots_thirds_rows6.txt", 0,
+     ["phi", "--family", "lah", "--roots=2/3,1/3,1/6,...", "--rows", "6"]),
+    ("phi_stirling1_rows6.txt", 0,
+     ["phi", "--family", "stirling1", "--rows", "6"]),
+    ("dual_catalan_shifted_rows4.txt", 0,
+     ["dual", "--family", "catalan-shifted", "--rows", "4"]),
+    ("verify_stirling1_rows8.txt", 0,
+     ["verify", "--family", "stirling1", "--rows", "8"]),
     ("ledger.txt", 0, ["--ledger"]),
 ]
 
@@ -117,8 +130,10 @@ class TestExitCodes:
 
     def test_precondition_failures_are_1(self):
         # eulerian is not unipotent: no step matrix, no inverse basis, no dual
-        assert run_cli(["phi", "--family", "eulerian", "--rows", "3"])[0] == 1
-        assert run_cli(["solve-f", "--family", "eulerian", "--rows", "3"])[0] == 1
+        for command in ("phi", "solve-f"):
+            for rows in ("0", "3"):
+                assert run_cli([command, "--family", "eulerian", "--rows", rows]) == (
+                    1, "", "error: step matrix requires a unipotent triangle (unit diagonal)\n")
         code, out, err = run_cli(["verify", "--family", "eulerian", "--rows", "5"])
         assert (code, out) == (1, "")
         assert err == ("error: family eulerian admits no dual construction "
@@ -149,6 +164,29 @@ ROUTE_MATRIX = {
     "eulerian": ((0, 2, 1, 2, 1, 1, 2), (0, 2, 1, 0, 1, 1, 2), None),
     "lah": ((0, 0, 0, 2, 0, 0, 2), (0, 0, 0, 0, 0, 0, 2), "persistent-root polynomials"),
 }
+
+
+class TestPhiRoutes:
+    @pytest.mark.parametrize("family,q,roots", [
+        ("pascal", None, None),
+        ("q-gaussian", "-5/2", None),
+        ("catalan-shifted", None, None),
+        ("catalan-triad", None, None),
+        ("fibonomial", None, None),
+        ("stirling1", None, None),
+        ("lah", None, "1/2,3/2,..."),
+    ])
+    def test_phi_equals_step_matrix_eigen_recursion(self, family, q, roots):
+        # phi takes a family's own recurrence or one inversion; the dense
+        # step matrix and its eigen-recursion are the oracle for both.
+        argv = ["phi", "--family", family, "--rows", "24"]
+        argv += [f"--q={q}"] if q else []
+        argv += ["--roots", roots] if roots else []
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        tri = generate_named(family, 24, q=q and Fraction(q), roots=roots and parse_roots(roots))
+        oracle = phi_from_step_matrix(solve_step_matrix(tri))
+        assert OutputDocument.rows_from_csv(out) == [list(p.coeffs) for p in oracle]
 
 
 class ClosedPipe:
@@ -325,6 +363,14 @@ class TestCliRoundTrips:
         middle = out.splitlines()[-1].split(",")[66]
         assert len(middle) > 4300
         assert parse_exact(middle) == q_binomial(132, 66, 10)
+
+    def test_q_past_the_int_string_limit(self):
+        # verify prints no params, and generate carries every digit of q.
+        argv = ["--family", "q-gaussian", "--q", "1e5000", "--rows", "1"]
+        assert run_cli(["verify"] + argv) == (0, "route: banded dual recurrence\nholds up to n=1\n", "")
+        code, out, err = run_cli(["generate"] + argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["q"] == "1" + "0" * 5000
 
     def test_fit_weights_past_the_int_string_limit(self):
         code, out, err = run_cli(["fit", "--family", "q-gaussian", "--q", str(10**200), "--rows", "23"])

@@ -24,6 +24,7 @@ from dualtriad.sequences import RootSequence, binomial, fibonomial
 from dualtriad.triads import (
     BandedRecurrence,
     banded_for_family,
+    dual_polynomials,
     generate_from_banded,
     generate_named,
     lah_from_roots,
@@ -174,6 +175,21 @@ class TestOracleEquivalence:
         ):
             self.assert_phi_rows_equal_inverse(generate_named(family, 12, q=q))
 
+    @pytest.mark.parametrize("family,q,roots", [
+        ("pascal", None, None),
+        ("q-gaussian", 2, None),
+        ("q-gaussian", Fraction(-5, 2), None),
+        ("catalan-triad", None, None),
+        ("catalan-shifted", None, None),
+        ("lah", None, RootSequence.arithmetic(Fraction(1, 2), 1)),
+    ])
+    def test_own_recurrence_duals_equal_step_matrix_phi(self, family, q, roots):
+        # A banded recurrence with unit up weights is the step matrix of the
+        # triangle it generates, so its duals are the eigen-recursion's phi.
+        tri = generate_named(family, 24, q=q, roots=roots)
+        rec = banded_for_family(family, 23, q=q, roots=roots)
+        assert dual_polynomials(rec, 24) == phi_from_step_matrix(solve_step_matrix(tri))
+
     def test_seeded_random_triangles(self):
         rng = random.Random(20240813)
         for _ in range(30):
@@ -253,6 +269,7 @@ class TestFitBanded:
         rec = result.recurrence
         assert rec.stay == (0,) + (2,) * 9
         assert rec.down == (0, 0) + (1,) * 8
+        assert rec == banded_for_family("catalan-shifted", 9)
 
     def test_fibonomial_no_fit_with_witness(self):
         result = fit_banded(generate_named("fibonomial", 10))

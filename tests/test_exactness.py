@@ -22,7 +22,6 @@ from dualtriad.exact import Polynomial, X, solve_unit_lower
 from dualtriad.sequences import RootSequence, q_binomial, q_factorial, q_int
 from dualtriad.triads import (
     FAMILIES,
-    STEP_MATRIX,
     BandedRecurrence,
     banded_for_family,
     dual_polynomials,
@@ -167,7 +166,7 @@ def test_every_route_stores_exact_values_equal_to_fraction_reference(case):
     assert tri.rows == tuple(tuple(row) for row in ref)
 
     dual = FAMILIES[name].dual
-    if dual not in (None, STEP_MATRIX):
+    if dual is not None and FAMILIES[dual].recurrence is not None:
         rec = banded_for_family(dual, N - 1, q=q, roots=roots)
         assert_rows_exact((rec.up, rec.stay, rec.down))
         phis = dual_polynomials(rec, N)

@@ -53,7 +53,8 @@ class TestExactStrings:
         assert sys.get_int_max_str_digits() == limit
 
     def test_rejects_inexact_text(self):
-        for bad in ("1.5", "1e3", "", "x", "1/0", "--3", "3 / 4"):
+        # Digits outside 0-9 included: format_exact never writes them.
+        for bad in ("1.5", "1e3", "", "x", "1/0", "--3", "3 / 4", "\u0661\u0662", "\u0663/\u0664"):
             with pytest.raises(ValueError):
                 parse_exact(bad)
 

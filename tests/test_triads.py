@@ -23,7 +23,6 @@ from dualtriad.sequences import (
 )
 from dualtriad.triads import (
     FAMILIES,
-    STEP_MATRIX,
     BandedRecurrence,
     Triangle,
     banded_for_family,
@@ -312,7 +311,7 @@ class TestVerifyCertificate:
         seq = RootSequence.explicit(roots) if roots is not None else None
         tri = generate_named(name, CERT_N, q=q, roots=seq)
         dual = FAMILIES[name].dual
-        if dual is None or dual == STEP_MATRIX:
+        if dual is None or FAMILIES[dual].recurrence is None:
             rec = root_recurrence(RootSequence.constant(1), CERT_N - 1)
             if dual is None:
                 phis = dual_polynomials(rec, CERT_N)
