@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .dynsys import convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
 from .exact import Polynomial, Rational, format_exact
@@ -22,8 +22,11 @@ from .triads import (
     FAMILIES,
     BandedRecurrence,
     Family,
+    Restartable,
+    RowSource,
     Triangle,
     banded_for_family,
+    banded_rows,
     generate_named,
     iter_dual_polynomials,
     named_rows,
@@ -101,8 +104,9 @@ class FamilyInputs(NamedTuple):
     def triangle(self, rows: int) -> Triangle:
         return generate_named(self.name, rows, self.q, self.roots)
 
-    def rows(self, rows: int) -> Iterator[tuple[Rational, ...]]:
-        return named_rows(self.name, rows, self.q, self.roots)
+    def rows(self, rows: int) -> Restartable[tuple[Rational, ...]]:
+        """Rows 0..rows as a source that every pass restarts."""
+        return Restartable(lambda: named_rows(self.name, rows, self.q, self.roots), rows + 1)
 
 
 def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
@@ -139,8 +143,9 @@ def _poly_rows(polys: Iterable[Polynomial]) -> Iterator[tuple[Rational, ...]]:
 
 def _phis(
     family: FamilyInputs, name: str, rows: int, tri: Optional[Triangle] = None
-) -> tuple[Iterable[Polynomial], Optional[BandedRecurrence]]:
-    """phi_0..phi_rows of the named family, with the recurrence they follow.
+) -> tuple[Union[list[Polynomial], Restartable[Polynomial]], Optional[BandedRecurrence]]:
+    """phi_0..phi_rows of the named family, which can be read more than once,
+    with the recurrence they follow.
 
     A family with a banded recurrence streams the duals of that recurrence.
     Any other family gives the rows of its inverse triangle: tri when the
@@ -149,11 +154,11 @@ def _phis(
     """
     if FAMILIES[name].recurrence is not None:
         rec = banded_for_family(name, rows - 1, family.q, family.roots)
-        return iter_dual_polynomials(rec, rows), rec
+        return Restartable(lambda: iter_dual_polynomials(rec, rows), rows + 1), rec
     if tri is None:
         tri = generate_named(name, max(rows, 1), family.q, family.roots)
     inv = invert_unipotent(tri)
-    return (Polynomial(row) for row in inv.rows[: rows + 1]), None
+    return [Polynomial(row) for row in inv.rows[: rows + 1]], None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -186,9 +191,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    tri = family.triangle(rows)
-    phis, rec = _phis(family, dual, rows, tri if dual == family.name else None)
-    report = verify_triad(tri, list(phis), rec)
+    source: RowSource
+    if FAMILIES[dual].recurrence is None:  # the inversion holds C and C^-1
+        source = family.triangle(rows)
+        phis, rec = _phis(family, dual, rows, source if dual == family.name else None)
+    else:
+        phis, rec = _phis(family, dual, rows)
+        if dual == family.name:  # its rows follow the recurrence just tabulated
+            source = Restartable(lambda: banded_rows(rec, rows), rows + 1)
+        else:
+            source = family.rows(rows)
+    report = verify_triad(source, phis, rec)
     print(f"route: {family.entry.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
@@ -202,8 +215,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     if rows < 5:
         raise UsageError("fit needs --rows of at least 5")
-    tri = _family_inputs(args, rows).triangle(rows)
-    result = fit_banded(tri)
+    result = fit_banded(_family_inputs(args, rows).rows(rows))
     if result.fits:
         rec = result.recurrence
         print("fit: banded time-independent recurrence found")

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .exact import Polynomial, Rational, as_exact, exact_div, forward_substitute
-from .triads import BandedRecurrence, Triangle, banded_step, fibonomial_rows, generate_from_banded
+from .triads import (
+    BandedRecurrence,
+    RowSource,
+    Triangle,
+    banded_rows,
+    banded_step,
+    checked_rows,
+    fibonomial_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -179,21 +187,35 @@ class FitResult:
 
 _PIVOT_ORDER = (1, 0, 2)  # prefer pinning stay, then up, then down
 
+_Equation = tuple[int, tuple[Rational, Rational, Rational], Rational]
 
-def _eliminate(
-    equations: Sequence[tuple[int, tuple[Rational, Rational, Rational], Rational]],
-) -> tuple[Optional[tuple[Rational, Rational, Rational]], Optional[frozenset[int]]]:
-    """Exact Gaussian elimination on a 3-unknown column system.
 
-    Returns (solution, None) with free unknowns set to 0, or (None, tags)
-    where tags are the row indices of equations combining to 0 = nonzero.
+class _Column:
+    """Exact Gaussian elimination on one column's 3-unknown system, fed one
+    equation at a time.
+
+    Besides its pivots the column keeps the original equation of each pivot
+    row (at most 3): the tags of a conflict only ever name pivot rows and the
+    failing row, so those equations are all a witness needs.
     """
-    pivots: list[tuple[int, list[Rational], Rational, frozenset[int]]] = []
-    for tag, a, b in equations:
+
+    __slots__ = ("pivots", "equations", "pinned")
+
+    def __init__(self) -> None:
+        self.pivots: list[tuple[int, list[Rational], Rational, frozenset[int]]] = []
+        self.equations: list[_Equation] = []
+        self.pinned: Optional[tuple[Rational, Rational, Rational]] = None
+
+    def add(self, tag: int, a: tuple[Rational, Rational, Rational], b: Rational) -> Optional[frozenset[int]]:
+        """Feed a*(up, stay, down) = b; None while the system stays
+        consistent, else the tags of equations combining to 0 = nonzero."""
+        pinned = self.pinned
+        if pinned is not None and a[0] * pinned[0] + a[1] * pinned[1] + a[2] * pinned[2] == b:
+            return None  # reducing by all three pivots would leave 0 = b - a*solution
         coeffs = list(a)
         rhs = b
         tags = frozenset((tag,))
-        for var, pc, pr, pt in pivots:
+        for var, pc, pr, pt in self.pivots:
             factor = coeffs[var]
             if factor:
                 coeffs = [c - factor * d for c, d in zip(coeffs, pc)]
@@ -201,42 +223,31 @@ def _eliminate(
                 tags |= pt
         var = next((v for v in _PIVOT_ORDER if coeffs[v]), None)
         if var is None:
-            if rhs:
-                return None, tags
-            continue
+            return tags if rhs else None
         pivot = coeffs[var]
-        pivots.append(
-            (var, [exact_div(c, pivot) for c in coeffs], exact_div(rhs, pivot), tags)
-        )
-    solution: list[Rational] = [0] * 3
-    for var, coeffs, rhs, _ in reversed(pivots):
-        solution[var] = rhs - sum(
-            coeffs[v] * solution[v] for v in range(3) if v != var
-        )
-    return (solution[0], solution[1], solution[2]), None
+        self.pivots.append((var, [exact_div(c, pivot) for c in coeffs], exact_div(rhs, pivot), tags))
+        self.equations.append((tag, a, b))
+        if len(self.pivots) == 3:
+            self.pinned = self.solution()
+        return None
+
+    def solution(self) -> tuple[Rational, Rational, Rational]:
+        """The solution with free unknowns set to 0."""
+        solution: list[Rational] = [0] * 3
+        for var, coeffs, rhs, _ in reversed(self.pivots):
+            solution[var] = rhs - sum(
+                coeffs[v] * solution[v] for v in range(3) if v != var
+            )
+        return (solution[0], solution[1], solution[2])
 
 
-def _column_equations(
-    tri: Triangle, k: int
-) -> list[tuple[int, tuple[Rational, Rational, Rational], Rational]]:
-    # Unknowns per column k: (up[k-1], stay[k], down[k+1]).
-    eqs = []
-    for n in range(max(k - 1, 0), tri.max_row):
-        a = (tri.entry(n, k - 1), tri.entry(n, k), tri.entry(n, k + 1))
-        eqs.append((n, a, tri.entry(n + 1, k)))
-    return eqs
-
-
-def _minimal_conflict(
-    equations: Sequence[tuple[int, tuple[Rational, Rational, Rational], Rational]],
-    tags: frozenset[int],
-) -> list[int]:
-    by_tag = {tag: (tag, a, b) for tag, a, b in equations}
+def _minimal_conflict(equations: Sequence[_Equation], tags: frozenset[int]) -> list[int]:
+    by_tag = {eq[0]: eq for eq in equations}
     current = sorted(tags)
 
     def inconsistent(subset: Sequence[int]) -> bool:
-        solution, _ = _eliminate([by_tag[t] for t in subset])
-        return solution is None
+        column = _Column()
+        return any(column.add(*by_tag[t]) is not None for t in subset)
 
     changed = True
     while changed:
@@ -250,31 +261,57 @@ def _minimal_conflict(
     return current
 
 
-def fit_banded(tri: Triangle) -> FitResult:
+def fit_banded(rows: RowSource) -> FitResult:
     """Decide whether time-independent banded weights reproduce the triangle.
 
-    For each column k the update equations over all available rows are solved
-    exactly for the three weights touching that column; underdetermined
-    columns take the minimal-support solution (down weight 0 first, then up).
-    A fit is returned only if every column is consistent and regeneration
-    from the fitted weights reproduces the triangle entry for entry;
-    otherwise the witness carries a minimal inconsistent equation set.
+    rows is a RowSource of rows 0..N: a Triangle, its rows, or a Restartable
+    over a row generator, which is read in two passes and never held whole;
+    each pass checks the rows as a Triangle checks its rows.
+    Column k's update equations, one per row pair (n, n+1) for n >= k-1, are
+    solved exactly for the three weights touching that column; every column
+    takes its equation from each row pair as it passes, until a column at or
+    below it has turned inconsistent.  Underdetermined columns take the
+    minimal-support solution (down weight 0 first, then up).  A fit is
+    returned only if every column is consistent and regeneration from the
+    fitted weights reproduces a fresh pass of the rows entry for entry;
+    otherwise the smallest inconsistent column is reported with a minimal
+    inconsistent equation set as its witness.
     """
-    n_max = tri.max_row
+    if isinstance(rows, Triangle):
+        rows = rows.rows
+    n_max = len(rows) - 1
     if n_max < 4:
         raise ValueError("need rows 0..4 at least to overdetermine the fit")
-    if tri.rows[0][0] != 1:
+    stream = checked_rows(rows)
+    row = next(stream)
+    if row[0] != 1:
         raise ValueError("fit requires the seed entry 1 at (0, 0)")
+    columns = [_Column()]
+    fed = n_max + 1  # columns below this one still take equations
+    witness: tuple[tuple[int, int], ...] = ()  # of column fed, once one fails
+    for n, nxt in enumerate(stream):
+        # Unknowns per column k: (up[k-1], stay[k], down[k+1]); entry j + 1
+        # of padded is c[n][j], zero outside the triangle.
+        padded = (0, *row, 0, 0)
+        columns.append(_Column())
+        for k in range(min(n + 2, fed)):
+            a = padded[k : k + 3]
+            column = columns[k]
+            tags = column.add(n, a, nxt[k])
+            if tags is not None:
+                conflict = _minimal_conflict([*column.equations, (n, a, nxt[k])], tags)
+                fed, witness = k, tuple((m, k) for m in conflict)
+                break
+        row = nxt
+    if len(columns) != n_max + 1:
+        raise ValueError(f"a pass read {len(columns)} rows of a source of length {n_max + 1}")
+    if witness:
+        return FitResult(None, column=fed, witness=witness)
     up: list[Rational] = [0] * n_max
     stay: list[Rational] = [0] * n_max
     down: list[Rational] = [0] * n_max
-    for k in range(n_max + 1):
-        eqs = _column_equations(tri, k)
-        solution, tags = _eliminate(eqs)
-        if solution is None:
-            witness = tuple((n, k) for n in _minimal_conflict(eqs, tags))
-            return FitResult(None, column=k, witness=witness)
-        up_km1, stay_k, down_kp1 = solution
+    for k, column in enumerate(columns):
+        up_km1, stay_k, down_kp1 = column.solution()
         if 1 <= k:
             up[k - 1] = up_km1
         if k <= n_max - 1:
@@ -282,8 +319,8 @@ def fit_banded(tri: Triangle) -> FitResult:
         if k + 1 <= n_max - 1:
             down[k + 1] = down_kp1
     rec = BandedRecurrence(tuple(up), tuple(stay), tuple(down))
-    regen = generate_from_banded(rec, n_max)
-    if regen.rows != tri.rows:  # pragma: no cover - consistency implies regeneration
+    regen = zip(banded_rows(rec, n_max), checked_rows(rows), strict=True)
+    if any(a != b for a, b in regen):  # pragma: no cover - consistency implies regeneration
         raise ArithmeticError("consistent column fits failed to regenerate the triangle")
     return FitResult(rec)
 

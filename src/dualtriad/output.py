@@ -93,9 +93,17 @@ class OutputDocument:
 
 
 def format_rows(value_rows: Iterable[Sequence[Rational]]) -> Iterator[list[str]]:
-    """Each row of exact values as decimal strings, one row at a time."""
+    """Each row of exact values as decimal strings, one row at a time.
+
+    A row that equals its reverse (binomial, q-binomial and fibonomial rows
+    do) has only its first half formatted, and the strings are mirrored.
+    """
     for row in value_rows:
-        yield [format_exact(v) for v in row]
+        if row == row[::-1]:
+            half = [format_exact(v) for v in row[: (len(row) + 1) // 2]]
+            yield half + half[: len(row) // 2][::-1]
+        else:
+            yield [format_exact(v) for v in row]
 
 
 def write_document(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .exact import Polynomial, Rational, as_exact, exact_div, format_exact, linear_combination
 from .sequences import RootSequence, fibonacci
@@ -73,6 +73,38 @@ def checked_rows(rows: Iterable[Sequence[Rational]]) -> Iterator[tuple[Rational,
         if len(row) != n + 1:
             raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
         yield tuple(as_exact(v) for v in row)
+
+
+T = TypeVar("T")
+
+
+class Restartable(Generic[T]):
+    """A sized iterable that restarts a generator for every pass.
+
+    make() is called once here, so a generator function that checks its
+    arguments on the call (as banded_rows and iter_dual_polynomials do)
+    raises before the first pass; each later pass calls make() afresh.  A
+    pass holds only what one generator holds, and length is the number of
+    items a pass yields.
+    """
+
+    def __init__(self, make: Callable[[], Iterator[T]], length: int) -> None:
+        self._make = make
+        self._first: Optional[Iterator[T]] = make()
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[T]:
+        first, self._first = self._first, None
+        return first if first is not None else self._make()
+
+
+# The rows 0..N of a triangle as verify_triad and fit_banded read them: a
+# Triangle, its rows, or any other sized source that each pass reads afresh,
+# such as a Restartable over named_rows.
+RowSource = Union[Triangle, Sequence[Sequence[Rational]], Restartable[tuple[Rational, ...]]]
 
 
 def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
@@ -446,60 +478,74 @@ def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
     return dual_polynomials(root_recurrence(roots, count - 1), count)
 
 
-def _certified(tri: Triangle, phis: Sequence[Polynomial], rec: BandedRecurrence) -> bool:
+def _certified(
+    rows: Iterable[Sequence[Rational]], phis: Iterable[Polynomial], rec: BandedRecurrence
+) -> bool:
     """True when R_0 = 0, the rows follow rec and the phis follow its dual.
 
     With R_n = sum_k c[n][k] phi_k - x^n, the two recurrences give
-    R_{n+1} = x * R_n, so R_0 = 0 makes every R_n vanish.  Each check costs
-    O(N) scalar operations per row or level.
+    R_{n+1} = x * R_n, so R_0 = 0 makes every R_n vanish.  One lockstep pass
+    reads row n+1 with phi_{n+1} and holds only rows n, n+1 and phi_{n-1},
+    phi_n, phi_{n+1}; each check costs O(N) scalar operations.
     """
-    top = tri.max_row
-    if rec.depth < top - 1:
-        return False
-    head = phis[0].coeffs
-    if len(head) != 1 or tri.rows[0][0] * head[0] != 1:
-        return False
-    for n in range(top):
-        if banded_step(rec, tri.rows[n], n + 2) != list(tri.rows[n + 1]):
-            return False
+    row: Sequence[Rational] = ()
     prev: tuple[Rational, ...] = ()
-    for k in range(top):
-        cur = phis[k].coeffs
-        got = _dual_step(rec, k, cur, prev)
-        while got and not got[-1]:
-            got.pop()
-        up = rec.up[k]
-        if got != ([up * c for c in phis[k + 1].coeffs] if up else []):
-            return False
-        prev = cur
+    cur: tuple[Rational, ...] = ()
+    for n, (nxt_row, phi) in enumerate(zip(rows, phis, strict=True)):
+        nxt = phi.coeffs
+        if n == 0:
+            if len(nxt) != 1 or nxt_row[0] * nxt[0] != 1:
+                return False
+        else:
+            k = n - 1
+            if rec.depth < k or banded_step(rec, row, n + 1) != list(nxt_row):
+                return False
+            got = _dual_step(rec, k, cur, prev)
+            while got and not got[-1]:
+                got.pop()
+            up = rec.up[k]
+            if got != ([up * c for c in nxt] if up else []):
+                return False
+        row, prev, cur = nxt_row, cur, nxt
     return True
 
 
 def verify_triad(
-    tri: Triangle, phis: Sequence[Polynomial], rec: Optional[BandedRecurrence] = None
+    rows: RowSource,
+    phis: Union[Sequence[Polynomial], Restartable[Polynomial]],
+    rec: Optional[BandedRecurrence] = None,
 ) -> TriadReport:
     """Check x^n = sum_k c[n][k] * phi_k(x) symbolically for every row.
+
+    rows is a RowSource of rows 0..N: a Triangle, its rows, or a
+    Restartable over a row generator; each pass checks the rows as a
+    Triangle checks its rows.  phis holds phi_0..phi_N as a sequence or a
+    Restartable.  Each pass reads the two in lockstep, so a restartable pair
+    is never held whole by the certificate.
 
     rec is the banded recurrence the caller says the rows and the phis follow.
     Given it, the identity is first certified for every row at once in O(N^2):
     c[0][0] * phi_0 = 1, each row is the banded step of the one before, and
     x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} for k < N.
-    If rec is absent or any check fails, every row is expanded (O(N^3)); the
-    residual is computed exactly, and the report carries the first failing row
-    and its residual polynomial so a failure is a concrete counterexample.
+    If rec is absent or any check fails, a fresh pass expands every row
+    (O(N^3)), holding the phis read so far; the residual is computed exactly,
+    and the pass stops at the first failing row, whose index and residual
+    polynomial the report carries as a concrete counterexample.
     """
-    if len(phis) != tri.max_row + 1:
-        raise ValueError(
-            f"{len(phis)} polynomials for rows 0..{tri.max_row}; counts must match"
-        )
-    if rec is not None and _certified(tri, phis, rec):
-        return TriadReport(tri.max_row, True, None, "certificate")
-    for n in range(tri.max_row + 1):
-        combo = linear_combination(tri.rows[n], phis[: n + 1])
-        residual = combo - Polynomial.monomial(n)
+    if isinstance(rows, Triangle):
+        rows = rows.rows
+    top = len(rows) - 1
+    if len(phis) != top + 1:
+        raise ValueError(f"{len(phis)} polynomials for rows 0..{top}; counts must match")
+    if rec is not None and _certified(checked_rows(rows), phis, rec):
+        return TriadReport(top, True, None, "certificate")
+    seen: list[Polynomial] = []
+    for n, (row, phi) in enumerate(zip(checked_rows(rows), phis, strict=True)):
+        seen.append(phi)
+        residual = linear_combination(row, seen) - Polynomial.monomial(n)
         if residual:
-            return TriadReport(tri.max_row, False, (n, residual))
-    return TriadReport(tri.max_row, True, None)
+            return TriadReport(top, False, (n, residual))
+    return TriadReport(top, True, None)
 
 
 def expand_in_basis(p: Polynomial, phis: Sequence[Polynomial]) -> list[Rational]:

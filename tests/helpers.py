@@ -212,3 +212,85 @@ def triangle_times_step(tri_rows, step_rows) -> list[list[Fraction]]:
                     acc[j] += c * f
         out.append(acc)
     return out
+
+
+# --- the collecting routes that streamed fit and verify replaced -------------
+
+_PIVOT_ORDER = (1, 0, 2)
+
+
+def _reference_eliminate(equations):
+    """Gaussian elimination over one column's whole equation list; returns
+    (solution, None) or (None, tags of the equations combining to 0 = b)."""
+    pivots = []
+    for tag, a, b in equations:
+        coeffs = [Fraction(v) for v in a]
+        rhs = Fraction(b)
+        tags = frozenset((tag,))
+        for var, pc, pr, pt in pivots:
+            factor = coeffs[var]
+            if factor:
+                coeffs = [c - factor * d for c, d in zip(coeffs, pc)]
+                rhs -= factor * pr
+                tags |= pt
+        var = next((v for v in _PIVOT_ORDER if coeffs[v]), None)
+        if var is None:
+            if rhs:
+                return None, tags
+            continue
+        pivot = coeffs[var]
+        pivots.append((var, [c / pivot for c in coeffs], rhs / pivot, tags))
+    solution = [Fraction(0)] * 3
+    for var, coeffs, rhs, _ in reversed(pivots):
+        solution[var] = rhs - sum(coeffs[v] * solution[v] for v in range(3) if v != var)
+    return tuple(solution), None
+
+
+def reference_fit(tri: Triangle):
+    """The banded fit column by column over the whole triangle: column k
+    collects all its equations, is solved, and the first inconsistent column
+    stops the scan.  Returns (column, witness, (up, stay, down)) with column
+    and witness None and () on a fit, weights None otherwise."""
+    n_max = tri.max_row
+    up, stay, down = ([Fraction(0)] * n_max for _ in range(3))
+    for k in range(n_max + 1):
+        eqs = [(n, (tri.entry(n, k - 1), tri.entry(n, k), tri.entry(n, k + 1)), tri.entry(n + 1, k))
+               for n in range(max(k - 1, 0), n_max)]
+        solution, tags = _reference_eliminate(eqs)
+        if solution is None:
+            by_tag = {tag: (tag, a, b) for tag, a, b in eqs}
+            current = sorted(tags)
+            changed = True
+            while changed:
+                changed = False
+                for t in list(current):
+                    trial = [x for x in current if x != t]
+                    if len(trial) >= 2 and _reference_eliminate([by_tag[x] for x in trial])[0] is None:
+                        current, changed = trial, True
+                        break
+            return k, tuple((n, k) for n in current), None
+        if k >= 1:
+            up[k - 1] = solution[0]
+        if k <= n_max - 1:
+            stay[k] = solution[1]
+        if k + 1 <= n_max - 1:
+            down[k + 1] = solution[2]
+    return None, (), (tuple(up), tuple(stay), tuple(down))
+
+
+def reference_verify(rows, phis):
+    """First n with sum_k c[n][k] phi_k != x^n, and that residual's raw
+    coefficient list (None, None when every row holds), by plain loops."""
+    for n, row in enumerate(rows):
+        acc = [Fraction(0)] * (n + 1)
+        for c, phi in zip(row, phis):
+            for j, p in enumerate(phi.coeffs):
+                if j >= len(acc):
+                    acc.extend([Fraction(0)] * (j + 1 - len(acc)))
+                acc[j] += c * p
+        acc[n] -= 1
+        while acc and not acc[-1]:
+            acc.pop()
+        if acc:
+            return n, acc
+    return None, None

@@ -263,6 +263,29 @@ class TestStreamedOutputMemory:
         assert peak < sink.size / 4, (peak, sink.size)
 
 
+class TestStreamedProofMemory:
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    def test_peak_is_a_small_part_of_the_triangle(self, command):
+        # fit reads row pairs and verify's certificate reads rows and phis in
+        # lockstep, so neither holds the triangle (about 4 MB of q = 2
+        # entries at N = 160) nor, for verify, the phis (larger still).
+        rows = 160
+        triangle = generate_named("q-gaussian", rows, q=2)
+        size = sum(sys.getsizeof(r) + sum(map(sys.getsizeof, r)) for r in triangle.rows)
+        del triangle
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = main([command, "--family", "q-gaussian", "--q=2", "--rows", str(rows)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.getvalue().startswith(("fit: banded", "route: banded"))
+        assert peak < size / 2, (peak, size)
+
+
 class TestRouteMatrix:
     @pytest.mark.parametrize("family", sorted(ROUTE_MATRIX))
     def test_exit_codes_and_verify_route(self, family):

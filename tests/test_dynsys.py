@@ -23,16 +23,20 @@ from dualtriad.misprints import (
 from dualtriad.sequences import RootSequence, binomial, fibonomial
 from dualtriad.triads import (
     BandedRecurrence,
+    Restartable,
+    Triangle,
     banded_for_family,
     dual_polynomials,
     generate_from_banded,
     generate_named,
     lah_from_roots,
+    named_rows,
     verify_triad,
 )
 
 from helpers import (
     random_unipotent_triangle,
+    reference_fit,
     triangle_times_step,
 )
 
@@ -356,6 +360,110 @@ class TestFitBanded:
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             fit_banded(generate_named("pascal", 3))
+
+
+# (family, q, roots) for the streamed-fit cross-check: every family, and q
+# and roots of both signs, integral and rational, growing and shrinking.
+FIT_CASES = [
+    ("pascal", None, None),
+    ("q-gaussian", 2, None),
+    ("q-gaussian", -3, None),
+    ("q-gaussian", Fraction(2, 3), None),
+    ("q-gaussian", Fraction(-5, 2), None),
+    ("q-gaussian", -1, None),
+    ("catalan-shifted", None, None),
+    ("catalan-triad", None, None),
+    ("fibonomial", None, None),
+    ("stirling1", None, None),
+    ("eulerian", None, None),
+    ("lah", None, RootSequence.arithmetic(0, 1)),
+    ("lah", None, RootSequence.arithmetic(Fraction(1, 2), 1)),
+    ("lah", None, RootSequence.geometric(Fraction(1, 3), first=Fraction(1, 3))),
+    ("lah", None, RootSequence.explicit([1, -1, Fraction(5, 2)] + [-s for s in range(40)])),
+    ("lah", None, RootSequence.constant(0)),
+]
+
+
+def _fit_outcome(result: FitResult):
+    rec = result.recurrence
+    return result.column, result.witness, None if rec is None else (rec.up, rec.stay, rec.down)
+
+
+def _streamed(rows):
+    """The rows as a Restartable that generates them afresh on each pass."""
+    return Restartable(lambda: iter(rows), len(rows))
+
+
+class TestStreamedFit:
+    """fit_banded reads a stream of row pairs; the reference solves one whole
+    column at a time over the collected triangle, as fit did before."""
+
+    @pytest.mark.parametrize("n_max", [5, 9, 24, 40])
+    @pytest.mark.parametrize("name,q,roots", FIT_CASES)
+    def test_equals_column_at_a_time_route(self, name, q, roots, n_max):
+        tri = generate_named(name, n_max, q=q, roots=roots)
+        source = Restartable(lambda: named_rows(name, n_max, q=q, roots=roots), n_max + 1)
+        streamed = _fit_outcome(fit_banded(source))
+        assert streamed == reference_fit(tri)
+        assert _fit_outcome(fit_banded(tri)) == streamed
+        assert _fit_outcome(fit_banded(tri.rows)) == streamed
+
+    def test_larger_column_failing_first(self):
+        # Pascal's columns pin all three weights by row k+1.  Raising c[6][3]
+        # breaks column 3 at its row-5 equation (c[6][3] is its right side)
+        # and column 4 at row 6; raising c[10][1] breaks column 1 only at
+        # row 9.  The smallest inconsistent column is 1 although column 3
+        # failed four rows earlier.
+        rows = [list(r) for r in generate_named("pascal", 14).rows]
+        rows[6][3] += 1
+        rows[10][1] += 1
+        tri = Triangle(tuple(map(tuple, rows)))
+        early = Triangle(tri.rows[:9])
+        assert reference_fit(early)[0] == 3
+        assert _fit_outcome(fit_banded(_streamed(early.rows))) == reference_fit(early)
+        result = fit_banded(_streamed(tri.rows))
+        assert result.column == 1
+        assert max(n for n, _ in result.witness) == 9
+        assert _fit_outcome(result) == reference_fit(tri)
+        TestFitBanded.assert_witness_inconsistent(tri, result)
+
+    def test_random_perturbations_equal_reference(self):
+        # One or two entries of a random banded triangle raised: any column
+        # may fail first, at any row.
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(60):
+            depth = rng.randint(5, 11)
+            stay = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(depth + 1))
+            down = tuple(Fraction(rng.randint(-4, 4)) for _ in range(depth + 1))
+            rec = BandedRecurrence((1,) * (depth + 1), stay, down)
+            rows = [list(r) for r in generate_from_banded(rec, depth + 1).rows]
+            for _ in range(rng.randint(1, 2)):
+                n = rng.randint(2, depth + 1)
+                rows[n][rng.randint(0, n - 1)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+            tri = Triangle(tuple(map(tuple, rows)))
+            expected = reference_fit(tri)
+            assert _fit_outcome(fit_banded(_streamed(tri.rows))) == expected
+            outcomes.add(expected[0])
+        assert len(outcomes) > 4
+
+    def test_list_rows_are_checked_as_a_triangle_checks_them(self):
+        tri = generate_named("pascal", 9)
+        lists = [list(row) for row in tri.rows]
+        assert _fit_outcome(fit_banded(lists)) == _fit_outcome(fit_banded(tri))
+        assert fit_banded(lists).fits
+        with pytest.raises(TypeError, match="float"):
+            fit_banded(lists[:6] + [[1.0] + lists[6][1:]] + lists[7:])
+        with pytest.raises(ValueError, match="row 3 has 3 entries"):
+            fit_banded(lists[:3] + [lists[3][:3]] + lists[4:])
+        with pytest.raises(ValueError, match="read 10 rows of a source of length 11"):
+            fit_banded(Restartable(lambda: iter(lists), 11))
+
+    def test_preconditions_before_any_row_is_read(self):
+        with pytest.raises(ValueError, match="rows 0..4"):
+            fit_banded(Restartable(lambda: iter([(2,)] * 4), 4))
+        with pytest.raises(ValueError, match="seed entry"):
+            fit_banded(_streamed([(2,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1)]))
 
 
 class TestConvolveFibonomial:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualtriad.exact import Polynomial
-from dualtriad.output import OutputDocument, format_exact, parse_exact, write_document
+from dualtriad.output import OutputDocument, format_exact, format_rows, parse_exact, write_document
 from dualtriad.sequences import RootSequence
 from dualtriad.triads import generate_named, lah_from_roots
 
@@ -147,6 +147,31 @@ documents = st.builds(
     rows=st.lists(st.lists(entries, max_size=4), max_size=5),
     report=st.none() | st.dictionaries(texts, json_values, max_size=3),
 )
+
+
+class TestFormatRows:
+    @pytest.mark.parametrize("row", [
+        (1, 7, 21, 35, 35, 21, 7, 1),  # palindrome, even length
+        (1, 63, 651, 1395, 651, 63, 1),  # palindrome, odd length
+        (Fraction(1, 2), -3, Fraction(1, 2)),
+        (1, 2, 3, 4, 2, 1),  # differs from its reverse only in the middle pair
+        (1, 5, 9, 6, 1),  # differs from its reverse only next to the middle
+        (4, 5, 7, 5, 4, 3),
+        (-8,),
+        (),
+    ])
+    def test_equals_formatting_every_value(self, row):
+        assert list(format_rows([row])) == [[format_exact(v) for v in row]]
+        assert list(format_rows([list(row)])) == [[format_exact(v) for v in row]]
+
+    def test_symmetric_rows_format_half(self, monkeypatch):
+        import dualtriad.output as output
+
+        calls = []
+        monkeypatch.setattr(output, "format_exact", lambda v: calls.append(v) or str(v))
+        assert list(format_rows([(1, 4, 6, 4, 1), (1, 3, 3, 1), (1, 2, 3)])) == [
+            ["1", "4", "6", "4", "1"], ["1", "3", "3", "1"], ["1", "2", "3"]]
+        assert calls == [1, 4, 6, 1, 3, 1, 2, 3]
 
 
 class TestOneWriter:

@@ -24,6 +24,7 @@ from dualtriad.sequences import (
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
+    Restartable,
     Triangle,
     banded_for_family,
     catalan_shifted_from_triad,
@@ -44,6 +45,7 @@ from helpers import (
     PUBLISHED_Q2_ROWS,
     brute_solve,
     expand_product_oracle,
+    reference_verify,
     set_partition_count,
 )
 
@@ -400,6 +402,102 @@ class TestVerifyCertificate:
             assert out.getvalue().splitlines()[1] == "fails at n=1; residual = -2"
         else:
             assert code == 0
+
+
+class CountedSource(Restartable):
+    """A Restartable over fixed items that records how many items each pass
+    read."""
+
+    def __init__(self, items):
+        self.reads = []
+
+        def make():
+            self.reads.append(0)
+            for item in items:
+                self.reads[-1] += 1
+                yield item
+
+        super().__init__(make, len(items))
+
+
+def _cert_inputs(name, q, roots):
+    """The triangle, phis and recurrence of test_report_equals_brute_on_every_family."""
+    seq = RootSequence.explicit(roots) if roots is not None else None
+    tri = generate_named(name, CERT_N, q=q, roots=seq)
+    dual = FAMILIES[name].dual
+    if dual is None or FAMILIES[dual].recurrence is None:
+        rec = root_recurrence(RootSequence.constant(1), CERT_N - 1)
+        phis = dual_polynomials(rec, CERT_N) if dual is None else phi_from_step_matrix(solve_step_matrix(tri), CERT_N)
+    else:
+        rec = banded_for_family(dual, CERT_N - 1, q=q, roots=seq)
+        phis = dual_polynomials(rec, CERT_N)
+    return tri, phis, rec
+
+
+class TestStreamedVerify:
+    """verify_triad over restartable sources, against the collected
+    Triangle and list and against a plain-loop residual."""
+
+    @pytest.mark.parametrize("name,q,roots", CERT_CASES)
+    def test_streams_equal_collected(self, name, q, roots):
+        tri, phis, rec = _cert_inputs(name, q, roots)
+        rows, polys = CountedSource(tri.rows), CountedSource(phis)
+        streamed = verify_triad(rows, polys, rec)
+        collected = verify_triad(tri, phis, rec)
+        assert _same_outcome(streamed, collected) and streamed.method == collected.method
+        if not streamed.holds:
+            n, residual = streamed.first_failure
+            assert reference_verify(tri.rows, phis) == (n, list(residual.coeffs))
+            # The brute pass stops at the first failing row.
+            assert rows.reads[-1] == n + 1 and polys.reads[-1] == n + 1
+        passes = 1 if streamed.method == "certificate" else 2
+        assert len(rows.reads) == passes and len(polys.reads) == passes
+
+    def test_list_rows_are_checked_as_a_triangle_checks_them(self):
+        rec = banded_for_family("q-gaussian", 11, q=2)
+        lists = [list(row) for row in generate_from_banded(rec, 12).rows]
+        phis = dual_polynomials(rec, 12)
+        report = verify_triad(lists, phis, rec)
+        assert report.holds and report.method == "certificate"
+        assert _same_outcome(verify_triad(lists, phis), report)
+        floats = lists[:5] + [[float(v) for v in lists[5]]] + lists[6:]
+        short = lists[:4] + [lists[4][:4]] + lists[5:]
+        for check in (rec, None):
+            with pytest.raises(TypeError, match="float"):
+                verify_triad(floats, phis, check)
+            with pytest.raises(ValueError, match="row 4 has 4 entries"):
+                verify_triad(short, phis, check)
+
+    @pytest.mark.parametrize("kind,late", [("entry", 20), ("phi", 22)])
+    def test_certificate_failing_late(self, kind, late):
+        # The certificate checks rows and phis up to the late change, fails
+        # there, and a fresh brute pass must report what the collected route
+        # and the plain-loop residual report.
+        rec = banded_for_family("q-gaussian", 23, q=2)
+        rows = [list(r) for r in generate_from_banded(rec, 24).rows]
+        phis = dual_polynomials(rec, 24)
+        if kind == "entry":
+            rows[late][7] += 1
+        else:
+            coeffs = list(phis[late].coeffs)
+            coeffs[3] -= 5
+            phis[late] = Polynomial(coeffs)
+        tri = Triangle(tuple(map(tuple, rows)))
+        source, polys = CountedSource(tri.rows), CountedSource(phis)
+        streamed = verify_triad(source, polys, rec)
+        assert streamed.method == "brute" and streamed.first_failure[0] == late
+        assert _same_outcome(streamed, verify_triad(tri, phis, rec))
+        assert _same_outcome(streamed, verify_triad(tri, phis))
+        n, residual = streamed.first_failure
+        assert reference_verify(tri.rows, phis) == (n, list(residual.coeffs))
+        assert source.reads == [late + 1, late + 1]
+        assert polys.reads == [late + 1, late + 1]
+
+    def test_count_mismatch_rejected_before_reading(self):
+        rows, polys = CountedSource(generate_named("pascal", 3).rows), CountedSource([Polynomial((1,))])
+        with pytest.raises(ValueError, match="counts must match"):
+            verify_triad(rows, polys, banded_for_family("pascal", 2))
+        assert rows.reads == [] and polys.reads == []
 
 
 class TestExpandInBasis:
