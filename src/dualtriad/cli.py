@@ -23,10 +23,7 @@ from .triads import (
     BandedRecurrence,
     Family,
     Restartable,
-    RowSource,
-    Triangle,
     banded_for_family,
-    banded_rows,
     generate_named,
     iter_dual_polynomials,
     named_rows,
@@ -101,9 +98,6 @@ class FamilyInputs(NamedTuple):
     roots: Optional[RootSequence]
     params: dict[str, str]
 
-    def triangle(self, rows: int) -> Triangle:
-        return generate_named(self.name, rows, self.q, self.roots)
-
     def rows(self, rows: int) -> Restartable[tuple[Rational, ...]]:
         """Rows 0..rows as a source that every pass restarts."""
         return Restartable(lambda: named_rows(self.name, rows, self.q, self.roots), rows + 1)
@@ -142,22 +136,20 @@ def _poly_rows(polys: Iterable[Polynomial]) -> Iterator[tuple[Rational, ...]]:
 
 
 def _phis(
-    family: FamilyInputs, name: str, rows: int, tri: Optional[Triangle] = None
+    family: FamilyInputs, name: str, rows: int
 ) -> tuple[Union[list[Polynomial], Restartable[Polynomial]], Optional[BandedRecurrence]]:
     """phi_0..phi_rows of the named family, which can be read more than once,
     with the recurrence they follow.
 
     A family with a banded recurrence streams the duals of that recurrence.
-    Any other family gives the rows of its inverse triangle: tri when the
-    caller has built it to row rows, else one built here to at least row 1,
-    so that a family without a unit diagonal fails at row 0 as at any row.
+    Any other family gives the rows of its inverse triangle, built here to at
+    least row 1, so that a family without a unit diagonal fails at row 0 as
+    at any row; C and C^-1 are held only while inverting.
     """
     if FAMILIES[name].recurrence is not None:
         rec = banded_for_family(name, rows - 1, family.q, family.roots)
         return Restartable(lambda: iter_dual_polynomials(rec, rows), rows + 1), rec
-    if tri is None:
-        tri = generate_named(name, max(rows, 1), family.q, family.roots)
-    inv = invert_unipotent(tri)
+    inv = invert_unipotent(generate_named(name, max(rows, 1), family.q, family.roots))
     return [Polynomial(row) for row in inv.rows[: rows + 1]], None
 
 
@@ -191,17 +183,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    source: RowSource
-    if FAMILIES[dual].recurrence is None:  # the inversion holds C and C^-1
-        source = family.triangle(rows)
-        phis, rec = _phis(family, dual, rows, source if dual == family.name else None)
-    else:
-        phis, rec = _phis(family, dual, rows)
-        if dual == family.name:  # its rows follow the recurrence just tabulated
-            source = Restartable(lambda: banded_rows(rec, rows), rows + 1)
-        else:
-            source = family.rows(rows)
-    report = verify_triad(source, phis, rec)
+    phis, rec = _phis(family, dual, rows)
+    report = verify_triad(family.rows(rows), phis, rec)
     print(f"route: {family.entry.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
@@ -233,7 +216,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows + 1)
-    sm = solve_step_matrix(family.triangle(rows + 1))
+    sm = solve_step_matrix(generate_named(family.name, rows + 1, family.q, family.roots))
     _emit(family.name, family.params, sm.rows, args.format)
     return 0
 

@@ -370,18 +370,12 @@ def named_rows(
     The arguments are checked here, before the first row, and only the
     previous row is held.
     """
-    return checked_rows(_named_rows(family, rows, q, roots))
-
-
-def _named_rows(
-    family: str, rows: int, q: Optional[Rational], roots: Optional[RootSequence]
-) -> Iterator[tuple[Rational, ...]]:
     if rows < 0:
         raise ValueError("rows must be nonnegative")
     _, entry, value = _resolve(family, q, roots)
     if entry.recurrence is None:
-        return entry.rows(rows)
-    return banded_rows(entry.recurrence(value, rows - 1), rows)
+        return checked_rows(entry.rows(rows))
+    return checked_rows(banded_rows(entry.recurrence(value, rows - 1), rows))
 
 
 def generate_named(
@@ -391,9 +385,9 @@ def generate_named(
     roots: Optional[RootSequence] = None,
 ) -> Triangle:
     """The triangle of named_rows(family, rows, q, roots)."""
-    # Triangle checks the rows itself; _resolve lets only a family that takes
-    # q receive one.
-    stream = _named_rows(family, rows, q, roots)
+    # named_rows checks the arguments before q is formatted; _resolve lets
+    # only a family that takes q receive one.
+    stream = named_rows(family, rows, q, roots)
     params = () if q is None else (("q", format_exact(q)),)
     return Triangle(tuple(stream), family=canonical_family(family), params=params)
 
@@ -500,11 +494,10 @@ def _certified(
             k = n - 1
             if rec.depth < k or banded_step(rec, row, n + 1) != list(nxt_row):
                 return False
-            got = _dual_step(rec, k, cur, prev)
-            while got and not got[-1]:
-                got.pop()
+            # The step ends in phi_k's leading coefficient, nonzero for every
+            # phi accepted so far, so a zero up weight fails here too.
             up = rec.up[k]
-            if got != ([up * c for c in nxt] if up else []):
+            if _dual_step(rec, k, cur, prev) != [up * c for c in nxt]:
                 return False
         row, prev, cur = nxt_row, cur, nxt
     return True

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from dualtriad.cli import main, parse_roots
-from dualtriad.dynsys import phi_from_step_matrix, solve_step_matrix
+from dualtriad.dynsys import convolve_fibonomial, phi_from_step_matrix, solve_step_matrix
 from dualtriad.output import OutputDocument, parse_exact
 from dualtriad.sequences import RootSequence, q_binomial
 from dualtriad.triads import generate_named
@@ -120,6 +120,23 @@ class TestExitCodes:
         assert run_cli(["convolve", "--family", "fibonomial", "--a", "bad,x",
                         "--b", "ones", "--rows", "3"])[0] == 2
         assert run_cli([])[0] == 2
+        for argv in (
+            ["generate", "--family", "pascal", "--rows", "3", "--max-rows", "-1"],
+            ["generate", "--family", "lah", "--roots", "1/0", "--rows", "3"],
+            ["generate", "--family", "lah", "--roots", "x", "--rows", "3"],
+        ):
+            assert run_cli(argv)[:2] == (2, ""), argv
+
+    def test_convolve_explicit_lists(self):
+        # Explicit --a and --b lists are padded with zeros to rows+1 entries;
+        # a longer list is a usage error.
+        assert run_cli(["convolve", "--family", "fibonomial", "--a", "1,2", "--b", "3,1",
+                        "--rows", "4"]) == (0, "3,7,2,0,0\n", "")
+        assert convolve_fibonomial((1, 2, 0, 0, 0), (3, 1, 0, 0, 0), 4) == (3, 7, 2, 0, 0)
+        code, out, err = run_cli(["convolve", "--family", "fibonomial", "--a", "1,2,3",
+                                  "--b", "ones", "--rows", "1"])
+        assert (code, out) == (2, "")
+        assert "more than rows+1" in err
 
     def test_row_cap(self):
         assert run_cli(["generate", "--family", "pascal", "--rows", "600"])[0] == 2

@@ -26,9 +26,11 @@ from dualtriad.triads import (
     Restartable,
     Triangle,
     banded_for_family,
+    banded_rows,
     dual_polynomials,
     generate_from_banded,
     generate_named,
+    iter_dual_polynomials,
     lah_from_roots,
     named_rows,
     verify_triad,
@@ -526,3 +528,30 @@ class TestConvolveFibonomial:
     def test_sequence_coverage_checked(self):
         with pytest.raises(ValueError):
             convolve_fibonomial([1, 2], [1, 2, 3], 2)
+
+
+_PASCAL_DEPTH_3 = BandedRecurrence.tabulate(1, 1, 0, 3)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: BandedRecurrence((1,), (1, 1), (0,)), ValueError,
+     "up, stay and down must cover the same levels"),
+    (lambda: BandedRecurrence.tabulate(1, 1, 0, -2), ValueError, "depth must be at least -1"),
+    (lambda: banded_rows(_PASCAL_DEPTH_3, -1), ValueError, "rows must be nonnegative"),
+    (lambda: iter_dual_polynomials(_PASCAL_DEPTH_3, -1), ValueError, "count must be nonnegative"),
+    (lambda: iter_dual_polynomials(_PASCAL_DEPTH_3, 5), ValueError,
+     "recurrence tabulated to level 3; 5 polynomials need level 4"),
+    (lambda: banded_for_family("fibonomial", 3), ValueError,
+     "family 'fibonomial' has no banded time-independent recurrence"),
+    (lambda: StepMatrix(((1, 1), (0, 1))), ValueError, "row 1 has 2 entries, expected 3"),
+    (lambda: phi_from_step_matrix(solve_step_matrix(generate_named("fibonomial", 3)), -1),
+     ValueError, "count must be nonnegative"),
+    (lambda: evolve((1, 0, 0, 0), BandedRecurrence.tabulate(1, 1, 0, 1), 3), ValueError,
+     "transition tabulated to level 1, evolution reaches level 3"),
+    (lambda: evolve((1, 0), "x", 1), TypeError, "cannot evolve with str"),
+    (lambda: convolve_fibonomial((1,), (1,), -1), ValueError, "upto must be nonnegative"),
+])
+def test_library_preconditions(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -34,6 +34,7 @@ from dualtriad.triads import (
     generate_from_banded,
     generate_named,
     lah_from_roots,
+    named_rows,
     persistent_root_polys,
     root_recurrence,
     verify_triad,
@@ -139,6 +140,17 @@ class TestGenerateNamed:
         with pytest.raises(ValueError, match="does not take the parameter q"):
             banded_for_family("lah", 3, q=2, roots=RootSequence.arithmetic())
         assert generate_named("pascal", 3, q=None, roots=None) == generate_named("pascal", 3)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: generate_named("pascal", 3, q=2.0), "does not take the parameter q"),
+        (lambda: named_rows("pascal", 3, q=2.0), "does not take the parameter q"),
+        (lambda: generate_named("q-gaussian", -1, q=2.0), "rows must be nonnegative"),
+    ])
+    def test_arguments_checked_before_q_is_formatted(self, call, message):
+        # A float q cannot be formatted exactly; the row count, family and
+        # parameter checks come first and report the real fault.
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_underscore_names_accepted(self):
         assert generate_named("catalan_triad", 3).rows == generate_named("catalan-triad", 3).rows
@@ -368,6 +380,25 @@ class TestVerifyCertificate:
             tri = generate_from_banded(rec, depth + 1)
             report = verify_triad(tri, dual_polynomials(rec, depth + 1), rec)
             assert report.holds and report.method == "certificate"
+
+    def test_zero_up_weight_agrees_with_brute(self):
+        # The rows follow a recurrence with one up weight 0; the phis follow
+        # the same stay and down weights with every up weight 1.  The
+        # certificate reaches the zero weight and must hand over to the scan.
+        rng = random.Random(20261018)
+        for trial in range(300):
+            depth = rng.randint(0, 8)
+            base = _random_banded(rng, depth)
+            ones = (Fraction(1),) * (depth + 1)
+            up = list(ones)
+            up[rng.randint(0, depth)] = Fraction(0)
+            rec = BandedRecurrence(tuple(up), base.stay, base.down)
+            tri = generate_from_banded(rec, depth + 1)
+            phis = dual_polynomials(BandedRecurrence(ones, base.stay, base.down), depth + 1)
+            fast = verify_triad(tri, phis, rec)
+            brute = verify_triad(tri, phis)
+            assert _same_outcome(fast, brute), trial
+            assert not fast.holds and fast.method == "brute"
 
     def test_recurrence_too_shallow_falls_back(self):
         rec = banded_for_family("catalan-triad", 3)
