@@ -9,100 +9,43 @@ verifies their triads symbolically, and decides algorithmically whether a
 triangle admits banded time-independent update weights at all.
 """
 
-from .exact import (
-    Polynomial,
-    X,
-    as_exact,
-    exact_div,
-    format_exact,
-    linear_combination,
-    parse_exact,
-    solve_unit_lower,
-)
-from .sequences import (
-    RootSequence,
-    binomial,
-    catalan_entry,
-    eulerian,
-    fibonacci,
-    fibonomial,
-    q_binomial,
-    q_factorial,
-    q_int,
-    stirling_first,
-)
-from .triads import (
-    BandedRecurrence,
-    Triangle,
-    TriadReport,
-    banded_for_family,
-    catalan_shifted_from_triad,
-    catalan_triad_from_shifted,
-    dual_polynomials,
-    expand_in_basis,
-    generate_from_banded,
-    generate_named,
-    lah_from_roots,
-    persistent_root_polys,
-    verify_triad,
-)
-from .dynsys import (
-    FitResult,
-    StepMatrix,
-    convolve_fibonomial,
-    evolve,
-    fit_banded,
-    invert_unipotent,
-    phi_from_step_matrix,
-    solve_step_matrix,
-)
-from .misprints import LEDGER, MisprintEntry, format_ledger
-from .output import OutputDocument
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandedRecurrence",
-    "FitResult",
-    "LEDGER",
-    "MisprintEntry",
-    "OutputDocument",
-    "Polynomial",
-    "RootSequence",
-    "StepMatrix",
-    "Triangle",
-    "TriadReport",
-    "X",
-    "as_exact",
-    "banded_for_family",
-    "binomial",
-    "catalan_entry",
-    "catalan_shifted_from_triad",
-    "catalan_triad_from_shifted",
-    "convolve_fibonomial",
-    "dual_polynomials",
-    "eulerian",
-    "evolve",
-    "exact_div",
-    "expand_in_basis",
-    "fibonacci",
-    "fibonomial",
-    "fit_banded",
-    "format_exact",
-    "format_ledger",
-    "generate_from_banded",
-    "generate_named",
-    "invert_unipotent",
-    "lah_from_roots",
-    "linear_combination",
-    "parse_exact",
-    "persistent_root_polys",
-    "phi_from_step_matrix",
-    "q_binomial",
-    "q_factorial",
-    "q_int",
-    "solve_step_matrix",
-    "solve_unit_lower",
-    "stirling_first",
-    "verify_triad",
-]
+# The public names by defining module.  Nothing is imported here: a name or a
+# submodule is imported on its first use (PEP 562), so a command pays only
+# for the modules it runs.
+_EXPORTS = {
+    "exact": ("Polynomial", "X", "as_exact", "exact_div", "format_exact",
+              "linear_combination", "parse_exact", "solve_unit_lower"),
+    "sequences": ("RootSequence", "binomial", "catalan_entry", "eulerian", "fibonacci",
+                  "fibonomial", "q_binomial", "q_factorial", "q_int", "stirling_first"),
+    "triads": ("BandedRecurrence", "Triangle", "TriadReport", "banded_for_family",
+               "catalan_shifted_from_triad", "catalan_triad_from_shifted", "dual_polynomials",
+               "expand_in_basis", "generate_from_banded", "generate_named", "lah_from_roots",
+               "persistent_root_polys", "verify_triad"),
+    "dynsys": ("FitResult", "StepMatrix", "convolve_fibonomial", "evolve", "fit_banded",
+               "invert_unipotent", "phi_from_step_matrix", "solve_step_matrix"),
+    "misprints": ("LEDGER", "MisprintEntry", "format_ledger"),
+    "output": ("OutputDocument",),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
 
+from ._record import Frozen
 from .dynsys import convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
 from .exact import Polynomial, Rational, format_exact
-from .misprints import format_ledger
 from .output import format_rows, write_document
 from .sequences import RootSequence
 from .triads import (
@@ -88,15 +88,26 @@ def _checked_rows(args: argparse.Namespace) -> int:
     return rows
 
 
-class FamilyInputs(NamedTuple):
+class FamilyInputs(Frozen):
     """A family chosen on the command line, its parameter, and the parameter
     text that output documents carry."""
 
+    __slots__ = ("name", "entry", "q", "roots", "params")
     name: str
     entry: Family
     q: Optional[Fraction]
     roots: Optional[RootSequence]
     params: dict[str, str]
+
+    def __init__(
+        self,
+        name: str,
+        entry: Family,
+        q: Optional[Fraction],
+        roots: Optional[RootSequence],
+        params: dict[str, str],
+    ) -> None:
+        self._set(name, entry, q, roots, params)
 
     def rows(self, rows: int) -> Restartable[tuple[Rational, ...]]:
         """Rows 0..rows as a source that every pass restarts."""
@@ -335,6 +346,8 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     if args.ledger:
+        from .misprints import format_ledger
+
         sys.stdout.write(format_ledger())
         return 0
     if args.command is None:

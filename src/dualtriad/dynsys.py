@@ -17,9 +17,9 @@ convolution built from fibonomial coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
+from ._record import Frozen
 from .exact import Polynomial, Rational, as_exact, exact_div, forward_substitute
 from .triads import (
     BandedRecurrence,
@@ -32,8 +32,7 @@ from .triads import (
 )
 
 
-@dataclass(frozen=True)
-class StepMatrix:
+class StepMatrix(Frozen):
     """Lower-Hessenberg truncation of a one-step transition matrix.
 
     Row n spans columns 0..n+1; everything above the superdiagonal is zero.
@@ -41,15 +40,16 @@ class StepMatrix:
     level l in n steps.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[Rational, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: Iterable[Sequence[Rational]]) -> None:
         coerced = []
-        for n, row in enumerate(self.rows):
+        for n, row in enumerate(rows):
             if len(row) != n + 2:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 2}")
             coerced.append(tuple(as_exact(v) for v in row))
-        object.__setattr__(self, "rows", tuple(coerced))
+        self._set(tuple(coerced))
 
     @property
     def row_count(self) -> int:
@@ -165,8 +165,7 @@ def evolve(
     raise TypeError(f"cannot evolve with {type(transition).__name__}")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Frozen):
     """Outcome of the banded-fit decision.
 
     On a fit, recurrence regenerates the triangle exactly.  Otherwise witness
@@ -176,9 +175,18 @@ class FitResult:
     exist.
     """
 
+    __slots__ = ("recurrence", "column", "witness")
     recurrence: Optional[BandedRecurrence]
-    column: Optional[int] = None
-    witness: tuple[tuple[int, int], ...] = ()
+    column: Optional[int]
+    witness: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self,
+        recurrence: Optional[BandedRecurrence],
+        column: Optional[int] = None,
+        witness: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        self._set(recurrence, column, witness)
 
     @property
     def fits(self) -> bool:

@@ -10,16 +10,21 @@ asserted anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Frozen
 
 
-@dataclass(frozen=True)
-class MisprintEntry:
+class MisprintEntry(Frozen):
+    __slots__ = ("ident", "location", "published", "computed", "note")
     ident: str
     location: str
     published: str
     computed: str
-    note: str = ""
+    note: str
+
+    def __init__(
+        self, ident: str, location: str, published: str, computed: str, note: str = ""
+    ) -> None:
+        self._set(ident, location, published, computed, note)
 
 
 LEDGER: tuple[MisprintEntry, ...] = (

@@ -12,22 +12,34 @@ that streams rows from a recurrence never holds the whole document.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from ._record import Record
 from .exact import Rational, format_exact, parse_exact
 
 
-@dataclass
-class OutputDocument:
+class OutputDocument(Record):
     """One emitted result: a family tag, parameters, rows of exact strings,
     and an optional verification or fit summary."""
 
+    __slots__ = ("family", "params", "rows", "report")
     family: str
-    params: dict[str, str] = field(default_factory=dict)
-    rows: list[list[str]] = field(default_factory=list)
-    report: Optional[dict] = None
+    params: dict[str, str]
+    rows: list[list[str]]
+    report: Optional[dict]
+
+    def __init__(
+        self,
+        family: str,
+        params: Optional[dict[str, str]] = None,
+        rows: Optional[list[list[str]]] = None,
+        report: Optional[dict] = None,
+    ) -> None:
+        self.family = family
+        self.params = {} if params is None else params
+        self.rows = [] if rows is None else rows
+        self.report = report
 
     @classmethod
     def from_values(
@@ -54,6 +66,8 @@ class OutputDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "OutputDocument":
+        import json
+
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("document must be a JSON object")
@@ -127,9 +141,11 @@ def write_document(
             write(text + "\n")
             del text  # not held while the next row is made
     elif fmt == "json":
+        from json.encoder import encode_basestring_ascii as string
+
         write(f'{{\n  "family": {_nested(family)},\n  "params": {_nested(params)},\n  "rows": [')
         sep = "\n    "
-        for text in map(_json_row, rows):
+        for text in map(partial(_json_row, string), rows):
             write(sep + text)
             del text
             sep = ",\n    "
@@ -144,20 +160,19 @@ def write_document(
         raise ValueError(f"unknown format {fmt!r}")
 
 
-# What json.dumps writes for a str item of a list.
-_json_string = json.encoder.encode_basestring_ascii
-
-
-def _json_row(row: Sequence[str]) -> str:
+def _json_row(string: Callable[[str], str], row: Sequence[str]) -> str:
     # json.dumps(row, indent=2) two levels deep, built without the slow
-    # pure-Python encoder that json.dumps uses whenever indent is set.
+    # pure-Python encoder that json.dumps uses whenever indent is set;
+    # string is what json.dumps writes for a str item of a list.
     if not row:
         return "[]"
-    return "[\n      " + ",\n      ".join(map(_json_string, row)) + "\n    ]"
+    return "[\n      " + ",\n      ".join(map(string, row)) + "\n    ]"
 
 
 def _nested(value: object) -> str:
     # json.dumps(value, indent=2) as the value of a top-level key: JSON text
     # breaks lines only between tokens, never inside a string, so each line
     # break gains the one level of indent.
+    import json
+
     return json.dumps(value, indent=2).replace("\n", "\n  ")

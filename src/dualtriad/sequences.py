@@ -8,8 +8,8 @@ recurrences can run without boundary branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Frozen
 from .exact import Rational, as_exact, exact_div
 
 
@@ -141,16 +141,19 @@ def eulerian(n: int, k: int) -> int:
     return row[k]
 
 
-@dataclass(frozen=True)
-class RootSequence:
+class RootSequence(Frozen):
     """Level-indexed roots r_1, r_2, ... produced by a simple rule.
 
     Rules: constant value, arithmetic progression, geometric progression, or
     an explicit finite list (which errors past its end).
     """
 
+    __slots__ = ("rule", "data")
     rule: str
     data: tuple[Rational, ...]
+
+    def __init__(self, rule: str, data: tuple[Rational, ...]) -> None:
+        self._set(rule, data)
 
     @classmethod
     def constant(cls, value: Rational) -> "RootSequence":

@@ -21,10 +21,10 @@ named family is declared once, in FAMILIES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
+from ._record import Frozen
 from .exact import Polynomial, Rational, as_exact, exact_div, format_exact, linear_combination
 from .sequences import RootSequence, fibonacci
 
@@ -35,20 +35,25 @@ def canonical_family(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Frozen):
     """Lower-triangular array of exact entries plus family metadata.
 
     rows[n] holds entries k = 0..n; anything outside the triangle reads as 0
     through entry().
     """
 
+    __slots__ = ("rows", "family", "params")
     rows: tuple[tuple[Rational, ...], ...]
-    family: str = ""
-    params: tuple[tuple[str, str], ...] = ()
+    family: str
+    params: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(checked_rows(self.rows)))
+    def __init__(
+        self,
+        rows: Iterable[Sequence[Rational]],
+        family: str = "",
+        params: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self._set(tuple(checked_rows(rows)), family, params)
 
     @property
     def max_row(self) -> int:
@@ -118,8 +123,7 @@ def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
     return vals[: depth + 1]
 
 
-@dataclass(frozen=True)
-class BandedRecurrence:
+class BandedRecurrence(Frozen):
     """Per-level walk weights: up[k] to level k+1, stay[k], down[k] to k-1.
 
     The weights are independent of the step number by construction; that time
@@ -127,14 +131,15 @@ class BandedRecurrence:
     carried for uniform indexing but never multiplies anything.
     """
 
+    __slots__ = ("up", "stay", "down")
     up: tuple[Rational, ...]
     stay: tuple[Rational, ...]
     down: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "up", tuple(as_exact(v) for v in self.up))
-        object.__setattr__(self, "stay", tuple(as_exact(v) for v in self.stay))
-        object.__setattr__(self, "down", tuple(as_exact(v) for v in self.down))
+    def __init__(
+        self, up: Iterable[Rational], stay: Iterable[Rational], down: Iterable[Rational]
+    ) -> None:
+        self._set(*(tuple(as_exact(v) for v in w) for w in (up, stay, down)))
         if not (len(self.up) == len(self.stay) == len(self.down)):
             raise ValueError("up, stay and down must cover the same levels")
 
@@ -155,8 +160,7 @@ class BandedRecurrence:
         return cls(_levels(up, depth), _levels(stay, depth), _levels(down, depth))
 
 
-@dataclass(frozen=True)
-class TriadReport:
+class TriadReport(Frozen):
     """Outcome of a triad verification.
 
     holds is True iff the expansion residual vanished for every checked row;
@@ -166,10 +170,20 @@ class TriadReport:
     "brute" when each row was expanded.
     """
 
+    __slots__ = ("verified_up_to", "holds", "first_failure", "method")
     verified_up_to: int
     holds: bool
-    first_failure: Optional[tuple[int, Polynomial]] = None
-    method: str = "brute"
+    first_failure: Optional[tuple[int, Polynomial]]
+    method: str
+
+    def __init__(
+        self,
+        verified_up_to: int,
+        holds: bool,
+        first_failure: Optional[tuple[int, Polynomial]] = None,
+        method: str = "brute",
+    ) -> None:
+        self._set(verified_up_to, holds, first_failure, method)
 
 
 def root_recurrence(roots: RootSequence, depth: int) -> BandedRecurrence:
@@ -278,8 +292,7 @@ def _eulerian_rows(rows: int) -> Iterator[tuple[int, ...]]:
 _BANDED_ROUTE = "banded dual recurrence"
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Frozen):
     """How one named family is built, what it takes, and where its duals are.
 
     recurrence maps (parameter value, depth) to the family's banded weights
@@ -292,11 +305,22 @@ class Family:
     for that dual.
     """
 
+    __slots__ = ("dual", "route", "param", "recurrence", "rows")
     dual: Optional[str]
     route: Optional[str]
-    param: Optional[str] = None
-    recurrence: Optional[Callable[[Any, int], BandedRecurrence]] = None
-    rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]] = None
+    param: Optional[str]
+    recurrence: Optional[Callable[[Any, int], BandedRecurrence]]
+    rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]]
+
+    def __init__(
+        self,
+        dual: Optional[str],
+        route: Optional[str],
+        param: Optional[str] = None,
+        recurrence: Optional[Callable[[Any, int], BandedRecurrence]] = None,
+        rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]] = None,
+    ) -> None:
+        self._set(dual, route, param, recurrence, rows)
 
 
 FAMILIES: dict[str, Family] = {

@@ -435,3 +435,28 @@ class TestSubprocessEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+    def test_import_loads_only_what_the_commands_run(self):
+        # Every command is a fresh process, so what `import dualtriad.cli`
+        # loads is paid on each one: not dataclasses (which pulls in inspect,
+        # ast and dis), not json, and not the misprint ledger.  The compute
+        # modules stay imported at module level: perfbench/tracing.py wraps
+        # their functions by reading them from sys.modules after importing
+        # dualtriad.cli.
+        code = (
+            "import sys, dualtriad.cli\n"
+            "print(' '.join(m for m in ('dataclasses', 'json', 'dualtriad.misprints')"
+            " if m in sys.modules))\n"
+            "print(' '.join(m for m in ('exact', 'sequences', 'triads', 'output', 'dynsys')"
+            " if 'dualtriad.' + m not in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n\n", f"loaded / missing: {proc.stdout!r}"
+
+        from dualtriad.misprints import format_ledger
+
+        proc = subprocess.run([sys.executable, "-m", "dualtriad", "--ledger"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, format_ledger(), "")
+        assert "geometric-q3-row6" in proc.stdout

@@ -1,0 +1,63 @@
+"""The package namespace: `import dualtriad` imports no submodule, and every
+public name and submodule is served on first use."""
+
+import subprocess
+import sys
+
+import pytest
+
+SUBMODULES = ("cli", "dynsys", "exact", "misprints", "output", "sequences", "triads")
+
+CHECKS = {
+    # Every public name is the object its defining module holds: the module
+    # a class or function names, or for a constant (X, LEDGER) one that holds it.
+    "names resolve": """
+import dualtriad, sys
+for name in dualtriad.__all__:
+    obj = getattr(dualtriad, name)
+    loaded = {n: vars(m) for n, m in sys.modules.items() if n.startswith("dualtriad.")}
+    holders = {n for n, namespace in loaded.items() if name in namespace and namespace[name] is obj}
+    defining = getattr(obj, "__module__", "")
+    assert holders and (defining in holders or not defining.startswith("dualtriad.")), name
+""",
+    "star import": """
+import dualtriad
+namespace = {}
+exec("from dualtriad import *", namespace)
+assert set(dualtriad.__all__) <= set(namespace), set(dualtriad.__all__) - set(namespace)
+for name in dualtriad.__all__:
+    assert namespace[name] is getattr(dualtriad, name), name
+""",
+    "dir lists every name": """
+import dualtriad
+assert set(dualtriad.__all__) <= set(dir(dualtriad)), set(dualtriad.__all__) - set(dir(dualtriad))
+""",
+    "submodules reachable": """
+import dualtriad, sys
+for m in SUBMODULES:
+    assert getattr(dualtriad, m) is sys.modules["dualtriad." + m], m
+""",
+    "unknown name": """
+import dualtriad
+try:
+    dualtriad.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("no AttributeError")
+assert not hasattr(dualtriad, "no_such_name")
+""",
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_namespace_in_a_fresh_process(check):
+    code = f"SUBMODULES = {SUBMODULES!r}\n" + CHECKS[check]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_submodule():
+    code = "import dualtriad, sys\nprint(sorted(m for m in sys.modules if m.startswith('dualtriad')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "['dualtriad']\n"), proc.stderr
