@@ -74,6 +74,17 @@ GOLDEN_CASES = [
     ("verify_stirling1_rows8.txt", 0,
      ["verify", "--family", "stirling1", "--rows", "8"]),
     ("ledger.txt", 0, ["--ledger"]),
+    # Rational families, where the certificate and fit carry denominators.
+    ("verify_qgaussian_qm2_3_rows12.txt", 0,
+     ["verify", "--family", "q-gaussian", "--q=-2/3", "--rows", "12"]),
+    ("verify_lah_roots_halves_rows10.txt", 0,
+     ["verify", "--family", "lah", "--roots=1/2,3/2,...", "--rows", "10"]),
+    ("fit_qgaussian_qm3_2_rows10.txt", 0,
+     ["fit", "--family", "q-gaussian", "--q=-3/2", "--rows", "10"]),
+    ("fit_lah_roots_thirds_rows10.txt", 0,
+     ["fit", "--family", "lah", "--roots=1/3,1/9,...", "--rows", "10"]),
+    ("dual_qgaussian_q2_3_rows6.txt", 0,
+     ["dual", "--family", "q-gaussian", "--q=2/3", "--rows", "6"]),
 ]
 
 
