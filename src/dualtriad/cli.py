@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import Frozen
 from .dynsys import convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
-from .exact import Polynomial, Rational, format_exact
+from .exact import Polynomial, Rational, Scaled, format_exact
 from .output import format_rows, write_document
 from .sequences import RootSequence
 from .triads import (
@@ -26,7 +26,9 @@ from .triads import (
     banded_for_family,
     generate_named,
     iter_dual_polynomials,
+    iter_scaled_duals,
     named_rows,
+    named_scaled_rows,
     verify_triad,
 )
 
@@ -109,9 +111,10 @@ class FamilyInputs(Frozen):
     ) -> None:
         self._set(name, entry, q, roots, params)
 
-    def rows(self, rows: int) -> Restartable[tuple[Rational, ...]]:
-        """Rows 0..rows as a source that every pass restarts."""
-        return Restartable(lambda: named_rows(self.name, rows, self.q, self.roots), rows + 1)
+    def rows(self, rows: int) -> Restartable[Scaled]:
+        """Rows 0..rows as Scaled vectors, from a source that every pass
+        restarts."""
+        return Restartable(lambda: named_scaled_rows(self.name, rows, self.q, self.roots), rows + 1)
 
 
 def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
@@ -147,19 +150,24 @@ def _poly_rows(polys: Iterable[Polynomial]) -> Iterator[tuple[Rational, ...]]:
 
 
 def _phis(
-    family: FamilyInputs, name: str, rows: int
-) -> tuple[Union[list[Polynomial], Restartable[Polynomial]], Optional[BandedRecurrence]]:
+    family: FamilyInputs,
+    name: str,
+    rows: int,
+    duals: Callable[[BandedRecurrence, int], Iterator[Union[Polynomial, Scaled]]],
+) -> tuple[Union[list[Polynomial], Restartable[Union[Polynomial, Scaled]]], Optional[BandedRecurrence]]:
     """phi_0..phi_rows of the named family, which can be read more than once,
     with the recurrence they follow.
 
-    A family with a banded recurrence streams the duals of that recurrence.
-    Any other family gives the rows of its inverse triangle, built here to at
-    least row 1, so that a family without a unit diagonal fails at row 0 as
-    at any row; C and C^-1 are held only while inverting.
+    A family with a banded recurrence streams the duals of that recurrence,
+    as the driver duals makes them: iter_dual_polynomials for output, or
+    iter_scaled_duals for a proof.  Any other family gives the rows of its
+    inverse triangle, built here to at least row 1, so that a family without
+    a unit diagonal fails at row 0 as at any row; C and C^-1 are held only
+    while inverting.
     """
     if FAMILIES[name].recurrence is not None:
         rec = banded_for_family(name, rows - 1, family.q, family.roots)
-        return Restartable(lambda: iter_dual_polynomials(rec, rows), rows + 1), rec
+        return Restartable(lambda: duals(rec, rows), rows + 1), rec
     inv = invert_unipotent(generate_named(name, max(rows, 1), family.q, family.roots))
     return [Polynomial(row) for row in inv.rows[: rows + 1]], None
 
@@ -167,7 +175,7 @@ def _phis(
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
-    _emit(family.name, family.params, family.rows(rows), args.format)
+    _emit(family.name, family.params, named_rows(family.name, rows, family.q, family.roots), args.format)
     return 0
 
 
@@ -180,7 +188,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
             f"family {family.name} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    phis, _ = _phis(family, dual, rows)
+    phis, _ = _phis(family, dual, rows, iter_dual_polynomials)
     _emit(family.name, family.params, _poly_rows(phis), args.format)
     return 0
 
@@ -194,7 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    phis, rec = _phis(family, dual, rows)
+    phis, rec = _phis(family, dual, rows, iter_scaled_duals)
     report = verify_triad(family.rows(rows), phis, rec)
     print(f"route: {family.entry.route}")
     if report.holds:
@@ -235,7 +243,7 @@ def cmd_solve_f(args: argparse.Namespace) -> int:
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
-    phis, _ = _phis(family, family.name, rows)
+    phis, _ = _phis(family, family.name, rows, iter_dual_polynomials)
     _emit(family.name, family.params, _poly_rows(phis), args.format)
     return 0
 

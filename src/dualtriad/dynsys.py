@@ -17,18 +17,19 @@ convolution built from fibonomial coefficients.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Frozen
-from .exact import Polynomial, Rational, as_exact, exact_div, forward_substitute
+from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, forward_substitute
 from .triads import (
     BandedRecurrence,
     RowSource,
     Triangle,
-    banded_rows,
     banded_step,
-    checked_rows,
+    checked_scaled_rows,
     fibonomial_rows,
+    scaled_banded_rows,
 )
 
 
@@ -195,16 +196,18 @@ class FitResult(Frozen):
 
 _PIVOT_ORDER = (1, 0, 2)  # prefer pinning stay, then up, then down
 
-_Equation = tuple[int, tuple[Rational, Rational, Rational], Rational]
+_Equation = tuple[int, tuple[int, int, int], int]
 
 
 class _Column:
     """Exact Gaussian elimination on one column's 3-unknown system, fed one
-    equation at a time.
+    integer equation at a time.
 
     Besides its pivots the column keeps the original equation of each pivot
     row (at most 3): the tags of a conflict only ever name pivot rows and the
-    failing row, so those equations are all a witness needs.
+    failing row, so those equations are all a witness needs.  Once three
+    pivots pin the solution p/s (Scaled), an equation is checked as
+    a*p == b*s in ints.
     """
 
     __slots__ = ("pivots", "equations", "pinned")
@@ -212,14 +215,16 @@ class _Column:
     def __init__(self) -> None:
         self.pivots: list[tuple[int, list[Rational], Rational, frozenset[int]]] = []
         self.equations: list[_Equation] = []
-        self.pinned: Optional[tuple[Rational, Rational, Rational]] = None
+        self.pinned: Optional[Scaled] = None
 
-    def add(self, tag: int, a: tuple[Rational, Rational, Rational], b: Rational) -> Optional[frozenset[int]]:
+    def add(self, tag: int, a: tuple[int, int, int], b: int) -> Optional[frozenset[int]]:
         """Feed a*(up, stay, down) = b; None while the system stays
         consistent, else the tags of equations combining to 0 = nonzero."""
         pinned = self.pinned
-        if pinned is not None and a[0] * pinned[0] + a[1] * pinned[1] + a[2] * pinned[2] == b:
-            return None  # reducing by all three pivots would leave 0 = b - a*solution
+        if pinned is not None:
+            p, s = pinned
+            if a[0] * p[0] + a[1] * p[1] + a[2] * p[2] == (b if s == 1 else b * s):
+                return None  # reducing by all three pivots would leave 0 = b - a*solution
         coeffs = list(a)
         rhs = b
         tags = frozenset((tag,))
@@ -236,7 +241,7 @@ class _Column:
         self.pivots.append((var, [exact_div(c, pivot) for c in coeffs], exact_div(rhs, pivot), tags))
         self.equations.append((tag, a, b))
         if len(self.pivots) == 3:
-            self.pinned = self.solution()
+            self.pinned = Scaled.of(self.solution())
         return None
 
     def solution(self) -> tuple[Rational, Rational, Rational]:
@@ -273,12 +278,16 @@ def fit_banded(rows: RowSource) -> FitResult:
     """Decide whether time-independent banded weights reproduce the triangle.
 
     rows is a RowSource of rows 0..N: a Triangle, its rows, or a Restartable
-    over a row generator, which is read in two passes and never held whole;
-    each pass checks the rows as a Triangle checks its rows.
+    over a row generator (of values, or of Scaled vectors as
+    named_scaled_rows gives them), which is read in two passes and never
+    held whole; each pass checks the rows as a Triangle checks its rows.
     Column k's update equations, one per row pair (n, n+1) for n >= k-1, are
     solved exactly for the three weights touching that column; every column
     takes its equation from each row pair as it passes, until a column at or
-    below it has turned inconsistent.  Underdetermined columns take the
+    below it has turned inconsistent.  The rows are read as Scaled vectors
+    and each row pair's equations are multiplied by the pair's common
+    denominator, so that a rational triangle is checked in integers; only
+    the fitted weights are built as reduced values.  Underdetermined columns take the
     minimal-support solution (down weight 0 first, then up).  A fit is
     returned only if every column is consistent and regeneration from the
     fitted weights reproduces a fresh pass of the rows entry for entry;
@@ -290,14 +299,23 @@ def fit_banded(rows: RowSource) -> FitResult:
     n_max = len(rows) - 1
     if n_max < 4:
         raise ValueError("need rows 0..4 at least to overdetermine the fit")
-    stream = checked_rows(rows)
-    row = next(stream)
-    if row[0] != 1:
+    stream = checked_scaled_rows(rows)
+    row, d = next(stream)
+    if row[0] != d:
         raise ValueError("fit requires the seed entry 1 at (0, 0)")
     columns = [_Column()]
     fed = n_max + 1  # columns below this one still take equations
     witness: tuple[tuple[int, int], ...] = ()  # of column fed, once one fails
-    for n, nxt in enumerate(stream):
+    for n, (nxt, e) in enumerate(stream):
+        # Rows n and n+1 are row/d and nxt/e: times lcm(d, e), the pair's
+        # equations hold in integers.
+        rhs = nxt
+        if d != e:
+            g = gcd(d, e)
+            if e != g:
+                row = [e // g * v for v in row]
+            if d != g:
+                rhs = [d // g * v for v in nxt]
         # Unknowns per column k: (up[k-1], stay[k], down[k+1]); entry j + 1
         # of padded is c[n][j], zero outside the triangle.
         padded = (0, *row, 0, 0)
@@ -305,12 +323,12 @@ def fit_banded(rows: RowSource) -> FitResult:
         for k in range(min(n + 2, fed)):
             a = padded[k : k + 3]
             column = columns[k]
-            tags = column.add(n, a, nxt[k])
+            tags = column.add(n, a, rhs[k])
             if tags is not None:
-                conflict = _minimal_conflict([*column.equations, (n, a, nxt[k])], tags)
+                conflict = _minimal_conflict([*column.equations, (n, a, rhs[k])], tags)
                 fed, witness = k, tuple((m, k) for m in conflict)
                 break
-        row = nxt
+        row, d = nxt, e
     if len(columns) != n_max + 1:
         raise ValueError(f"a pass read {len(columns)} rows of a source of length {n_max + 1}")
     if witness:
@@ -327,7 +345,7 @@ def fit_banded(rows: RowSource) -> FitResult:
         if k + 1 <= n_max - 1:
             down[k + 1] = down_kp1
     rec = BandedRecurrence(tuple(up), tuple(stay), tuple(down))
-    regen = zip(banded_rows(rec, n_max), checked_rows(rows), strict=True)
+    regen = zip(scaled_banded_rows(rec, n_max), checked_scaled_rows(rows), strict=True)
     if any(a != b for a, b in regen):  # pragma: no cover - consistency implies regeneration
         raise ArithmeticError("consistent column fits failed to regenerate the triangle")
     return FitResult(rec)

@@ -9,12 +9,20 @@ nothing silently leaves exact arithmetic.
 
 Two rules keep the representation: values are stored through as_exact, and
 every division goes through exact_div (int / int would give a float).
+
+A vector of scalars has a second form, Scaled: integers over one positive
+denominator.  The proofs that print no value (the triad certificate and the
+banded fit) run on that form in native int arithmetic and reduce once per
+vector, in the Scaled constructor, instead of once per operation; an integer
+vector has denominator 1 and is never reduced.  Scaled.values gives reduced
+scalars back where a value leaves those proofs.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -43,6 +51,47 @@ def exact_div(a: Rational, b: Rational) -> Rational:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return as_exact(a / b)
+
+
+class Scaled(tuple):
+    """A vector of exact values as integers over one denominator.
+
+    Scaled(nums, den) is the vector nums[i] / den, held as the pair
+    (nums, den) content-reduced: den > 0 and gcd(den, *nums) == 1.  Each
+    vector of values has one such form, so two Scaled vectors are equal
+    exactly when their values are, and comparing them is a tuple
+    comparison.  With den 1 the constructor does no gcd and no division.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nums: Iterable[int], den: int = 1) -> "Scaled":
+        nums = tuple(nums)
+        if den != 1:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = tuple([v // g for v in nums])
+                den //= g
+        return tuple.__new__(cls, (nums, den))
+
+    @classmethod
+    def of(cls, values: Iterable[Rational]) -> "Scaled":
+        """The Scaled form of exact values, each passed through as_exact."""
+        vals = [as_exact(v) for v in values]
+        den = lcm(*[v.denominator for v in vals])
+        if den == 1:
+            return tuple.__new__(cls, (tuple(vals), 1))
+        # Over the least common denominator the content is already 1.
+        return tuple.__new__(cls, (tuple([v.numerator * (den // v.denominator) for v in vals]), den))
+
+    def values(self) -> tuple[Rational, ...]:
+        """The values, each an int or a reduced Fraction as as_exact gives."""
+        nums, den = self
+        if den == 1:
+            return nums
+        return tuple([as_exact(Fraction(v, den)) for v in nums])
 
 
 _CHUNK_DIGITS = 4000

@@ -22,10 +22,11 @@ named family is declared once, in FAMILIES.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ._record import Frozen
-from .exact import Polynomial, Rational, as_exact, exact_div, format_exact, linear_combination
+from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, format_exact, linear_combination
 from .sequences import RootSequence, fibonacci
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
@@ -80,6 +81,17 @@ def checked_rows(rows: Iterable[Sequence[Rational]]) -> Iterator[tuple[Rational,
         yield tuple(as_exact(v) for v in row)
 
 
+def checked_scaled_rows(rows: Iterable[Union[Sequence[Rational], Scaled]]) -> Iterator[Scaled]:
+    """Rows as Scaled vectors, one at a time: a Scaled row passes as it is,
+    any other row as Scaled.of gives it, and row n must have n + 1 entries."""
+    for n, row in enumerate(rows):
+        scaled = type(row) is Scaled
+        width = len(row[0]) if scaled else len(row)
+        if width != n + 1:
+            raise ValueError(f"row {n} has {width} entries, expected {n + 1}")
+        yield row if scaled else Scaled.of(row)
+
+
 T = TypeVar("T")
 
 
@@ -108,8 +120,14 @@ class Restartable(Generic[T]):
 
 # The rows 0..N of a triangle as verify_triad and fit_banded read them: a
 # Triangle, its rows, or any other sized source that each pass reads afresh,
-# such as a Restartable over named_rows.
-RowSource = Union[Triangle, Sequence[Sequence[Rational]], Restartable[tuple[Rational, ...]]]
+# such as a Restartable over named_rows or named_scaled_rows.  A row is a
+# sequence of values or a Scaled vector.
+RowSource = Union[
+    Triangle,
+    Sequence[Union[Sequence[Rational], Scaled]],
+    Restartable[tuple[Rational, ...]],
+    Restartable[Scaled],
+]
 
 
 def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
@@ -215,13 +233,43 @@ def banded_step(rec: BandedRecurrence, vec: Sequence[Rational], width: int) -> l
     return out
 
 
-def banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
+def _cleared(rec: BandedRecurrence) -> tuple[BandedRecurrence, int]:
+    """The weights of rec as integers over one positive denominator D: the
+    recurrence D * rec, and D.  Integer weights come back as rec and 1."""
+    levels = len(rec.up)
+    weights, den = Scaled.of(rec.up + rec.stay + rec.down)
+    if den == 1:
+        return rec, 1
+    return BandedRecurrence(weights[:levels], weights[levels : 2 * levels], weights[2 * levels :]), den
+
+
+def _cleared_levels(rec: BandedRecurrence) -> tuple[BandedRecurrence, tuple[int, ...]]:
+    """Each level's weights as integers over that level's own denominator
+    D_k: the recurrence whose level k is D_k times level k of rec, and the
+    D_k.  A dual step reads one level, so it needs no common denominator."""
+    levels = [Scaled.of(w) for w in zip(rec.up, rec.stay, rec.down)]
+    dens = tuple(den for _, den in levels)
+    if not any(den != 1 for den in dens):
+        return rec, dens
+    return BandedRecurrence(*zip(*(w for w, _ in levels))), dens
+
+
+def _row_step(ints: BandedRecurrence, den: int, row: Scaled, width: int) -> Scaled:
+    """The banded step of row, cut to width, where ints is den times the
+    recurrence: banded_step on the integers, reduced once."""
+    nums, d = row
+    return Scaled(banded_step(ints, nums, width), den * d)
+
+
+def scaled_banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[Scaled]:
     """Rows 0..rows of the banded recurrence from the seed entry 1 at (0, 0),
-    one at a time, holding only the previous row.
+    as Scaled vectors, one at a time, holding only the previous row.
 
     Row n+1 entry k is up[k-1]*c[n][k-1] + stay[k]*c[n][k] + down[k+1]*c[n][k+1].
     With nonnegative weights, c[n][k] counts the walks from level 0 that reach
-    level k in n steps.  The arguments are checked here, before the first row.
+    level k in n steps.  The step runs in integers on the weights cleared to
+    one denominator, so integer weights give denominator 1 and no gcd.  The
+    arguments are checked here, before the first row.
     """
     if rows < 0:
         raise ValueError("rows must be nonnegative")
@@ -229,15 +277,21 @@ def banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ..
         raise ValueError(
             f"recurrence tabulated to level {rec.depth}; {rows} rows need level {rows - 1}"
         )
-    return _banded_rows(rec, rows)
+    return _scaled_banded_rows(rec, rows)
 
 
-def _banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
-    row: tuple[Rational, ...] = (1,)
+def _scaled_banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[Scaled]:
+    ints, den = _cleared(rec)
+    row = Scaled((1,))
     yield row
     for n in range(rows):
-        row = tuple(banded_step(rec, row, n + 2))
+        row = _row_step(ints, den, row, n + 2)
         yield row
+
+
+def banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
+    """The rows of scaled_banded_rows(rec, rows) as values."""
+    return map(Scaled.values, scaled_banded_rows(rec, rows))
 
 
 def generate_from_banded(
@@ -380,26 +434,37 @@ def banded_for_family(
     return entry.recurrence(value, depth)
 
 
+def named_scaled_rows(
+    family: str,
+    rows: int,
+    q: Optional[Rational] = None,
+    roots: Optional[RootSequence] = None,
+) -> Iterator[Scaled]:
+    """Rows 0..rows of a named triangle family as Scaled vectors, one at a
+    time.
+
+    Families with a defining recurrence are generated by that recurrence so
+    the closed forms in the sequences module stay an independent cross-check;
+    the others have integer rows, checked as a Triangle checks its rows.  The
+    arguments are checked here, before the first row, and only the previous
+    row is held.
+    """
+    if rows < 0:
+        raise ValueError("rows must be nonnegative")
+    _, entry, value = _resolve(family, q, roots)
+    if entry.recurrence is None:
+        return map(Scaled, checked_rows(entry.rows(rows)))
+    return scaled_banded_rows(entry.recurrence(value, rows - 1), rows)
+
+
 def named_rows(
     family: str,
     rows: int,
     q: Optional[Rational] = None,
     roots: Optional[RootSequence] = None,
 ) -> Iterator[tuple[Rational, ...]]:
-    """Rows 0..rows of a named triangle family, one at a time, checked as a
-    Triangle checks its rows.
-
-    Families with a defining recurrence are generated by that recurrence so
-    the closed forms in the sequences module stay an independent cross-check.
-    The arguments are checked here, before the first row, and only the
-    previous row is held.
-    """
-    if rows < 0:
-        raise ValueError("rows must be nonnegative")
-    _, entry, value = _resolve(family, q, roots)
-    if entry.recurrence is None:
-        return checked_rows(entry.rows(rows))
-    return checked_rows(banded_rows(entry.recurrence(value, rows - 1), rows))
+    """The rows of named_scaled_rows(family, rows, q, roots) as values."""
+    return map(Scaled.values, named_scaled_rows(family, rows, q, roots))
 
 
 def generate_named(
@@ -428,16 +493,18 @@ def lah_from_roots(
 
 
 def _dual_step(
-    rec: BandedRecurrence, k: int, cur: Sequence[Rational], prev: Sequence[Rational]
+    rec: BandedRecurrence, k: int, cur: Sequence[Rational], prev: Sequence[Rational], x: Rational = 1
 ) -> list[Rational]:
-    """Coefficients of x*phi_k - stay[k]*phi_k - down[k]*phi_{k-1}.
+    """Coefficients of x*X*phi_k - stay[k]*phi_k - down[k]*phi_{k-1}, where X
+    is the indeterminate and x its weight.
 
     cur and prev are the coefficients of phi_k and phi_{k-1}, of any lengths.
-    The dual recurrence sets the result equal to up[k]*phi_{k+1}: solving for
-    phi_{k+1} builds the duals, comparing with it checks given ones.
+    The dual recurrence sets the result, with weight 1, equal to
+    up[k]*phi_{k+1}: solving for phi_{k+1} builds the duals, comparing with it
+    checks given ones.  Weights cleared to a denominator D take weight D.
     """
     stay, down = rec.stay[k], rec.down[k]
-    out = [0, *cur]
+    out = [0, *cur] if x == 1 else [0, *[x * c for c in cur]]
     if stay:
         for j, c in enumerate(cur):
             out[j] -= stay * c
@@ -448,15 +515,24 @@ def _dual_step(
     return out
 
 
-def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
-    """Solve the polynomial recurrence dual to a banded recurrence, yielding
-    phi_0..phi_count one at a time and holding only phi_{k-1} and phi_k.
+def _scaled_dual_step(ints: BandedRecurrence, den: int, k: int, cur: Scaled, prev: Scaled) -> Scaled:
+    """phi_{k+1} from phi_k and phi_{k-1} as Scaled vectors, where level k
+    of ints is den times level k of the recurrence and ints.up[k] is
+    nonzero: _dual_step on the integers over a common denominator, reduced
+    once."""
+    (p, e), (q, f) = cur, prev
+    if ints.down[k] and e != f:
+        g = gcd(e, f)
+        a, b = f // g, e // g
+        if a != 1:
+            p = [a * c for c in p]
+        if b != 1:
+            q = [b * c for c in q]
+        e *= a
+    return Scaled(_dual_step(ints, k, p, q, den), e * ints.up[k])
 
-    x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1}, with
-    phi_0 = 1 and phi_{-1} = 0.  Each up[k] must be nonzero to isolate
-    phi_{k+1}; deg phi_k = k follows.  The arguments and the up weights are
-    checked here, before the first polynomial.
-    """
+
+def _check_duals(rec: BandedRecurrence, count: int) -> None:
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count > 0 and rec.depth < count - 1:
@@ -466,7 +542,37 @@ def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynom
     for k in range(count):
         if rec.up[k] == 0:
             raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
+
+
+def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
+    """Solve the polynomial recurrence dual to a banded recurrence, yielding
+    phi_0..phi_count one at a time and holding only phi_{k-1} and phi_k.
+
+    x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1}, with
+    phi_0 = 1 and phi_{-1} = 0.  Each up[k] must be nonzero to isolate
+    phi_{k+1}; deg phi_k = k follows.  The arguments and the up weights are
+    checked here, before the first polynomial.  Every coefficient is reduced
+    as it is made, which is what printing them needs.
+    """
+    _check_duals(rec, count)
     return _dual_polynomials(rec, count)
+
+
+def iter_scaled_duals(rec: BandedRecurrence, count: int) -> Iterator[Scaled]:
+    """The coefficients of iter_dual_polynomials(rec, count) as Scaled
+    vectors, made in integers on the weights cleared to one denominator and
+    reduced once per polynomial; integer weights give denominator 1."""
+    _check_duals(rec, count)
+    return _scaled_duals(rec, count)
+
+
+def _scaled_duals(rec: BandedRecurrence, count: int) -> Iterator[Scaled]:
+    ints, dens = _cleared_levels(rec)
+    prev, phi = Scaled(()), Scaled((1,))
+    for k in range(count):
+        yield phi
+        prev, phi = phi, _scaled_dual_step(ints, dens[k], k, phi, prev)
+    yield phi
 
 
 def _dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
@@ -496,32 +602,33 @@ def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
     return dual_polynomials(root_recurrence(roots, count - 1), count)
 
 
-def _certified(
-    rows: Iterable[Sequence[Rational]], phis: Iterable[Polynomial], rec: BandedRecurrence
-) -> bool:
+def _certified(rows: Iterable[Scaled], phis: Iterable[Scaled], rec: BandedRecurrence) -> bool:
     """True when R_0 = 0, the rows follow rec and the phis follow its dual.
 
     With R_n = sum_k c[n][k] phi_k - x^n, the two recurrences give
     R_{n+1} = x * R_n, so R_0 = 0 makes every R_n vanish.  One lockstep pass
     reads row n+1 with phi_{n+1} and holds only rows n, n+1 and phi_{n-1},
-    phi_n, phi_{n+1}; each check costs O(N) scalar operations.
+    phi_n, phi_{n+1}.  Both steps run in integers, the row step on rec's
+    weights cleared to one denominator and the dual step on each level's
+    weights cleared to its own, and each check compares two Scaled vectors.
     """
-    row: Sequence[Rational] = ()
-    prev: tuple[Rational, ...] = ()
-    cur: tuple[Rational, ...] = ()
-    for n, (nxt_row, phi) in enumerate(zip(rows, phis, strict=True)):
-        nxt = phi.coeffs
+    ints, den = _cleared(rec)
+    levels, dens = _cleared_levels(rec)
+    row = prev = cur = Scaled(())
+    for n, (nxt_row, nxt) in enumerate(zip(rows, phis, strict=True)):
         if n == 0:
-            if len(nxt) != 1 or nxt_row[0] * nxt[0] != 1:
+            (c,), d = nxt_row
+            coeffs, e = nxt
+            if len(coeffs) != 1 or c * coeffs[0] != d * e:
                 return False
         else:
             k = n - 1
-            if rec.depth < k or banded_step(rec, row, n + 1) != list(nxt_row):
+            if rec.depth < k or _row_step(ints, den, row, n + 1) != nxt_row:
                 return False
             # The step ends in phi_k's leading coefficient, nonzero for every
-            # phi accepted so far, so a zero up weight fails here too.
-            up = rec.up[k]
-            if _dual_step(rec, k, cur, prev) != [up * c for c in nxt]:
+            # phi accepted so far, so it cannot equal a zero up weight times
+            # phi_{k+1}: that fails here too.
+            if not levels.up[k] or _scaled_dual_step(levels, dens[k], k, cur, prev) != nxt:
                 return False
         row, prev, cur = nxt_row, cur, nxt
     return True
@@ -529,7 +636,7 @@ def _certified(
 
 def verify_triad(
     rows: RowSource,
-    phis: Union[Sequence[Polynomial], Restartable[Polynomial]],
+    phis: Union[Sequence[Polynomial], Sequence[Scaled], Restartable[Polynomial], Restartable[Scaled]],
     rec: Optional[BandedRecurrence] = None,
 ) -> TriadReport:
     """Check x^n = sum_k c[n][k] * phi_k(x) symbolically for every row.
@@ -537,13 +644,17 @@ def verify_triad(
     rows is a RowSource of rows 0..N: a Triangle, its rows, or a
     Restartable over a row generator; each pass checks the rows as a
     Triangle checks its rows.  phis holds phi_0..phi_N as a sequence or a
-    Restartable.  Each pass reads the two in lockstep, so a restartable pair
-    is never held whole by the certificate.
+    Restartable, each a Polynomial or the Scaled vector of its coefficients.
+    Each pass reads the two in lockstep, so a restartable pair is never held
+    whole by the certificate.
 
     rec is the banded recurrence the caller says the rows and the phis follow.
     Given it, the identity is first certified for every row at once in O(N^2):
     c[0][0] * phi_0 = 1, each row is the banded step of the one before, and
     x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} for k < N.
+    The certificate reads rows and phis as Scaled vectors, so rational
+    families pay one gcd per vector rather than per operation; Scaled rows
+    and phis (named_scaled_rows, iter_scaled_duals) pass to it as they are.
     If rec is absent or any check fails, a fresh pass expands every row
     (O(N^3)), holding the phis read so far; the residual is computed exactly,
     and the pass stops at the first failing row, whose index and residual
@@ -554,12 +665,14 @@ def verify_triad(
     top = len(rows) - 1
     if len(phis) != top + 1:
         raise ValueError(f"{len(phis)} polynomials for rows 0..{top}; counts must match")
-    if rec is not None and _certified(checked_rows(rows), phis, rec):
-        return TriadReport(top, True, None, "certificate")
+    if rec is not None:
+        scaled_phis = (p if type(p) is Scaled else Scaled.of(p.coeffs) for p in phis)
+        if _certified(checked_scaled_rows(rows), scaled_phis, rec):
+            return TriadReport(top, True, None, "certificate")
     seen: list[Polynomial] = []
-    for n, (row, phi) in enumerate(zip(checked_rows(rows), phis, strict=True)):
-        seen.append(phi)
-        residual = linear_combination(row, seen) - Polynomial.monomial(n)
+    for n, (row, phi) in enumerate(zip(checked_scaled_rows(rows), phis, strict=True)):
+        seen.append(Polynomial(phi.values()) if type(phi) is Scaled else phi)
+        residual = linear_combination(row.values(), seen) - Polynomial.monomial(n)
         if residual:
             return TriadReport(top, False, (n, residual))
     return TriadReport(top, True, None)
