@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import Frozen
-from .dynsys import convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
+from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
 from .exact import Polynomial, Rational, Scaled, format_exact
 from .output import format_rows, write_document
 from .sequences import RootSequence
@@ -235,7 +235,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows + 1)
-    sm = solve_step_matrix(generate_named(family.name, rows + 1, family.q, family.roots))
+    if family.entry.recurrence is not None:
+        # Every banded family is unipotent (up weights 1), so its F is its
+        # own recurrence; the dense solve is for the other families.
+        sm = banded_step_matrix(banded_for_family(family.name, rows, family.q, family.roots), rows)
+    else:
+        sm = solve_step_matrix(generate_named(family.name, rows + 1, family.q, family.roots))
     _emit(family.name, family.params, sm.rows, args.format)
     return 0
 
@@ -278,8 +283,42 @@ def _add_common(sub: argparse.ArgumentParser, families: Collection[str]) -> None
                      help=f"row cap guarding against runaway exact computation (default {DEFAULT_ROW_CAP})")
 
 
-def _add_format(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
+def _arguments(
+    handler: Callable[[argparse.Namespace], int],
+    fmt: bool = True,
+    families: Collection[str] = FAMILIES,
+    sequences: Sequence[str] = (),
+) -> Callable[[argparse.ArgumentParser], None]:
+    """What adds one subcommand's arguments: the family flags, --format
+    when the command emits rows, and the sequences it convolves."""
+
+    def build(sub: argparse.ArgumentParser) -> None:
+        _add_common(sub, families)
+        if fmt:
+            sub.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
+        for flag in sequences:
+            sub.add_argument(flag, required=True, help="'ones' or a comma list of exact values")
+        sub.set_defaults(handler=handler)
+
+    return build
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it parses.
+
+    A run parses one subcommand, so the others never build theirs; the help
+    and usage texts are those of a parser built whole.
+    """
+
+    def __init__(self, *args: object, build: Callable[[argparse.ArgumentParser], None], **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        self._build: Optional[Callable[[argparse.ArgumentParser], None]] = build
+
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[no-untyped-def]
+        build, self._build = self._build, None
+        if build is not None:
+            build(self)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,43 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--ledger", action="store_true",
                         help="print the ledger of known published-value discrepancies and exit")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("generate", help="emit a triangle")
-    _add_common(p, FAMILIES)
-    _add_format(p)
-    p.set_defaults(handler=cmd_generate)
-
-    p = sub.add_parser("dual", help="emit the dual polynomial sequence of a banded or root family")
-    _add_common(p, FAMILIES)
-    _add_format(p)
-    p.set_defaults(handler=cmd_dual)
-
-    p = sub.add_parser("verify", help="check x^n = sum_k c[n][k] phi_k(x) exactly")
-    _add_common(p, FAMILIES)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("fit", help="decide whether banded time-independent weights reproduce the triangle")
-    _add_common(p, FAMILIES)
-    p.set_defaults(handler=cmd_fit)
-
-    p = sub.add_parser("solve-f", help="emit rows 0..N of the one-step transition matrix")
-    _add_common(p, FAMILIES)
-    _add_format(p)
-    p.set_defaults(handler=cmd_solve_f)
-
-    p = sub.add_parser("phi", help="emit the step-matrix polynomial sequence of a unipotent family")
-    _add_common(p, FAMILIES)
-    _add_format(p)
-    p.set_defaults(handler=cmd_phi)
-
-    p = sub.add_parser("convolve", help="convolve two sequences with fibonomial weights")
-    _add_common(p, ("fibonomial",))
-    _add_format(p)
-    p.add_argument("--a", required=True, help="'ones' or a comma list of exact values")
-    p.add_argument("--b", required=True, help="'ones' or a comma list of exact values")
-    p.set_defaults(handler=cmd_convolve)
-
+    sub = parser.add_subparsers(dest="command", parser_class=_Subcommand)
+    sub.add_parser("generate", help="emit a triangle", build=_arguments(cmd_generate))
+    sub.add_parser("dual", help="emit the dual polynomial sequence of a banded or root family",
+                   build=_arguments(cmd_dual))
+    sub.add_parser("verify", help="check x^n = sum_k c[n][k] phi_k(x) exactly",
+                   build=_arguments(cmd_verify, fmt=False))
+    sub.add_parser("fit", help="decide whether banded time-independent weights reproduce the triangle",
+                   build=_arguments(cmd_fit, fmt=False))
+    sub.add_parser("solve-f", help="emit rows 0..N of the one-step transition matrix",
+                   build=_arguments(cmd_solve_f))
+    sub.add_parser("phi", help="emit the step-matrix polynomial sequence of a unipotent family",
+                   build=_arguments(cmd_phi))
+    sub.add_parser("convolve", help="convolve two sequences with fibonomial weights",
+                   build=_arguments(cmd_convolve, families=("fibonomial",), sequences=("--a", "--b")))
     return parser
 
 

@@ -75,6 +75,26 @@ def solve_step_matrix(tri: Triangle) -> StepMatrix:
     return StepMatrix(tuple(forward_substitute(tri.rows, tri.rows[1:])))
 
 
+def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
+    """Rows 0..rows of the tridiagonal step matrix of rec: row n holds
+    down[n], stay[n] and up[n] in columns n-1, n and n+1.
+
+    With unit up weights this is the F of rec's triangle, because F is unique
+    for a unipotent triangle: solve_step_matrix finds the same rows in O(N^3)
+    where this reads them off in O(N^2).
+    """
+    if rec.depth < rows:
+        raise ValueError(f"recurrence tabulated to level {rec.depth}; {rows + 1} rows need level {rows}")
+    out = []
+    for n in range(rows + 1):
+        row: list[Rational] = [0] * (n + 2)
+        if n:
+            row[n - 1] = rec.down[n]
+        row[n], row[n + 1] = rec.stay[n], rec.up[n]
+        out.append(row)
+    return StepMatrix(out)
+
+
 def phi_from_step_matrix(
     sm: StepMatrix, count: Optional[int] = None
 ) -> list[Polynomial]:

@@ -116,6 +116,50 @@ class TestGoldenOutputs:
         assert "holds up to n=12" in out
 
 
+# Help and usage texts as the parser printed them when it built every
+# subcommand whole: (file under golden/parser, exit code, argv).
+PARSER_TEXTS = [
+    ("top_help", 0, ["--help"]),
+    ("top_no_command", 2, []),
+    ("top_invalid_choice", 2, ["bogus"]),
+    ("top_unrecognized", 2, ["fit", "--family", "pascal", "--rows", "5", "--format", "csv"]),
+    ("generate_help", 0, ["generate", "--help"]),
+    ("dual_help", 0, ["dual", "--help"]),
+    ("verify_help", 0, ["verify", "--help"]),
+    ("fit_help", 0, ["fit", "--help"]),
+    ("solve_f_help", 0, ["solve-f", "--help"]),
+    ("phi_help", 0, ["phi", "--help"]),
+    ("convolve_help", 0, ["convolve", "-h"]),
+    ("generate_missing", 2, ["generate"]),
+    ("generate_bad_family", 2, ["generate", "--family", "nope", "--rows", "3"]),
+    ("convolve_missing", 2, ["convolve", "--family", "fibonomial", "--rows", "3"]),
+    ("verify_bad_rows", 2, ["verify", "--family", "pascal", "--rows", "x"]),
+]
+
+
+class TestParserTexts:
+    @pytest.mark.parametrize("name,expected_code,argv", PARSER_TEXTS,
+                             ids=[c[0] for c in PARSER_TEXTS])
+    def test_byte_exact(self, monkeypatch, name, expected_code, argv):
+        # argparse wraps its text to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(argv)
+        assert code == expected_code
+        # Help goes to stdout, usage errors to stderr.
+        assert (out, err)[code != 0] == (GOLDEN / "parser" / f"{name}.txt").read_text()
+        assert not (out, err)[code == 0]
+
+    def test_one_subcommand_builds_its_arguments(self):
+        from dualtriad.cli import build_parser
+
+        parser = build_parser()
+        args = parser.parse_args(["fit", "--family", "pascal", "--rows", "5"])
+        assert (args.family, args.rows, args.max_rows) == ("pascal", 5, 512)
+        subparsers = next(a for a in parser._actions if a.dest == "command")
+        built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
+        assert built == {"fit"}
+
+
 class TestExitCodes:
     def test_usage_errors_are_2(self):
         assert run_cli(["generate", "--family", "nonsense", "--rows", "3"])[0] == 2

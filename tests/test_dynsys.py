@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dualtriad.dynsys import (
+    banded_step_matrix,
     FitResult,
     StepMatrix,
     convolve_fibonomial,
@@ -92,6 +93,26 @@ class TestSolveStepMatrix:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             solve_step_matrix(generate_named("pascal", 0))
+
+    @pytest.mark.parametrize("name,q,roots", [
+        ("pascal", None, None),
+        ("q-gaussian", 2, None),
+        ("q-gaussian", Fraction(-3, 2), None),
+        ("catalan-shifted", None, None),
+        ("catalan-triad", None, None),
+        ("lah", None, RootSequence.arithmetic(Fraction(1, 2), 1)),
+    ])
+    def test_banded_families_read_f_off_their_recurrence(self, name, q, roots):
+        # F = C^-1 E C is unique for a unipotent C, so the dense solve must
+        # give back the family's tridiagonal recurrence.
+        for rows in range(13):
+            rec = banded_for_family(name, rows, q=q, roots=roots)
+            tri = generate_named(name, rows + 1, q=q, roots=roots)
+            assert banded_step_matrix(rec, rows) == solve_step_matrix(tri)
+
+    def test_banded_step_matrix_needs_the_levels(self):
+        with pytest.raises(ValueError, match="need level 4"):
+            banded_step_matrix(banded_for_family("pascal", 3), 4)
 
 
 class TestPhiFromStepMatrix:
