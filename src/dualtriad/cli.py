@@ -274,15 +274,6 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, families: Collection[str]) -> None:
-    sub.add_argument("--family", required=True, choices=families)
-    sub.add_argument("--q", help="q parameter for the q-gaussian family (exact, e.g. 2 or 1/2)")
-    sub.add_argument("--roots", help="roots for the lah family: comma list, optionally ending in ...")
-    sub.add_argument("--rows", type=int, required=True, help="largest row index N (rows 0..N)")
-    sub.add_argument("--max-rows", type=int, default=DEFAULT_ROW_CAP,
-                     help=f"row cap guarding against runaway exact computation (default {DEFAULT_ROW_CAP})")
-
-
 def _arguments(
     handler: Callable[[argparse.Namespace], int],
     fmt: bool = True,
@@ -293,7 +284,12 @@ def _arguments(
     when the command emits rows, and the sequences it convolves."""
 
     def build(sub: argparse.ArgumentParser) -> None:
-        _add_common(sub, families)
+        sub.add_argument("--family", required=True, choices=families)
+        sub.add_argument("--q", help="q parameter for the q-gaussian family (exact, e.g. 2 or 1/2)")
+        sub.add_argument("--roots", help="roots for the lah family: comma list, optionally ending in ...")
+        sub.add_argument("--rows", type=int, required=True, help="largest row index N (rows 0..N)")
+        sub.add_argument("--max-rows", type=int, default=DEFAULT_ROW_CAP,
+                         help=f"row cap guarding against runaway exact computation (default {DEFAULT_ROW_CAP})")
         if fmt:
             sub.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
         for flag in sequences:

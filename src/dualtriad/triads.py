@@ -249,7 +249,7 @@ def _cleared_levels(rec: BandedRecurrence) -> tuple[BandedRecurrence, tuple[int,
     D_k.  A dual step reads one level, so it needs no common denominator."""
     levels = [Scaled.of(w) for w in zip(rec.up, rec.stay, rec.down)]
     dens = tuple(den for _, den in levels)
-    if not any(den != 1 for den in dens):
+    if all(den == 1 for den in dens):
         return rec, dens
     return BandedRecurrence(*zip(*(w for w, _ in levels))), dens
 
