@@ -288,8 +288,10 @@ def _arguments(
         sub.add_argument("--q", help="q parameter for the q-gaussian family (exact, e.g. 2 or 1/2)")
         sub.add_argument("--roots", help="roots for the lah family: comma list, optionally ending in ...")
         sub.add_argument("--rows", type=int, required=True, help="largest row index N (rows 0..N)")
-        sub.add_argument("--max-rows", type=int, default=DEFAULT_ROW_CAP,
-                         help=f"row cap guarding against runaway exact computation (default {DEFAULT_ROW_CAP})")
+        sub.add_argument(
+            "--max-rows", type=int, default=DEFAULT_ROW_CAP,
+            help=f"row cap guarding against runaway exact computation (default {DEFAULT_ROW_CAP})",
+        )
         if fmt:
             sub.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
         for flag in sequences:
@@ -306,7 +308,9 @@ class _Subcommand(argparse.ArgumentParser):
     and usage texts are those of a parser built whole.
     """
 
-    def __init__(self, *args: object, build: Callable[[argparse.ArgumentParser], None], **kwargs: object) -> None:
+    def __init__(
+        self, *args: object, build: Callable[[argparse.ArgumentParser], None], **kwargs: object
+    ) -> None:
         super().__init__(*args, **kwargs)
         self._build: Optional[Callable[[argparse.ArgumentParser], None]] = build
 

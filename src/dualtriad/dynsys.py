@@ -307,8 +307,8 @@ def fit_banded(rows: RowSource) -> FitResult:
     below it has turned inconsistent.  The rows are read as Scaled vectors
     and each row pair's equations are multiplied by the pair's common
     denominator, so that a rational triangle is checked in integers; only
-    the fitted weights are built as reduced values.  Underdetermined columns take the
-    minimal-support solution (down weight 0 first, then up).  A fit is
+    the fitted weights are built as reduced values.  Underdetermined columns
+    take the minimal-support solution (down weight 0 first, then up).  A fit is
     returned only if every column is consistent and regeneration from the
     fitted weights reproduces a fresh pass of the rows entry for entry;
     otherwise the smallest inconsistent column is reported with a minimal
