@@ -238,16 +238,31 @@ ROUTE_MATRIX = {
 }
 
 
+ROUTE_FAMILIES = [
+    ("pascal", None, None),
+    ("q-gaussian", "-5/2", None),
+    ("catalan-shifted", None, None),
+    ("catalan-triad", None, None),
+    ("fibonomial", None, None),
+    ("stirling1", None, None),
+    ("lah", None, "1/2,3/2,..."),
+]
+
+
 class TestPhiRoutes:
-    @pytest.mark.parametrize("family,q,roots", [
-        ("pascal", None, None),
-        ("q-gaussian", "-5/2", None),
-        ("catalan-shifted", None, None),
-        ("catalan-triad", None, None),
-        ("fibonomial", None, None),
-        ("stirling1", None, None),
-        ("lah", None, "1/2,3/2,..."),
-    ])
+    @pytest.mark.parametrize("family,q,roots", ROUTE_FAMILIES)
+    def test_solve_f_equals_dense_solve(self, family, q, roots):
+        # Banded families print their recurrence as F; the dense solve of
+        # C F = (shift of C) is the oracle.
+        argv = ["solve-f", "--family", family, "--rows", "12"]
+        argv += [f"--q={q}"] if q else []
+        argv += ["--roots", roots] if roots else []
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        tri = generate_named(family, 13, q=q and Fraction(q), roots=roots and parse_roots(roots))
+        assert OutputDocument.rows_from_csv(out) == [list(row) for row in solve_step_matrix(tri).rows]
+
+    @pytest.mark.parametrize("family,q,roots", ROUTE_FAMILIES)
     def test_phi_equals_step_matrix_eigen_recursion(self, family, q, roots):
         # phi takes a family's own recurrence or one inversion; the dense
         # step matrix and its eigen-recursion are the oracle for both.
