@@ -76,6 +76,11 @@ class Scaled(tuple):
                 den //= g
         return tuple.__new__(cls, (nums, den))
 
+    def __getnewargs__(self) -> tuple[tuple[int, ...], int]:
+        # copy and pickle rebuild through __new__(cls, *args): pass nums and
+        # den, not the pair as one argument.
+        return tuple(self)
+
     @classmethod
     def of(cls, values: Iterable[Rational]) -> "Scaled":
         """The Scaled form of exact values, each passed through as_exact."""

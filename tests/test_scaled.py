@@ -6,6 +6,8 @@ proofs on random tridiagonal recurrences with rational weights against the
 brute row scan and against the same proof fed a Triangle of values.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -54,6 +56,11 @@ class TestScaledForm:
         # same values reduces to the same pair.
         nums, den = Scaled.of(values)
         assert Scaled([factor * v for v in nums], factor * den) == Scaled.of(values)
+
+    def test_copies_and_pickles_keep_the_pair(self):
+        scaled = Scaled((1, -2), 3)
+        for twin in (copy.copy(scaled), copy.deepcopy(scaled), pickle.loads(pickle.dumps(scaled))):
+            assert twin == ((1, -2), 3) and type(twin) is Scaled
 
     def test_integer_vectors_have_denominator_one(self):
         assert Scaled.of([3, -4, 0]) == ((3, -4, 0), 1)
