@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from ._record import Frozen
 from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
@@ -26,7 +26,6 @@ from .triads import (
     banded_for_family,
     generate_named,
     iter_dual_polynomials,
-    iter_scaled_duals,
     named_rows,
     named_scaled_rows,
     verify_triad,
@@ -145,31 +144,29 @@ def _emit(
     write_document(sys.stdout.write, fmt, family, params, format_rows(value_rows))
 
 
-def _poly_rows(polys: Iterable[Polynomial]) -> Iterator[tuple[Rational, ...]]:
-    return (p.coeffs if p.coeffs else (0,) for p in polys)
-
-
 def _phis(
-    family: FamilyInputs,
-    name: str,
-    rows: int,
-    duals: Callable[[BandedRecurrence, int], Iterator[Union[Polynomial, Scaled]]],
-) -> tuple[Union[list[Polynomial], Restartable[Union[Polynomial, Scaled]]], Optional[BandedRecurrence]]:
-    """phi_0..phi_rows of the named family, which can be read more than once,
-    with the recurrence they follow.
+    family: FamilyInputs, name: str, rows: int
+) -> tuple[Optional[list[Polynomial]], Optional[BandedRecurrence]]:
+    """phi_0..phi_rows of the named family, or the recurrence whose duals
+    they are.
 
-    A family with a banded recurrence streams the duals of that recurrence,
-    as the driver duals makes them: iter_dual_polynomials for output, or
-    iter_scaled_duals for a proof.  Any other family gives the rows of its
-    inverse triangle, built here to at least row 1, so that a family without
-    a unit diagonal fails at row 0 as at any row; C and C^-1 are held only
-    while inverting.
+    A family with a banded recurrence gives that recurrence alone.  Any
+    other family gives the rows of its inverse triangle, built here to at
+    least row 1, so that a family without a unit diagonal fails at row 0 as
+    at any row; C and C^-1 are held only while inverting.
     """
     if FAMILIES[name].recurrence is not None:
-        rec = banded_for_family(name, rows - 1, family.q, family.roots)
-        return Restartable(lambda: duals(rec, rows), rows + 1), rec
+        return None, banded_for_family(name, rows - 1, family.q, family.roots)
     inv = invert_unipotent(generate_named(name, max(rows, 1), family.q, family.roots))
     return [Polynomial(row) for row in inv.rows[: rows + 1]], None
+
+
+def _phi_rows(family: FamilyInputs, name: str, rows: int) -> Iterator[tuple[Rational, ...]]:
+    """The coefficients of _phis(family, name, rows), one row per phi, with
+    banded duals streamed as iter_dual_polynomials makes them."""
+    phis, rec = _phis(family, name, rows)
+    polys = iter_dual_polynomials(rec, rows) if phis is None else phis
+    return (p.coeffs if p.coeffs else (0,) for p in polys)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -188,8 +185,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
             f"family {family.name} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    phis, _ = _phis(family, dual, rows, iter_dual_polynomials)
-    _emit(family.name, family.params, _poly_rows(phis), args.format)
+    _emit(family.name, family.params, _phi_rows(family, dual, rows), args.format)
     return 0
 
 
@@ -202,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family {family.name} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    phis, rec = _phis(family, dual, rows, iter_scaled_duals)
+    phis, rec = _phis(family, dual, rows)
     report = verify_triad(family.rows(rows), phis, rec)
     print(f"route: {family.entry.route}")
     if report.holds:
@@ -248,8 +244,7 @@ def cmd_solve_f(args: argparse.Namespace) -> int:
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family = _family_inputs(args, rows)
-    phis, _ = _phis(family, family.name, rows, iter_dual_polynomials)
-    _emit(family.name, family.params, _poly_rows(phis), args.format)
+    _emit(family.name, family.params, _phi_rows(family, family.name, rows), args.format)
     return 0
 
 

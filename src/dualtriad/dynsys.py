@@ -27,7 +27,7 @@ from .triads import (
     RowSource,
     Triangle,
     banded_step,
-    checked_scaled_rows,
+    checked_rows,
     fibonomial_rows,
     scaled_banded_rows,
 )
@@ -83,6 +83,8 @@ def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
     for a unipotent triangle: solve_step_matrix finds the same rows in O(N^3)
     where this reads them off in O(N^2).
     """
+    if rows < 0:
+        raise ValueError("rows must be nonnegative")
     if rec.depth < rows:
         raise ValueError(f"recurrence tabulated to level {rec.depth}; {rows + 1} rows need level {rows}")
     out = []
@@ -300,7 +302,7 @@ def fit_banded(rows: RowSource) -> FitResult:
     rows is a RowSource of rows 0..N: a Triangle, its rows, or a Restartable
     over a row generator (of values, or of Scaled vectors as
     named_scaled_rows gives them), which is read in two passes and never
-    held whole; each pass checks the rows as a Triangle checks its rows.
+    held whole; each pass reads the rows through checked_rows.
     Column k's update equations, one per row pair (n, n+1) for n >= k-1, are
     solved exactly for the three weights touching that column; every column
     takes its equation from each row pair as it passes, until a column at or
@@ -319,7 +321,7 @@ def fit_banded(rows: RowSource) -> FitResult:
     n_max = len(rows) - 1
     if n_max < 4:
         raise ValueError("need rows 0..4 at least to overdetermine the fit")
-    stream = checked_scaled_rows(rows)
+    stream = checked_rows(rows)
     row, d = next(stream)
     if row[0] != d:
         raise ValueError("fit requires the seed entry 1 at (0, 0)")
@@ -349,8 +351,6 @@ def fit_banded(rows: RowSource) -> FitResult:
                 fed, witness = k, tuple((m, k) for m in conflict)
                 break
         row, d = nxt, e
-    if len(columns) != n_max + 1:
-        raise ValueError(f"a pass read {len(columns)} rows of a source of length {n_max + 1}")
     if witness:
         return FitResult(None, column=fed, witness=witness)
     up: list[Rational] = [0] * n_max
@@ -365,7 +365,7 @@ def fit_banded(rows: RowSource) -> FitResult:
         if k + 1 <= n_max - 1:
             down[k + 1] = down_kp1
     rec = BandedRecurrence(tuple(up), tuple(stay), tuple(down))
-    regen = zip(scaled_banded_rows(rec, n_max), checked_scaled_rows(rows), strict=True)
+    regen = zip(scaled_banded_rows(rec, n_max), checked_rows(rows))
     if any(a != b for a, b in regen):  # pragma: no cover - consistency implies regeneration
         raise ArithmeticError("consistent column fits failed to regenerate the triangle")
     return FitResult(rec)

@@ -68,6 +68,8 @@ class Scaled(tuple):
     def __new__(cls, nums: Iterable[int], den: int = 1) -> "Scaled":
         nums = tuple(nums)
         if den != 1:
+            if not den:
+                raise ZeroDivisionError("Scaled vector over denominator 0")
             g = gcd(den, *nums)
             if den < 0:
                 g = -g
@@ -85,9 +87,11 @@ class Scaled(tuple):
     def of(cls, values: Iterable[Rational]) -> "Scaled":
         """The Scaled form of exact values, each passed through as_exact."""
         vals = [as_exact(v) for v in values]
-        den = lcm(*[v.denominator for v in vals])
-        if den == 1:
+        # as_exact leaves an int or a Fraction with denominator above 1.
+        dens = [v.denominator for v in vals if type(v) is not int]
+        if not dens:
             return tuple.__new__(cls, (tuple(vals), 1))
+        den = lcm(*dens)
         # Over the least common denominator the content is already 1.
         return tuple.__new__(cls, (tuple([v.numerator * (den // v.denominator) for v in vals]), den))
 

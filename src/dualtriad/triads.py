@@ -50,11 +50,11 @@ class Triangle(Frozen):
 
     def __init__(
         self,
-        rows: Iterable[Sequence[Rational]],
+        rows: Iterable[Union[Sequence[Rational], Scaled]],
         family: str = "",
         params: tuple[tuple[str, str], ...] = (),
     ) -> None:
-        self._set(tuple(checked_rows(rows)), family, params)
+        self._set(tuple(map(Scaled.values, checked_rows(tuple(rows)))), family, params)
 
     @property
     def max_row(self) -> int:
@@ -72,24 +72,22 @@ class Triangle(Frozen):
         return dict(self.params)
 
 
-def checked_rows(rows: Iterable[Sequence[Rational]]) -> Iterator[tuple[Rational, ...]]:
-    """Rows as a Triangle stores them, one at a time: row n must have n + 1
-    entries, and every entry passes through as_exact."""
+def checked_rows(rows: RowSource) -> Iterator[Scaled]:
+    """One pass over a sized row source as Scaled vectors, one at a time: a
+    Scaled row passes as it is, any other row as Scaled.of gives it, row n
+    must have n + 1 entries, and the pass must read len(rows) rows.  A pass
+    that goes on past them is stopped at the first row too many."""
+    n = -1
     for n, row in enumerate(rows):
-        if len(row) != n + 1:
-            raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-        yield tuple(as_exact(v) for v in row)
-
-
-def checked_scaled_rows(rows: Iterable[Union[Sequence[Rational], Scaled]]) -> Iterator[Scaled]:
-    """Rows as Scaled vectors, one at a time: a Scaled row passes as it is,
-    any other row as Scaled.of gives it, and row n must have n + 1 entries."""
-    for n, row in enumerate(rows):
+        if n == len(rows):
+            break
         scaled = type(row) is Scaled
         width = len(row[0]) if scaled else len(row)
         if width != n + 1:
             raise ValueError(f"row {n} has {width} entries, expected {n + 1}")
         yield row if scaled else Scaled.of(row)
+    if n + 1 != len(rows):
+        raise ValueError(f"a pass read {n + 1} rows of a source of length {len(rows)}")
 
 
 T = TypeVar("T")
@@ -301,7 +299,7 @@ def generate_from_banded(
     params: tuple[tuple[str, str], ...] = (),
 ) -> Triangle:
     """The triangle of banded_rows(rec, rows)."""
-    return Triangle(rows=tuple(banded_rows(rec, rows)), family=family, params=params)
+    return Triangle(rows=scaled_banded_rows(rec, rows), family=family, params=params)
 
 
 def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
@@ -445,7 +443,7 @@ def named_scaled_rows(
 
     Families with a defining recurrence are generated by that recurrence so
     the closed forms in the sequences module stay an independent cross-check;
-    the others have integer rows, checked as a Triangle checks its rows.  The
+    the others build integer rows, whose widths checked_rows checks.  The
     arguments are checked here, before the first row, and only the previous
     row is held.
     """
@@ -453,7 +451,7 @@ def named_scaled_rows(
         raise ValueError("rows must be nonnegative")
     _, entry, value = _resolve(family, q, roots)
     if entry.recurrence is None:
-        return map(Scaled, checked_rows(entry.rows(rows)))
+        return checked_rows(Restartable(lambda: map(Scaled, entry.rows(rows)), rows + 1))
     return scaled_banded_rows(entry.recurrence(value, rows - 1), rows)
 
 
@@ -474,11 +472,11 @@ def generate_named(
     roots: Optional[RootSequence] = None,
 ) -> Triangle:
     """The triangle of named_rows(family, rows, q, roots)."""
-    # named_rows checks the arguments before q is formatted; _resolve lets
+    # named_scaled_rows checks the arguments before q is formatted; _resolve lets
     # only a family that takes q receive one.
-    stream = named_rows(family, rows, q, roots)
+    stream = named_scaled_rows(family, rows, q, roots)
     params = () if q is None else (("q", format_exact(q)),)
-    return Triangle(tuple(stream), family=canonical_family(family), params=params)
+    return Triangle(stream, family=canonical_family(family), params=params)
 
 
 def lah_from_roots(
@@ -532,18 +530,6 @@ def _scaled_dual_step(ints: BandedRecurrence, den: int, k: int, cur: Scaled, pre
     return Scaled(_dual_step(ints, k, p, q, den), e * ints.up[k])
 
 
-def _check_duals(rec: BandedRecurrence, count: int) -> None:
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count > 0 and rec.depth < count - 1:
-        raise ValueError(
-            f"recurrence tabulated to level {rec.depth}; {count} polynomials need level {count - 1}"
-        )
-    for k in range(count):
-        if rec.up[k] == 0:
-            raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
-
-
 def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
     """Solve the polynomial recurrence dual to a banded recurrence, yielding
     phi_0..phi_count one at a time and holding only phi_{k-1} and phi_k.
@@ -554,25 +540,16 @@ def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynom
     checked here, before the first polynomial.  Every coefficient is reduced
     as it is made, which is what printing them needs.
     """
-    _check_duals(rec, count)
-    return _dual_polynomials(rec, count)
-
-
-def iter_scaled_duals(rec: BandedRecurrence, count: int) -> Iterator[Scaled]:
-    """The coefficients of iter_dual_polynomials(rec, count) as Scaled
-    vectors, made in integers on the weights cleared to one denominator and
-    reduced once per polynomial; integer weights give denominator 1."""
-    _check_duals(rec, count)
-    return _scaled_duals(rec, count)
-
-
-def _scaled_duals(rec: BandedRecurrence, count: int) -> Iterator[Scaled]:
-    ints, dens = _cleared_levels(rec)
-    prev, phi = Scaled(()), Scaled((1,))
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if count > 0 and rec.depth < count - 1:
+        raise ValueError(
+            f"recurrence tabulated to level {rec.depth}; {count} polynomials need level {count - 1}"
+        )
     for k in range(count):
-        yield phi
-        prev, phi = phi, _scaled_dual_step(ints, dens[k], k, phi, prev)
-    yield phi
+        if rec.up[k] == 0:
+            raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
+    return _dual_polynomials(rec, count)
 
 
 def _dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
@@ -602,76 +579,83 @@ def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
     return dual_polynomials(root_recurrence(roots, count - 1), count)
 
 
-def _certified(rows: Iterable[Scaled], phis: Iterable[Scaled], rec: BandedRecurrence) -> bool:
-    """True when R_0 = 0, the rows follow rec and the phis follow its dual.
+def _certified(
+    rows: Iterable[Scaled], rec: BandedRecurrence, phis: Optional[Iterable[Polynomial]]
+) -> bool:
+    """True when row 0 is the seed 1, the rows follow rec, and the phis, if
+    given, are the duals of rec.
 
-    With R_n = sum_k c[n][k] phi_k - x^n, the two recurrences give
-    R_{n+1} = x * R_n, so R_0 = 0 makes every R_n vanish.  One lockstep pass
-    reads row n+1 with phi_{n+1} and holds only rows n, n+1 and phi_{n-1},
-    phi_n, phi_{n+1}.  Both steps run in integers, the row step on rec's
-    weights cleared to one denominator and the dual step on each level's
-    weights cleared to its own, and each check compares two Scaled vectors.
+    With phi_k the duals (phi_0 = 1) and R_n = sum_k c[n][k] phi_k - x^n,
+    the two recurrences give R_{n+1} = x * R_n, so R_0 = 0 makes every R_n
+    vanish.  One lockstep pass reads row n+1 and makes phi_{n+1} by one dual
+    step, holding only rows n, n+1 and phi_{n-1}, phi_n, phi_{n+1}; each
+    given phi is read alongside and compared with the one made.  Both steps
+    run in integers, the row step on rec's weights cleared to one
+    denominator and the dual step on each level's weights cleared to its
+    own, and each check compares two Scaled vectors.
     """
     ints, den = _cleared(rec)
     levels, dens = _cleared_levels(rec)
-    row = prev = cur = Scaled(())
-    for n, (nxt_row, nxt) in enumerate(zip(rows, phis, strict=True)):
+    pairs = ((r, None) for r in rows) if phis is None else zip(rows, phis, strict=True)
+    row, prev, phi = Scaled(()), Scaled(()), Scaled((1,))
+    for n, (nxt_row, given) in enumerate(pairs):
         if n == 0:
-            (c,), d = nxt_row
-            coeffs, e = nxt
-            if len(coeffs) != 1 or c * coeffs[0] != d * e:
+            if nxt_row != phi:  # c[0][0] * phi_0 = 1
                 return False
         else:
             k = n - 1
-            if rec.depth < k or _row_step(ints, den, row, n + 1) != nxt_row:
+            # A zero up weight leaves phi_{k+1} undefined.
+            if rec.depth < k or not levels.up[k] or _row_step(ints, den, row, n + 1) != nxt_row:
                 return False
-            # The step ends in phi_k's leading coefficient, nonzero for every
-            # phi accepted so far, so it cannot equal a zero up weight times
-            # phi_{k+1}: that fails here too.
-            if not levels.up[k] or _scaled_dual_step(levels, dens[k], k, cur, prev) != nxt:
-                return False
-        row, prev, cur = nxt_row, cur, nxt
+            prev, phi = phi, _scaled_dual_step(levels, dens[k], k, phi, prev)
+        if given is not None and Scaled.of(given.coeffs) != phi:
+            return False
+        row = nxt_row
     return True
 
 
 def verify_triad(
     rows: RowSource,
-    phis: Union[Sequence[Polynomial], Sequence[Scaled], Restartable[Polynomial], Restartable[Scaled]],
+    phis: Optional[Union[Sequence[Polynomial], Restartable[Polynomial]]] = None,
     rec: Optional[BandedRecurrence] = None,
 ) -> TriadReport:
     """Check x^n = sum_k c[n][k] * phi_k(x) symbolically for every row.
 
     rows is a RowSource of rows 0..N: a Triangle, its rows, or a
-    Restartable over a row generator; each pass checks the rows as a
-    Triangle checks its rows.  phis holds phi_0..phi_N as a sequence or a
-    Restartable, each a Polynomial or the Scaled vector of its coefficients.
-    Each pass reads the two in lockstep, so a restartable pair is never held
-    whole by the certificate.
+    Restartable over a row generator; each pass reads them through
+    checked_rows.  phis holds the Polynomials phi_0..phi_N, as a sequence or
+    a Restartable; each pass reads it in lockstep with the rows, so the
+    certificate never holds a restartable pair whole.
 
-    rec is the banded recurrence the caller says the rows and the phis follow.
-    Given it, the identity is first certified for every row at once in O(N^2):
-    c[0][0] * phi_0 = 1, each row is the banded step of the one before, and
-    x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} for k < N.
-    The certificate reads rows and phis as Scaled vectors, so rational
-    families pay one gcd per vector rather than per operation; Scaled rows
-    and phis (named_scaled_rows, iter_scaled_duals) pass to it as they are.
-    If rec is absent or any check fails, a fresh pass expands every row
-    (O(N^3)), holding the phis read so far; the residual is computed exactly,
-    and the pass stops at the first failing row, whose index and residual
-    polynomial the report carries as a concrete counterexample.
+    rec is the banded recurrence the caller says the rows follow, and whose
+    duals the phis are; without phis, its duals are the phis.  Given rec,
+    the identity is first certified for every row at once in O(N^2):
+    c[0][0] = 1, each row is the banded step of the one before, and phi_0 = 1
+    and x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} make
+    phi_1..phi_N, each compared with the given one when there are phis.  The
+    certificate runs on Scaled vectors, so rational families pay one gcd per
+    vector rather than per operation, and Scaled rows (named_scaled_rows)
+    pass to it as they are.  If rec is absent or any check fails, a fresh
+    pass expands every row (O(N^3)) in the phis, or in
+    iter_dual_polynomials(rec, N) without them, holding the phis read so
+    far; the residual is computed exactly, and the pass stops at the first
+    failing row, whose index and residual polynomial the report carries as
+    a concrete counterexample.
     """
     if isinstance(rows, Triangle):
         rows = rows.rows
     top = len(rows) - 1
-    if len(phis) != top + 1:
+    if phis is None:
+        if rec is None:
+            raise ValueError("verify_triad needs phis, rec or both")
+    elif len(phis) != top + 1:
         raise ValueError(f"{len(phis)} polynomials for rows 0..{top}; counts must match")
-    if rec is not None:
-        scaled_phis = (p if type(p) is Scaled else Scaled.of(p.coeffs) for p in phis)
-        if _certified(checked_scaled_rows(rows), scaled_phis, rec):
-            return TriadReport(top, True, None, "certificate")
+    if rec is not None and _certified(checked_rows(rows), rec, phis):
+        return TriadReport(top, True, None, "certificate")
     seen: list[Polynomial] = []
-    for n, (row, phi) in enumerate(zip(checked_scaled_rows(rows), phis, strict=True)):
-        seen.append(Polynomial(phi.values()) if type(phi) is Scaled else phi)
+    duals = iter_dual_polynomials(rec, top) if phis is None else phis
+    for n, (row, phi) in enumerate(zip(checked_rows(rows), duals, strict=True)):
+        seen.append(phi)
         residual = linear_combination(row.values(), seen) - Polynomial.monomial(n)
         if residual:
             return TriadReport(top, False, (n, residual))

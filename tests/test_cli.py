@@ -116,6 +116,24 @@ class TestGoldenOutputs:
         assert "holds up to n=12" in out
 
 
+def test_verify_makes_each_dual_once(monkeypatch):
+    # The certificate makes phi_1..phi_N itself, one dual step each, and
+    # nothing else makes them again.
+    from dualtriad import triads
+
+    levels = []
+    step = triads._scaled_dual_step
+
+    def counted(ints, den, k, cur, prev):
+        levels.append(k)
+        return step(ints, den, k, cur, prev)
+
+    monkeypatch.setattr(triads, "_scaled_dual_step", counted)
+    code, out, _ = run_cli(["verify", "--family", "q-gaussian", "--q=2", "--rows", "40"])
+    assert (code, out) == (0, "route: banded dual recurrence\nholds up to n=40\n")
+    assert levels == list(range(40))
+
+
 # Help and usage texts as the parser printed them when it built every
 # subcommand whole: (file under golden/parser, exit code, argv).
 PARSER_TEXTS = [

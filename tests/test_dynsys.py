@@ -552,6 +552,8 @@ class TestConvolveFibonomial:
 
 
 _PASCAL_DEPTH_3 = BandedRecurrence.tabulate(1, 1, 0, 3)
+_PASCAL_ROWS = tuple(generate_named("pascal", 6).rows)
+_PASCAL_PHIS = dual_polynomials(_PASCAL_DEPTH_3, 2)
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -571,6 +573,31 @@ _PASCAL_DEPTH_3 = BandedRecurrence.tabulate(1, 1, 0, 3)
      "transition tabulated to level 1, evolution reaches level 3"),
     (lambda: evolve((1, 0), "x", 1), TypeError, "cannot evolve with str"),
     (lambda: convolve_fibonomial((1,), (1,), -1), ValueError, "upto must be nonnegative"),
+    # Cases added later carry ids, so that the ids above stay as they are.
+    pytest.param(lambda: banded_step_matrix(_PASCAL_DEPTH_3, -1), ValueError,
+                 "rows must be nonnegative", id="banded_step_matrix-negative"),
+    pytest.param(lambda: verify_triad(_PASCAL_ROWS), ValueError,
+                 "verify_triad needs phis, rec or both", id="verify_triad-no-phis-no-rec"),
+    pytest.param(lambda: fit_banded(Restartable(lambda: iter([]), 6)), ValueError,
+                 "a pass read 0 rows of a source of length 6", id="fit_banded-empty-pass"),
+    pytest.param(lambda: fit_banded(Restartable(lambda: iter(_PASCAL_ROWS), 8)), ValueError,
+                 "a pass read 7 rows of a source of length 8", id="fit_banded-short-pass"),
+    # A long pass stops at its first row too many.
+    pytest.param(lambda: fit_banded(Restartable(lambda: iter(_PASCAL_ROWS), 5)), ValueError,
+                 "a pass read 6 rows of a source of length 5", id="fit_banded-long-pass"),
+    # verify_triad over rows 0..2 with phis and rec, with rec only and with
+    # phis only; each pass reads none, two or four rows.
+    *(
+        pytest.param(lambda read=read, given=given: verify_triad(
+            Restartable(lambda: iter(_PASCAL_ROWS[:read]), 3), *given), ValueError,
+            f"a pass read {read} rows of a source of length 3", id=f"verify_triad-{name}-{pass_}")
+        for name, given in (
+            ("phis-rec", (_PASCAL_PHIS, _PASCAL_DEPTH_3)),
+            ("rec-only", (None, _PASCAL_DEPTH_3)),
+            ("phis-only", (_PASCAL_PHIS,)),
+        )
+        for pass_, read in (("empty-pass", 0), ("short-pass", 2), ("long-pass", 4))
+    ),
 ])
 def test_library_preconditions(call, error, message):
     with pytest.raises(error) as info:

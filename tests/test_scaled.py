@@ -11,6 +11,7 @@ import pickle
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from dualtriad.triads import (
     banded_for_family,
     dual_polynomials,
     generate_from_banded,
-    iter_scaled_duals,
     named_scaled_rows,
     scaled_banded_rows,
     verify_triad,
@@ -62,6 +62,12 @@ class TestScaledForm:
         for twin in (copy.copy(scaled), copy.deepcopy(scaled), pickle.loads(pickle.dumps(scaled))):
             assert twin == ((1, -2), 3) and type(twin) is Scaled
 
+    def test_zero_denominator_refused(self):
+        # As Fraction(1, 0) does: no pair with den 0, and no bare // error.
+        for nums in ((1, 2), (), (0,)):
+            with pytest.raises(ZeroDivisionError):
+                Scaled(nums, 0)
+
     def test_integer_vectors_have_denominator_one(self):
         assert Scaled.of([3, -4, 0]) == ((3, -4, 0), 1)
         assert Scaled.of([Fraction(6, 3), Fraction(1, 2)]) == ((4, 1), 2)
@@ -72,14 +78,15 @@ class TestScaledForm:
                         ("catalan-shifted", None), ("fibonomial", None), ("eulerian", None)):
             assert {den for _, den in named_scaled_rows(name, 20, q=q)} == {1}
         rec = banded_for_family("q-gaussian", 19, q=-3)
-        assert {den for _, den in iter_scaled_duals(rec, 20)} == {1}
+        assert {Scaled.of(p.coeffs)[1] for p in dual_polynomials(rec, 20)} == {1}
 
     def test_rational_rows_and_duals_equal_the_value_routes(self):
         rec = banded_for_family("q-gaussian", 15, q=Fraction(-2, 3))
         tri = generate_from_banded(rec, 16)
         assert [s.values() for s in scaled_banded_rows(rec, 16)] == list(tri.rows)
-        polys = dual_polynomials(rec, 16)
-        assert [Polynomial(s.values()) for s in iter_scaled_duals(rec, 16)] == polys
+        # The certificate makes the duals as Scaled vectors and compares each
+        # with the Scaled form of the value route's.
+        assert verify_triad(tri, dual_polynomials(rec, 16), rec).method == "certificate"
 
 
 @st.composite
@@ -94,8 +101,7 @@ def recurrences(draw, min_depth=0, max_depth=9):
 
 
 def _streams(rows, phis):
-    """Restartable sources over fixed Scaled rows and duals, as the CLI's
-    streams are read."""
+    """Restartable sources over fixed Scaled rows and Polynomial duals."""
     return Restartable(lambda: iter(rows), len(rows)), Restartable(lambda: iter(phis), len(phis))
 
 
@@ -118,9 +124,10 @@ class TestCertificateAgainstBrute:
     def test_unperturbed_certified(self, rec):
         top = rec.depth + 1
         rows = list(scaled_banded_rows(rec, top))
-        phis = list(iter_scaled_duals(rec, top))
+        phis = dual_polynomials(rec, top)
         report = verify_triad(*_streams(rows, phis), rec)
         assert report.holds and report.method == "certificate"
+        assert verify_triad(_streams(rows, phis)[0], rec=rec) == report
         assert verify_triad(*_streams(rows, phis)).holds
 
     @given(recurrences(), st.booleans(), delta_st, st.data())
@@ -128,19 +135,33 @@ class TestCertificateAgainstBrute:
     def test_perturbed_reports_equal(self, rec, on_row, delta, data):
         top = rec.depth + 1
         rows = list(scaled_banded_rows(rec, top))
-        phis = list(iter_scaled_duals(rec, top))
+        phis = [Scaled.of(p.coeffs) for p in dual_polynomials(rec, top)]
         if on_row:
             rows = _perturbed(rows, data, delta)
         else:
             phis = _perturbed(phis, data, delta)
         tri = Triangle(s.values() for s in rows)
         polys = [Polynomial(s.values()) for s in phis]
-        streamed = verify_triad(*_streams(rows, phis), rec)
+        streamed = verify_triad(*_streams(rows, polys), rec)
         collected = verify_triad(tri, polys, rec)
         brute = verify_triad(tri, polys)
         assert streamed == collected
         assert (streamed.holds, streamed.first_failure) == (brute.holds, brute.first_failure)
         assert not streamed.holds and streamed.method == "brute"
+
+    @given(recurrences(), delta_st, st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_duals_made_from_rec_equal_given_duals(self, rec, delta, data):
+        # Without phis the certificate makes the duals it checks, and the
+        # brute scan expands in iter_dual_polynomials(rec, N).
+        top = rec.depth + 1
+        rows = _perturbed(scaled_banded_rows(rec, top), data, delta)
+        polys = dual_polynomials(rec, top)
+        made = verify_triad(Restartable(lambda: iter(rows), len(rows)), rec=rec)
+        assert made == verify_triad(rows, polys, rec)
+        brute = verify_triad(Triangle(s.values() for s in rows), polys)
+        assert (made.holds, made.first_failure) == (brute.holds, brute.first_failure)
+        assert not made.holds and made.method == "brute"
 
 
 class TestFitAgainstValues:
