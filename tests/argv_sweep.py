@@ -6,8 +6,11 @@ tests/golden/argv_sweep.sha256 holds one line per argv:
     sha256(stdout) sha256(stderr) exit-code argv
 
 A change that must keep the CLI's behaviour checks that the recomputed lines
-equal the file byte for byte (tests/test_argv_sweep.py).  Regenerate the file
-only when the output is meant to change:
+equal the file byte for byte (tests/test_argv_sweep.py).  From Python 3.13
+argparse wraps a usage line keeping each option with its metavar, so
+tests/golden/argv_sweep-3.13.sha256 holds the lines that differ there, and
+they replace those of the same argv.  Regenerate the files only when the
+output is meant to change, first on Python 3.10-3.12, then on 3.13:
 
     COLUMNS=80 PYTHONPATH=src python tests/argv_sweep.py
 """
@@ -18,11 +21,13 @@ import contextlib
 import hashlib
 import io
 import shlex
+import sys
 from pathlib import Path
 
 from dualtriad.cli import main
 
 SWEEP_FILE = Path(__file__).parent / "golden" / "argv_sweep.sha256"
+SWEEP_FILE_313 = SWEEP_FILE.with_name("argv_sweep-3.13.sha256")
 
 COMMANDS = ("generate", "dual", "verify", "fit", "solve-f", "phi")
 FORMAT_COMMANDS = frozenset({"generate", "dual", "solve-f", "phi"})
@@ -113,8 +118,21 @@ def sweep_line(argv: list[str]) -> str:
     return f"{_sha(out.getvalue())} {_sha(err.getvalue())} {code} {shlex.join(argv)}\n"
 
 
-def sweep_text() -> str:
-    return "".join(sweep_line(argv) for argv in argvs())
+def _argv_of(line: str) -> str:
+    return line.split(" ", 3)[3]
+
+
+def recorded_lines() -> list[str]:
+    """The recorded line of every argv on this Python, in the order of the
+    file."""
+    lines = SWEEP_FILE.read_text().splitlines(keepends=True)
+    if sys.version_info < (3, 13):
+        return lines
+    changed = {_argv_of(line): line for line in SWEEP_FILE_313.read_text().splitlines(keepends=True)}
+    out = [changed.pop(_argv_of(line), line) for line in lines]
+    if changed:
+        raise ValueError(f"{SWEEP_FILE_313.name} names argvs outside the sweep: {sorted(changed)}")
+    return out
 
 
 if __name__ == "__main__":
@@ -122,4 +140,9 @@ if __name__ == "__main__":
 
     if os.environ.get("COLUMNS") != "80":
         raise SystemExit("run with COLUMNS=80: argparse wraps help to the terminal width")
-    SWEEP_FILE.write_text(sweep_text())
+    lines = [sweep_line(argv) for argv in argvs()]
+    if sys.version_info < (3, 13):
+        SWEEP_FILE.write_text("".join(lines))
+    else:
+        base = SWEEP_FILE.read_text().splitlines(keepends=True)
+        SWEEP_FILE_313.write_text("".join(line for line, old in zip(lines, base) if line != old))

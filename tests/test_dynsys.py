@@ -598,6 +598,11 @@ _PASCAL_PHIS = dual_polynomials(_PASCAL_DEPTH_3, 2)
         )
         for pass_, read in (("empty-pass", 0), ("short-pass", 2), ("long-pass", 4))
     ),
+    pytest.param(lambda: banded_rows(_PASCAL_DEPTH_3, 6), ValueError,
+                 "recurrence tabulated to level 3; 6 rows need level 5", id="banded_rows-depth"),
+    pytest.param(lambda: banded_step_matrix(_PASCAL_DEPTH_3, 4), ValueError,
+                 "recurrence tabulated to level 3; 5 rows need level 4",
+                 id="banded_step_matrix-depth"),
 ])
 def test_library_preconditions(call, error, message):
     with pytest.raises(error) as info:
