@@ -13,15 +13,13 @@ import sys
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from ._record import Frozen
 from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
-from .exact import Polynomial, Rational, Scaled, format_exact
+from .exact import Polynomial, Rational, format_exact
 from .output import format_rows, write_document
 from .sequences import RootSequence
 from .triads import (
     FAMILIES,
     BandedRecurrence,
-    Family,
     Restartable,
     banded_for_family,
     generate_named,
@@ -89,36 +87,12 @@ def _checked_rows(args: argparse.Namespace) -> int:
     return rows
 
 
-class FamilyInputs(Frozen):
-    """A family chosen on the command line, its parameter, and the parameter
-    text that output documents carry."""
-
-    __slots__ = ("name", "entry", "q", "roots", "params")
-    name: str
-    entry: Family
-    q: Optional[Fraction]
-    roots: Optional[RootSequence]
-    params: dict[str, str]
-
-    def __init__(
-        self,
-        name: str,
-        entry: Family,
-        q: Optional[Fraction],
-        roots: Optional[RootSequence],
-        params: dict[str, str],
-    ) -> None:
-        self._set(name, entry, q, roots, params)
-
-    def rows(self, rows: int) -> Restartable[Scaled]:
-        """Rows 0..rows as Scaled vectors, from a source that every pass
-        restarts."""
-        return Restartable(lambda: named_scaled_rows(self.name, rows, self.q, self.roots), rows + 1)
-
-
-def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
-    """The family flags, checked; levels is how many roots r_1, r_2, ... the
-    command reads, which an explicit --roots list must cover."""
+def _family_inputs(
+    args: argparse.Namespace, levels: int
+) -> tuple[Optional[Fraction], Optional[RootSequence], dict[str, str]]:
+    """The family flags, checked: the parsed q and roots, and the parameter
+    text that output documents carry.  levels is how many roots r_1, r_2, ...
+    the command reads, which an explicit --roots list must cover."""
     entry = FAMILIES[args.family]
     q = _parse_q(args.q) if args.q is not None else None
     roots = parse_roots(args.roots) if args.roots is not None else None
@@ -132,7 +106,7 @@ def _family_inputs(args: argparse.Namespace, levels: int) -> FamilyInputs:
     if roots is not None and roots.rule == "explicit" and len(roots.data) < levels:
         raise UsageError(f"explicit root sequence has only {len(roots.data)} levels")
     params = {} if entry.param is None else {entry.param: texts[entry.param]}
-    return FamilyInputs(args.family, entry, q, roots, params)
+    return q, roots, params
 
 
 def _emit(
@@ -145,7 +119,7 @@ def _emit(
 
 
 def _phis(
-    family: FamilyInputs, name: str, rows: int
+    name: str, rows: int, q: Optional[Fraction], roots: Optional[RootSequence]
 ) -> tuple[Optional[list[Polynomial]], Optional[BandedRecurrence]]:
     """phi_0..phi_rows of the named family, or the recurrence whose duals
     they are.
@@ -156,51 +130,55 @@ def _phis(
     at any row; C and C^-1 are held only while inverting.
     """
     if FAMILIES[name].recurrence is not None:
-        return None, banded_for_family(name, rows - 1, family.q, family.roots)
-    inv = invert_unipotent(generate_named(name, max(rows, 1), family.q, family.roots))
+        return None, banded_for_family(name, rows - 1, q, roots)
+    inv = invert_unipotent(generate_named(name, max(rows, 1), q, roots))
     return [Polynomial(row) for row in inv.rows[: rows + 1]], None
 
 
-def _phi_rows(family: FamilyInputs, name: str, rows: int) -> Iterator[tuple[Rational, ...]]:
-    """The coefficients of _phis(family, name, rows), one row per phi, with
+def _phi_rows(
+    name: str, rows: int, q: Optional[Fraction], roots: Optional[RootSequence]
+) -> Iterator[tuple[Rational, ...]]:
+    """The coefficients of _phis(name, rows, q, roots), one row per phi, with
     banded duals streamed as iter_dual_polynomials makes them."""
-    phis, rec = _phis(family, name, rows)
+    phis, rec = _phis(name, rows, q, roots)
     polys = iter_dual_polynomials(rec, rows) if phis is None else phis
     return (p.coeffs if p.coeffs else (0,) for p in polys)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args, rows)
-    _emit(family.name, family.params, named_rows(family.name, rows, family.q, family.roots), args.format)
+    q, roots, params = _family_inputs(args, rows)
+    _emit(args.family, params, named_rows(args.family, rows, q, roots), args.format)
     return 0
 
 
 def cmd_dual(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args, rows)
-    dual = family.entry.dual
+    q, roots, params = _family_inputs(args, rows)
+    dual = FAMILIES[args.family].dual
     if dual is None or FAMILIES[dual].recurrence is None:
         raise UsageError(
-            f"family {family.name} has no banded dual recurrence; "
+            f"family {args.family} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    _emit(family.name, family.params, _phi_rows(family, dual, rows), args.format)
+    _emit(args.family, params, _phi_rows(dual, rows, q, roots), args.format)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args, rows)
-    dual = family.entry.dual
-    if dual is None:  # a failed precondition of the family, not of the flags
+    q, roots, _ = _family_inputs(args, rows)
+    family = FAMILIES[args.family]
+    if family.dual is None:  # a failed precondition of the family, not of the flags
         raise ValueError(
-            f"family {family.name} admits no dual construction "
+            f"family {args.family} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    phis, rec = _phis(family, dual, rows)
-    report = verify_triad(family.rows(rows), phis, rec)
-    print(f"route: {family.entry.route}")
+    phis, rec = _phis(family.dual, rows, q, roots)
+    # Rows 0..rows as Scaled vectors, from a source that every pass restarts.
+    source = Restartable(lambda: named_scaled_rows(args.family, rows, q, roots), rows + 1)
+    report = verify_triad(source, phis, rec)
+    print(f"route: {family.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
         return 0
@@ -213,7 +191,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     if rows < 5:
         raise UsageError("fit needs --rows of at least 5")
-    result = fit_banded(_family_inputs(args, rows).rows(rows))
+    q, roots, _ = _family_inputs(args, rows)
+    result = fit_banded(Restartable(lambda: named_scaled_rows(args.family, rows, q, roots), rows + 1))
     if result.fits:
         rec = result.recurrence
         print("fit: banded time-independent recurrence found")
@@ -230,21 +209,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args, rows + 1)
-    if family.entry.recurrence is not None:
+    q, roots, params = _family_inputs(args, rows + 1)
+    if FAMILIES[args.family].recurrence is not None:
         # Every banded family is unipotent (up weights 1), so its F is its
         # own recurrence; the dense solve is for the other families.
-        sm = banded_step_matrix(banded_for_family(family.name, rows, family.q, family.roots), rows)
+        sm = banded_step_matrix(banded_for_family(args.family, rows, q, roots), rows)
     else:
-        sm = solve_step_matrix(generate_named(family.name, rows + 1, family.q, family.roots))
-    _emit(family.name, family.params, sm.rows, args.format)
+        sm = solve_step_matrix(generate_named(args.family, rows + 1, q, roots))
+    _emit(args.family, params, sm.rows, args.format)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    family = _family_inputs(args, rows)
-    _emit(family.name, family.params, _phi_rows(family, family.name, rows), args.format)
+    q, roots, params = _family_inputs(args, rows)
+    _emit(args.family, params, _phi_rows(args.family, rows, q, roots), args.format)
     return 0
 
 

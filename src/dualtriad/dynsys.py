@@ -22,13 +22,14 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Frozen
 from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, forward_substitute
+from .sequences import fibonomial_rows
 from .triads import (
     BandedRecurrence,
     RowSource,
     Triangle,
+    _check_levels,
     banded_step,
     checked_rows,
-    fibonomial_rows,
     scaled_banded_rows,
 )
 
@@ -83,10 +84,7 @@ def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
     for a unipotent triangle: solve_step_matrix finds the same rows in O(N^3)
     where this reads them off in O(N^2).
     """
-    if rows < 0:
-        raise ValueError("rows must be nonnegative")
-    if rec.depth < rows:
-        raise ValueError(f"recurrence tabulated to level {rec.depth}; {rows + 1} rows need level {rows}")
+    _check_levels(rec, "rows", rows, rows + 1, "rows")
     out = []
     for n in range(rows + 1):
         row: list[Rational] = [0] * (n + 2)
@@ -173,7 +171,7 @@ def evolve(
     if isinstance(transition, StepMatrix):
         if transition.row_count < reach:
             raise ValueError(
-                f"step matrix has {transition.row_count} rows, evolution reaches level {reach - 1}"
+                f"step matrix has {transition.row_count} rows, evolution reaches level {reach}"
             )
         for _ in range(steps):
             nxt: list[Rational] = [0] * len(vec)

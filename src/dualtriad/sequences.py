@@ -1,13 +1,19 @@
-"""Scalar combinatorial sequences in closed form.
+"""Scalar combinatorial sequences, and the rows of the Pascal-like
+triangles whose weights depend on the row index.
 
-Every function returns exact values: an int when the value is integral, a
-Fraction otherwise.  Out-of-range indices give 0 rather than an error so that
-recurrences can run without boundary branches.
+The scalar functions return exact values: an int when the value is integral,
+a Fraction otherwise.  Out-of-range indices give 0 rather than an error so
+that recurrences can run without boundary branches.  fibonomial, q_binomial
+and catalan_entry are closed forms; stirling_first and eulerian read a row
+of pascal_like_rows, which builds the fibonomial, stirling1 and eulerian
+triangles from one row recurrence.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from typing import Callable, Iterator, Sequence
 
 from ._record import Frozen
 from .exact import Rational, as_exact, exact_div
@@ -103,42 +109,57 @@ def catalan_entry(n: int, k: int) -> int:
     return value
 
 
-def stirling_first(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind.
+def pascal_like_rows(
+    rows: int, left: Callable[[int], Sequence[int]], right: Callable[[int], Sequence[int]]
+) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of the triangle c(n+1, k) = left(n)[k] * c(n, k-1) +
+    right(n)[k] * c(n, k), k = 0..n+1, from c(0, 0) = 1, one at a time.
 
-    Row recurrence: entry(n+1, k) = entry(n, k-1) + n * entry(n, k), seeded
-    with entry(0, 0) = 1.  0 outside 0 <= k <= n.
+    left(n) and right(n) give row n's weights for k = 0..n+1; entries outside
+    the triangle read as 0, so left(n)[0] and right(n)[n+1] multiply nothing.
+    Only the previous row is held.
     """
+    row: tuple[int, ...] = (1,)
+    yield row
+    for n in range(rows):
+        # Entry k of (0, *row) is c(n, k-1) and of (*row, 0) is c(n, k).
+        row = tuple(a * u + b * v for a, u, b, v in zip(left(n), (0, *row), right(n), (*row, 0)))
+        yield row
+
+
+def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of the fibonomial triangle: left weight F_{n-k} (1 at
+    k = n+1, where F_{-1} = 1) and right weight F_{k+1}."""
+    fibs = [fibonacci(i) for i in range(rows + 2)]
+    return pascal_like_rows(rows, lambda n: (*fibs[n::-1], 1), lambda n: fibs[1 : n + 3])
+
+
+def stirling_first_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of the unsigned Stirling numbers of the first kind:
+    left weight 1, right weight n."""
+    return pascal_like_rows(rows, lambda n: (1,) * (n + 2), lambda n: (n,) * (n + 2))
+
+
+def eulerian_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of the Eulerian numbers: left weight n+1-k, right weight
+    k+1."""
+    return pascal_like_rows(rows, lambda n: range(n + 1, -1, -1), lambda n: range(1, n + 3))
+
+
+def stirling_first(n: int, k: int) -> int:
+    """Unsigned Stirling number of the first kind: entry k of row n of
+    stirling_first_rows.  0 outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    row = [1]
-    for m in range(n):
-        nxt = [0] * (m + 2)
-        for j, v in enumerate(row):
-            if v:
-                nxt[j] += m * v
-                nxt[j + 1] += v
-        row = nxt
-    return row[k]
+    return deque(stirling_first_rows(n), maxlen=1)[0][k]
 
 
 def eulerian(n: int, k: int) -> int:
-    """Eulerian number: permutations of {1..n} with exactly k descents.
-
-    Row recurrence: entry(n+1, k) = (k+1) * entry(n, k) + (n+1-k) * entry(n, k-1),
-    seeded with entry(0, 0) = 1.  entry(n, 0) = 1 for every n >= 0.
-    """
+    """Eulerian number, the permutations of {1..n} with exactly k descents:
+    entry k of row n of eulerian_rows.  0 outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    row = [1]
-    for m in range(n):
-        nxt = [0] * (m + 2)
-        for j, v in enumerate(row):
-            if v:
-                nxt[j] += (j + 1) * v
-                nxt[j + 1] += (m - j) * v
-        row = nxt
-    return row[k]
+    return deque(eulerian_rows(n), maxlen=1)[0][k]
 
 
 class RootSequence(Frozen):

@@ -16,18 +16,20 @@ stay[k] = r_{k+1}, down = 0; Pascal (every root 1) and the q-gaussian family
 This module builds triangles (from weights, from named families, from root
 sequences), builds the polynomial side, converts between the two Catalan
 triangle conventions, and checks the expansion identity symbolically.  Every
-named family is declared once, in FAMILIES.
+named family is declared once, in FAMILIES; fibonomial, stirling1 and
+eulerian, whose weights depend on n, come from sequences.pascal_like_rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ._record import Frozen
 from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, format_exact, linear_combination
-from .sequences import RootSequence, fibonacci
+from .sequences import RootSequence, eulerian_rows, fibonomial_rows, stirling_first_rows
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
 
@@ -94,13 +96,13 @@ T = TypeVar("T")
 
 
 class Restartable(Generic[T]):
-    """A sized iterable that restarts a generator for every pass.
+    """A sized iterable that restarts an iterator for every pass.
 
-    make() is called once here, so a generator function that checks its
-    arguments on the call (as banded_rows and iter_dual_polynomials do)
-    raises before the first pass; each later pass calls make() afresh.  A
-    pass holds only what one generator holds, and length is the number of
-    items a pass yields.
+    make() is called once here, so a stream that checks its arguments on
+    the call (as banded_rows and iter_dual_polynomials do) raises before
+    the first pass; each later pass calls make() afresh.  A pass holds only
+    what one iterator holds, and length is the number of items a pass
+    yields.
     """
 
     def __init__(self, make: Callable[[], Iterator[T]], length: int) -> None:
@@ -259,6 +261,17 @@ def _row_step(ints: BandedRecurrence, den: int, row: Scaled, width: int) -> Scal
     return Scaled(banded_step(ints, nums, width), den * d)
 
 
+def _check_levels(rec: BandedRecurrence, name: str, value: int, count: int, items: str) -> None:
+    """Raise ValueError unless the argument name has a nonnegative value and
+    rec tabulates the levels 0..count-1 that count items read."""
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if rec.depth < count - 1:
+        raise ValueError(
+            f"recurrence tabulated to level {rec.depth}; {count} {items} need level {count - 1}"
+        )
+
+
 def scaled_banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[Scaled]:
     """Rows 0..rows of the banded recurrence from the seed entry 1 at (0, 0),
     as Scaled vectors, one at a time, holding only the previous row.
@@ -269,22 +282,10 @@ def scaled_banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[Scaled]:
     one denominator, so integer weights give denominator 1 and no gcd.  The
     arguments are checked here, before the first row.
     """
-    if rows < 0:
-        raise ValueError("rows must be nonnegative")
-    if rows > 0 and rec.depth < rows - 1:
-        raise ValueError(
-            f"recurrence tabulated to level {rec.depth}; {rows} rows need level {rows - 1}"
-        )
-    return _scaled_banded_rows(rec, rows)
-
-
-def _scaled_banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[Scaled]:
+    _check_levels(rec, "rows", rows, rows, "rows")
     ints, den = _cleared(rec)
-    row = Scaled((1,))
-    yield row
-    for n in range(rows):
-        row = _row_step(ints, den, row, n + 2)
-        yield row
+    return accumulate(range(1, rows + 1), lambda row, n: _row_step(ints, den, row, n + 1),
+                      initial=Scaled((1,)))
 
 
 def banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
@@ -302,45 +303,6 @@ def generate_from_banded(
     return Triangle(rows=scaled_banded_rows(rec, rows), family=family, params=params)
 
 
-def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0..rows of the fibonomial triangle, one at a time.
-
-    Update weights F_{k+1} and F_{n-k} depend on the row index n, so this
-    cannot be phrased as a BandedRecurrence.  Only the previous row is held,
-    so a caller that consumes each row as it comes never holds the triangle.
-    """
-    fibs = [fibonacci(i) for i in range(rows + 2)]
-    row: tuple[int, ...] = (1,)
-    yield row
-    for n in range(rows):
-        # The new diagonal entry is the boundary value 1 (empty product),
-        # like the k = 0 column.
-        nxt = [1]
-        for k in range(1, n + 1):
-            nxt.append(fibs[k + 1] * row[k] + fibs[n - k] * row[k - 1])
-        nxt.append(1)
-        row = tuple(nxt)
-        yield row
-
-
-def _stirling_first_rows(rows: int) -> Iterator[tuple[int, ...]]:
-    row: tuple[int, ...] = (1,)
-    yield row
-    for n in range(rows):
-        p = (0,) + row + (0,)  # p[j + 1] is entry j of row n
-        row = tuple(p[k] + n * p[k + 1] for k in range(n + 2))
-        yield row
-
-
-def _eulerian_rows(rows: int) -> Iterator[tuple[int, ...]]:
-    row: tuple[int, ...] = (1,)
-    yield row
-    for n in range(rows):
-        p = (0,) + row + (0,)  # p[j + 1] is entry j of row n
-        row = tuple((k + 1) * p[k + 1] + (n + 1 - k) * p[k] for k in range(n + 2))
-        yield row
-
-
 _BANDED_ROUTE = "banded dual recurrence"
 
 
@@ -349,7 +311,8 @@ class Family(Frozen):
 
     recurrence maps (parameter value, depth) to the family's banded weights
     for levels 0..depth; a family without one yields its rows 0..N from
-    rows(N) instead, holding only the previous row.  param names the
+    rows(N) instead: a stream of sequences.pascal_like_rows, whose weights
+    depend on the row index, holding only the previous row.  param names the
     parameter the family needs (None, "q" or "roots").  dual names the
     family whose phi sequence completes this one's triad: the duals of that
     family's recurrence, or the rows of its inverse triangle when it has no
@@ -390,8 +353,8 @@ FAMILIES: dict[str, Family] = {
     "catalan-triad": Family(dual="catalan-triad", route=_BANDED_ROUTE,
                             recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
     "fibonomial": Family(dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows),
-    "stirling1": Family(dual="stirling1", route="step-matrix polynomials", rows=_stirling_first_rows),
-    "eulerian": Family(dual=None, route=None, rows=_eulerian_rows),
+    "stirling1": Family(dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows),
+    "eulerian": Family(dual=None, route=None, rows=eulerian_rows),
     "lah": Family(dual="lah", route="persistent-root polynomials", param="roots",
                   recurrence=root_recurrence),
 }
@@ -441,11 +404,11 @@ def named_scaled_rows(
     """Rows 0..rows of a named triangle family as Scaled vectors, one at a
     time.
 
-    Families with a defining recurrence are generated by that recurrence so
-    the closed forms in the sequences module stay an independent cross-check;
-    the others build integer rows, whose widths checked_rows checks.  The
-    arguments are checked here, before the first row, and only the previous
-    row is held.
+    Banded families are generated by their recurrence, so that the closed
+    forms in the sequences module stay an independent cross-check;
+    fibonomial, stirling1 and eulerian read their row stream in sequences,
+    whose widths checked_rows checks.  The arguments are checked here,
+    before the first row, and only the previous row is held.
     """
     if rows < 0:
         raise ValueError("rows must be nonnegative")
@@ -540,29 +503,23 @@ def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynom
     checked here, before the first polynomial.  Every coefficient is reduced
     as it is made, which is what printing them needs.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count > 0 and rec.depth < count - 1:
-        raise ValueError(
-            f"recurrence tabulated to level {rec.depth}; {count} polynomials need level {count - 1}"
-        )
+    _check_levels(rec, "count", count, count, "polynomials")
     for k in range(count):
         if rec.up[k] == 0:
             raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
-    return _dual_polynomials(rec, count)
 
-
-def _dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
-    prev: tuple[Rational, ...] = ()
-    phi = Polynomial((1,))
-    for k in range(count):
-        yield phi
+    def step(
+        pair: tuple[tuple[Rational, ...], Polynomial], k: int
+    ) -> tuple[tuple[Rational, ...], Polynomial]:
+        prev, phi = pair
         up = rec.up[k]
         nxt = _dual_step(rec, k, phi.coeffs, prev)
         if up != 1:
             nxt = [exact_div(t, up) for t in nxt]
-        prev, phi = phi.coeffs, Polynomial(nxt)
-    yield phi
+        return phi.coeffs, Polynomial(nxt)
+
+    # Each item is the pair (coefficients of phi_{k-1}, phi_k).
+    return (phi for _, phi in accumulate(range(count), step, initial=((), Polynomial((1,)))))
 
 
 def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:

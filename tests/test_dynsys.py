@@ -603,6 +603,10 @@ _PASCAL_PHIS = dual_polynomials(_PASCAL_DEPTH_3, 2)
     pytest.param(lambda: banded_step_matrix(_PASCAL_DEPTH_3, 4), ValueError,
                  "recurrence tabulated to level 3; 5 rows need level 4",
                  id="banded_step_matrix-depth"),
+    # Support 1 plus 3 steps reaches level 3, as on the recurrence itself.
+    pytest.param(lambda: evolve((1, 0, 0, 0), banded_step_matrix(BandedRecurrence.tabulate(1, 1, 0, 1), 1), 3),
+                 ValueError, "step matrix has 2 rows, evolution reaches level 3",
+                 id="evolve-step-matrix-reach"),
 ])
 def test_library_preconditions(call, error, message):
     with pytest.raises(error) as info:

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from dualtriad.cli import FamilyInputs
 from dualtriad.dynsys import FitResult, StepMatrix
 from dualtriad.misprints import MisprintEntry
 from dualtriad.output import OutputDocument
@@ -18,7 +17,6 @@ from dualtriad.triads import BandedRecurrence, Family, Triangle, TriadReport
 def _make_records():
     """(make, repr) for each record: make() builds a fresh instance."""
     rec = lambda: BandedRecurrence((1, 1), (2, Fraction(1, 2)), (0, 3))
-    family = lambda: Family(dual="pascal", route="banded dual recurrence")
     return {
         "Triangle": (
             lambda: Triangle(((1,), (1, 1)), family="pascal", params=(("q", "2"),)),
@@ -33,7 +31,7 @@ def _make_records():
             "TriadReport(verified_up_to=4, holds=True, first_failure=None, method='brute')",
         ),
         "Family": (
-            family,
+            lambda: Family(dual="pascal", route="banded dual recurrence"),
             "Family(dual='pascal', route='banded dual recurrence', param=None, "
             "recurrence=None, rows=None)",
         ),
@@ -58,19 +56,11 @@ def _make_records():
             lambda: OutputDocument("pascal", rows=[["1"], ["1", "1"]]),
             "OutputDocument(family='pascal', params={}, rows=[['1'], ['1', '1']], report=None)",
         ),
-        "FamilyInputs": (
-            lambda: FamilyInputs("pascal", family(), None, None, {}),
-            "FamilyInputs(name='pascal', entry=Family(dual='pascal', "
-            "route='banded dual recurrence', param=None, recurrence=None, rows=None), "
-            "q=None, roots=None, params={})",
-        ),
     }
 
 
 RECORDS = _make_records()
 MUTABLE = {"OutputDocument"}
-# FamilyInputs carries its params as a dict, so it has no hash.
-UNHASHABLE = MUTABLE | {"FamilyInputs"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -80,7 +70,7 @@ def test_equal_fields_compare_equal(name):
     assert a is not b
     assert a == b
     assert not a != b
-    if name not in UNHASHABLE:
+    if name not in MUTABLE:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 

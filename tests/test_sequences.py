@@ -1,4 +1,5 @@
-"""Closed-form scalar sequences against independent oracles and published rows."""
+"""Closed-form scalar sequences and the Pascal-like row kernel against
+independent oracles and published rows."""
 
 from fractions import Fraction
 
@@ -11,12 +12,16 @@ from dualtriad.sequences import (
     binomial,
     catalan_entry,
     eulerian,
+    eulerian_rows,
     fibonacci,
     fibonomial,
+    fibonomial_rows,
+    pascal_like_rows,
     q_binomial,
     q_factorial,
     q_int,
     stirling_first,
+    stirling_first_rows,
 )
 
 from helpers import (
@@ -236,6 +241,27 @@ class TestEulerian:
 
         for n in range(10):
             assert sum(eulerian(n, k) for k in range(n + 1)) == math.factorial(n)
+
+
+class TestPascalLikeRows:
+    """Each row stream of the kernel against a definition that does not use
+    it: the fibonomial closed form and the memoized recursions."""
+
+    N = 64
+
+    @pytest.mark.parametrize("rows,entry", [
+        (fibonomial_rows, fibonomial),
+        (stirling_first_rows, stirling1_oracle),
+        (eulerian_rows, eulerian_oracle),
+    ], ids=["fibonomial", "stirling1", "eulerian"])
+    def test_rows_equal_the_definition(self, rows, entry):
+        got = list(rows(self.N))
+        assert got == [tuple(entry(n, k) for k in range(n + 1)) for n in range(self.N + 1)]
+        assert [list(rows(n)) for n in range(4)] == [got[: n + 1] for n in range(4)]
+
+    def test_constant_weights_give_pascal(self):
+        got = pascal_like_rows(20, lambda n: (1,) * (n + 2), lambda n: (1,) * (n + 2))
+        assert list(got) == [tuple(binomial(n, k) for k in range(n + 1)) for n in range(21)]
 
 
 class TestRootSequence:

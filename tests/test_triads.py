@@ -16,10 +16,8 @@ from dualtriad.sequences import (
     RootSequence,
     binomial,
     catalan_entry,
-    eulerian,
     fibonomial,
     q_binomial,
-    stirling_first,
 )
 from dualtriad.triads import (
     FAMILIES,
@@ -45,9 +43,11 @@ from helpers import (
     PUBLISHED_FIBONOMIAL_ROWS,
     PUBLISHED_Q2_ROWS,
     brute_solve,
+    eulerian_oracle,
     expand_product_oracle,
     reference_verify,
     set_partition_count,
+    stirling1_oracle,
 )
 
 
@@ -176,12 +176,14 @@ class TestGenerateNamed:
                 assert tri.entry(n, k) == catalan_entry(n, k)
 
     def test_stirling_and_eulerian_rows(self):
+        # Against the memoized recursions: stirling_first and eulerian read
+        # the rows that generate_named reads.
         s = generate_named("stirling1", 10)
         e = generate_named("eulerian", 10)
         for n in range(11):
             for k in range(n + 1):
-                assert s.entry(n, k) == stirling_first(n, k)
-                assert e.entry(n, k) == eulerian(n, k)
+                assert s.entry(n, k) == stirling1_oracle(n, k)
+                assert e.entry(n, k) == eulerian_oracle(n, k)
 
 
 class TestDualPolynomials:
