@@ -554,6 +554,7 @@ class TestConvolveFibonomial:
 _PASCAL_DEPTH_3 = BandedRecurrence.tabulate(1, 1, 0, 3)
 _PASCAL_ROWS = tuple(generate_named("pascal", 6).rows)
 _PASCAL_PHIS = dual_polynomials(_PASCAL_DEPTH_3, 2)
+_UP2_ZERO = BandedRecurrence.tabulate(lambda k: 1 if k != 2 else 0, 1, 0, 5)
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -607,6 +608,16 @@ _PASCAL_PHIS = dual_polynomials(_PASCAL_DEPTH_3, 2)
     pytest.param(lambda: evolve((1, 0, 0, 0), banded_step_matrix(BandedRecurrence.tabulate(1, 1, 0, 1), 1), 3),
                  ValueError, "step matrix has 2 rows, evolution reaches level 3",
                  id="evolve-step-matrix-reach"),
+    # The rows follow a recurrence whose duals do not exist (up[2] = 0) or
+    # are not tabulated far enough, so the certificate must not prove them:
+    # the scan then asks for the duals, which cannot be made.
+    pytest.param(lambda: verify_triad(generate_from_banded(_UP2_ZERO, 6), rec=_UP2_ZERO), ValueError,
+                 "dual recurrence not solvable at level 2: up weight is 0",
+                 id="verify_triad-rec-only-zero-up-weight"),
+    pytest.param(lambda: verify_triad(generate_named("catalan-triad", 6),
+                                      rec=banded_for_family("catalan-triad", 3)), ValueError,
+                 "recurrence tabulated to level 3; 6 polynomials need level 5",
+                 id="verify_triad-rec-only-depth"),
 ])
 def test_library_preconditions(call, error, message):
     with pytest.raises(error) as info:

@@ -402,6 +402,13 @@ class TestVerifyCertificate:
             assert _same_outcome(fast, brute), trial
             assert not fast.holds and fast.method == "brute"
 
+    def test_zero_up_weight_beyond_the_rows_certified(self):
+        # Rows 0..6 read the up weights of levels 0..5 only, so a zero at
+        # level 6 leaves every dual they need defined.
+        rec = BandedRecurrence.tabulate(lambda k: 1 if k != 6 else 0, 1, 0, 6)
+        report = verify_triad(generate_from_banded(rec, 6), rec=rec)
+        assert report.holds and report.method == "certificate"
+
     def test_recurrence_too_shallow_falls_back(self):
         rec = banded_for_family("catalan-triad", 3)
         tri = generate_named("catalan-triad", 6)
