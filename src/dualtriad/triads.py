@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
 from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ._record import Frozen
@@ -243,17 +242,6 @@ def _cleared(rec: BandedRecurrence) -> tuple[BandedRecurrence, int]:
     return BandedRecurrence(weights[:levels], weights[levels : 2 * levels], weights[2 * levels :]), den
 
 
-def _cleared_levels(rec: BandedRecurrence) -> tuple[BandedRecurrence, tuple[int, ...]]:
-    """Each level's weights as integers over that level's own denominator
-    D_k: the recurrence whose level k is D_k times level k of rec, and the
-    D_k.  A dual step reads one level, so it needs no common denominator."""
-    levels = [Scaled.of(w) for w in zip(rec.up, rec.stay, rec.down)]
-    dens = tuple(den for _, den in levels)
-    if all(den == 1 for den in dens):
-        return rec, dens
-    return BandedRecurrence(*zip(*(w for w, _ in levels))), dens
-
-
 def _row_step(ints: BandedRecurrence, den: int, row: Scaled, width: int) -> Scaled:
     """The banded step of row, cut to width, where ints is den times the
     recurrence: banded_step on the integers, reduced once."""
@@ -454,18 +442,17 @@ def lah_from_roots(
 
 
 def _dual_step(
-    rec: BandedRecurrence, k: int, cur: Sequence[Rational], prev: Sequence[Rational], x: Rational = 1
+    rec: BandedRecurrence, k: int, cur: Sequence[Rational], prev: Sequence[Rational]
 ) -> list[Rational]:
-    """Coefficients of x*X*phi_k - stay[k]*phi_k - down[k]*phi_{k-1}, where X
-    is the indeterminate and x its weight.
+    """Coefficients of phi_{k+1} from those of phi_k (cur) and phi_{k-1}
+    (prev), of any lengths: the one step of the dual recurrence,
 
-    cur and prev are the coefficients of phi_k and phi_{k-1}, of any lengths.
-    The dual recurrence sets the result, with weight 1, equal to
-    up[k]*phi_{k+1}: solving for phi_{k+1} builds the duals, comparing with it
-    checks given ones.  Weights cleared to a denominator D take weight D.
+        phi_{k+1} = (x*phi_k - stay[k]*phi_k - down[k]*phi_{k-1}) / up[k].
+
+    up[k] must be nonzero; every coefficient made is reduced.
     """
-    stay, down = rec.stay[k], rec.down[k]
-    out = [0, *cur] if x == 1 else [0, *[x * c for c in cur]]
+    up, stay, down = rec.up[k], rec.stay[k], rec.down[k]
+    out = [0, *cur]
     if stay:
         for j, c in enumerate(cur):
             out[j] -= stay * c
@@ -473,24 +460,7 @@ def _dual_step(
         out.extend([0] * (len(prev) - len(out)))
         for j, c in enumerate(prev):
             out[j] -= down * c
-    return out
-
-
-def _scaled_dual_step(ints: BandedRecurrence, den: int, k: int, cur: Scaled, prev: Scaled) -> Scaled:
-    """phi_{k+1} from phi_k and phi_{k-1} as Scaled vectors, where level k
-    of ints is den times level k of the recurrence and ints.up[k] is
-    nonzero: _dual_step on the integers over a common denominator, reduced
-    once."""
-    (p, e), (q, f) = cur, prev
-    if ints.down[k] and e != f:
-        g = gcd(e, f)
-        a, b = f // g, e // g
-        if a != 1:
-            p = [a * c for c in p]
-        if b != 1:
-            q = [b * c for c in q]
-        e *= a
-    return Scaled(_dual_step(ints, k, p, q, den), e * ints.up[k])
+    return out if up == 1 else [exact_div(t, up) for t in out]
 
 
 def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
@@ -512,11 +482,7 @@ def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynom
         pair: tuple[tuple[Rational, ...], Polynomial], k: int
     ) -> tuple[tuple[Rational, ...], Polynomial]:
         prev, phi = pair
-        up = rec.up[k]
-        nxt = _dual_step(rec, k, phi.coeffs, prev)
-        if up != 1:
-            nxt = [exact_div(t, up) for t in nxt]
-        return phi.coeffs, Polynomial(nxt)
+        return phi.coeffs, Polynomial(_dual_step(rec, k, phi.coeffs, prev))
 
     # Each item is the pair (coefficients of phi_{k-1}, phi_k).
     return (phi for _, phi in accumulate(range(count), step, initial=((), Polynomial((1,)))))
@@ -539,33 +505,35 @@ def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
 def _certified(
     rows: Iterable[Scaled], rec: BandedRecurrence, phis: Optional[Iterable[Polynomial]]
 ) -> bool:
-    """True when row 0 is the seed 1, the rows follow rec, and the phis, if
-    given, are the duals of rec.
+    """True when row 0 is the seed 1, the rows follow rec, the duals of rec
+    exist for them, and the phis, if given, are those duals.
 
     With phi_k the duals (phi_0 = 1) and R_n = sum_k c[n][k] phi_k - x^n,
     the two recurrences give R_{n+1} = x * R_n, so R_0 = 0 makes every R_n
-    vanish.  One lockstep pass reads row n+1 and makes phi_{n+1} by one dual
-    step, holding only rows n, n+1 and phi_{n-1}, phi_n, phi_{n+1}; each
-    given phi is read alongside and compared with the one made.  Both steps
-    run in integers, the row step on rec's weights cleared to one
-    denominator and the dual step on each level's weights cleared to its
-    own, and each check compares two Scaled vectors.
+    vanish.  phi_{k+1} exists when rec tabulates level k with a nonzero up
+    weight, so rows 0..N need that of every level k < N and no dual
+    arithmetic.  One lockstep pass reads row n+1 and checks it against the
+    row step of row n, holding only those two rows; the row step runs in
+    integers on rec's weights cleared to one denominator and compares two
+    Scaled vectors.  Given phis are read alongside: the pass then makes
+    phi_{n+1} by one dual step, holding phi_{n-1} and phi_n too, and
+    compares it with the given one.
     """
     ints, den = _cleared(rec)
-    levels, dens = _cleared_levels(rec)
     pairs = ((r, None) for r in rows) if phis is None else zip(rows, phis, strict=True)
-    row, prev, phi = Scaled(()), Scaled(()), Scaled((1,))
+    row, prev, phi = Scaled(()), (), Polynomial((1,))
     for n, (nxt_row, given) in enumerate(pairs):
         if n == 0:
-            if nxt_row != phi:  # c[0][0] * phi_0 = 1
+            if nxt_row != Scaled((1,)):  # c[0][0] * phi_0 = 1
                 return False
         else:
             k = n - 1
             # A zero up weight leaves phi_{k+1} undefined.
-            if rec.depth < k or not levels.up[k] or _row_step(ints, den, row, n + 1) != nxt_row:
+            if rec.depth < k or not rec.up[k] or _row_step(ints, den, row, n + 1) != nxt_row:
                 return False
-            prev, phi = phi, _scaled_dual_step(levels, dens[k], k, phi, prev)
-        if given is not None and Scaled.of(given.coeffs) != phi:
+            if given is not None:
+                prev, phi = phi.coeffs, Polynomial(_dual_step(rec, k, phi.coeffs, prev))
+        if given is not None and given != phi:
             return False
         row = nxt_row
     return True
@@ -587,13 +555,15 @@ def verify_triad(
     rec is the banded recurrence the caller says the rows follow, and whose
     duals the phis are; without phis, its duals are the phis.  Given rec,
     the identity is first certified for every row at once in O(N^2):
-    c[0][0] = 1, each row is the banded step of the one before, and phi_0 = 1
-    and x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} make
-    phi_1..phi_N, each compared with the given one when there are phis.  The
-    certificate runs on Scaled vectors, so rational families pay one gcd per
-    vector rather than per operation, and Scaled rows (named_scaled_rows)
-    pass to it as they are.  If rec is absent or any check fails, a fresh
-    pass expands every row (O(N^3)) in the phis, or in
+    c[0][0] = 1, each row is the banded step of the one before, and rec
+    tabulates every level k < N with a nonzero up weight, so that phi_0 = 1
+    and x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} define
+    phi_1..phi_N.  Without phis that is the whole proof and no dual is made;
+    given phis, the certificate makes phi_1..phi_N and compares each with
+    the given one.  The row checks run on Scaled vectors, so rational
+    families pay one gcd per row rather than per operation, and Scaled rows
+    (named_scaled_rows) pass to them as they are.  If rec is absent or any
+    check fails, a fresh pass expands every row (O(N^3)) in the phis, or in
     iter_dual_polynomials(rec, N) without them, holding the phis read so
     far; the residual is computed exactly, and the pass stops at the first
     failing row, whose index and residual polynomial the report carries as

@@ -117,21 +117,25 @@ class TestGoldenOutputs:
 
 
 def test_verify_makes_each_dual_once(monkeypatch):
-    # The certificate makes phi_1..phi_N itself, one dual step each, and
-    # nothing else makes them again.
+    # A passing certificate without phis proves the triad from the up
+    # weights and makes no dual; a failing one hands over to the scan,
+    # which makes each dual it reads once.
     from dualtriad import triads
 
     levels = []
-    step = triads._scaled_dual_step
+    step = triads._dual_step
 
-    def counted(ints, den, k, cur, prev):
+    def counted(rec, k, cur, prev):
         levels.append(k)
-        return step(ints, den, k, cur, prev)
+        return step(rec, k, cur, prev)
 
-    monkeypatch.setattr(triads, "_scaled_dual_step", counted)
+    monkeypatch.setattr(triads, "_dual_step", counted)
     code, out, _ = run_cli(["verify", "--family", "q-gaussian", "--q=2", "--rows", "40"])
     assert (code, out) == (0, "route: banded dual recurrence\nholds up to n=40\n")
-    assert levels == list(range(40))
+    assert levels == []
+    code, out, _ = run_cli(["verify", "--family", "catalan-shifted", "--rows", "40"])
+    assert code == 1 and out.splitlines()[1] == "fails at n=1; residual = -2"
+    assert levels == [0]
 
 
 # Help and usage texts as the parser printed them when it built every
