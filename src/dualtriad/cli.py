@@ -139,10 +139,12 @@ def _phi_rows(
     name: str, rows: int, q: Optional[Fraction], roots: Optional[RootSequence]
 ) -> Iterator[tuple[Rational, ...]]:
     """The coefficients of _phis(name, rows, q, roots), one row per phi, with
-    banded duals streamed as iter_dual_polynomials makes them."""
+    banded duals streamed as iter_dual_polynomials makes them.  No phi is
+    zero: a dual step keeps a nonzero leading coefficient, and an inverse
+    row has a unit diagonal."""
     phis, rec = _phis(name, rows, q, roots)
     polys = iter_dual_polynomials(rec, rows) if phis is None else phis
-    return (p.coeffs if p.coeffs else (0,) for p in polys)
+    return (p.coeffs for p in polys)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

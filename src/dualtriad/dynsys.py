@@ -28,9 +28,9 @@ from .triads import (
     RowSource,
     Triangle,
     _check_levels,
+    _rows_follow,
     banded_step,
     checked_rows,
-    scaled_banded_rows,
 )
 
 
@@ -297,10 +297,8 @@ def _minimal_conflict(equations: Sequence[_Equation], tags: frozenset[int]) -> l
 def fit_banded(rows: RowSource) -> FitResult:
     """Decide whether time-independent banded weights reproduce the triangle.
 
-    rows is a RowSource of rows 0..N: a Triangle, its rows, or a Restartable
-    over a row generator (of values, or of Scaled vectors as
-    named_scaled_rows gives them), which is read in two passes and never
-    held whole; each pass reads the rows through checked_rows.
+    rows is a RowSource of rows 0..N, read in two passes and never held
+    whole; each pass reads the rows through checked_rows.
     Column k's update equations, one per row pair (n, n+1) for n >= k-1, are
     solved exactly for the three weights touching that column; every column
     takes its equation from each row pair as it passes, until a column at or
@@ -309,13 +307,11 @@ def fit_banded(rows: RowSource) -> FitResult:
     denominator, so that a rational triangle is checked in integers; only
     the fitted weights are built as reduced values.  Underdetermined columns
     take the minimal-support solution (down weight 0 first, then up).  A fit is
-    returned only if every column is consistent and regeneration from the
-    fitted weights reproduces a fresh pass of the rows entry for entry;
+    returned only if every column is consistent and a fresh pass of the rows
+    follows the fitted weights, as verify_triad's certificate checks them;
     otherwise the smallest inconsistent column is reported with a minimal
     inconsistent equation set as its witness.
     """
-    if isinstance(rows, Triangle):
-        rows = rows.rows
     n_max = len(rows) - 1
     if n_max < 4:
         raise ValueError("need rows 0..4 at least to overdetermine the fit")
@@ -363,8 +359,7 @@ def fit_banded(rows: RowSource) -> FitResult:
         if k + 1 <= n_max - 1:
             down[k + 1] = down_kp1
     rec = BandedRecurrence(tuple(up), tuple(stay), tuple(down))
-    regen = zip(scaled_banded_rows(rec, n_max), checked_rows(rows))
-    if any(a != b for a, b in regen):  # pragma: no cover - consistency implies regeneration
+    if not _rows_follow(rows, rec, n_max):  # pragma: no cover - consistent columns imply it
         raise ArithmeticError("consistent column fits failed to regenerate the triangle")
     return FitResult(rec)
 

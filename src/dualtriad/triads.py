@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar, Union
 
 from ._record import Frozen
 from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, format_exact, linear_combination
@@ -56,6 +56,12 @@ class Triangle(Frozen):
         params: tuple[tuple[str, str], ...] = (),
     ) -> None:
         self._set(tuple(map(Scaled.values, checked_rows(tuple(rows)))), family, params)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[tuple[Rational, ...]]:
+        return iter(self.rows)
 
     @property
     def max_row(self) -> int:
@@ -117,16 +123,15 @@ class Restartable(Generic[T]):
         return first if first is not None else self._make()
 
 
-# The rows 0..N of a triangle as verify_triad and fit_banded read them: a
-# Triangle, its rows, or any other sized source that each pass reads afresh,
-# such as a Restartable over named_rows or named_scaled_rows.  A row is a
-# sequence of values or a Scaled vector.
-RowSource = Union[
-    Triangle,
-    Sequence[Union[Sequence[Rational], Scaled]],
-    Restartable[tuple[Rational, ...]],
-    Restartable[Scaled],
-]
+class RowSource(Protocol):
+    """The rows 0..N of a triangle as verify_triad and fit_banded read them:
+    a sized iterable that each pass reads afresh, such as a Triangle, its
+    rows, or a Restartable over named_rows or named_scaled_rows.  A row is a
+    sequence of values or a Scaled vector."""
+
+    def __len__(self) -> int: ...
+
+    def __iter__(self) -> Iterator[Union[Sequence[Rational], Scaled]]: ...
 
 
 def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
@@ -502,40 +507,33 @@ def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
     return dual_polynomials(root_recurrence(roots, count - 1), count)
 
 
-def _certified(
-    rows: Iterable[Scaled], rec: BandedRecurrence, phis: Optional[Iterable[Polynomial]]
+def _rows_follow(
+    rows: RowSource,
+    rec: BandedRecurrence,
+    top: int,
+    phis: Optional[Union[Sequence[Polynomial], Restartable[Polynomial]]] = None,
 ) -> bool:
-    """True when row 0 is the seed 1, the rows follow rec, the duals of rec
-    exist for them, and the phis, if given, are those duals.
+    """True when the rows 0..top of the source are rec's: row 0 is the seed 1
+    and each later row is the banded step of the one before; and, given
+    phis, when they are the phi_0..phi_top of iter_dual_polynomials(rec,
+    top), whose preconditions the caller has checked.
 
-    With phi_k the duals (phi_0 = 1) and R_n = sum_k c[n][k] phi_k - x^n,
-    the two recurrences give R_{n+1} = x * R_n, so R_0 = 0 makes every R_n
-    vanish.  phi_{k+1} exists when rec tabulates level k with a nonzero up
-    weight, so rows 0..N need that of every level k < N and no dual
-    arithmetic.  One lockstep pass reads row n+1 and checks it against the
-    row step of row n, holding only those two rows; the row step runs in
-    integers on rec's weights cleared to one denominator and compares two
-    Scaled vectors.  Given phis are read alongside: the pass then makes
-    phi_{n+1} by one dual step, holding phi_{n-1} and phi_n too, and
-    compares it with the given one.
+    One lockstep pass reads each row through checked_rows, holding only the
+    row before it, and each phi beside the dual it must equal.  The row step
+    runs in integers on rec's weights cleared to one denominator and
+    compares two Scaled vectors.
     """
     ints, den = _cleared(rec)
-    pairs = ((r, None) for r in rows) if phis is None else zip(rows, phis, strict=True)
-    row, prev, phi = Scaled(()), (), Polynomial((1,))
-    for n, (nxt_row, given) in enumerate(pairs):
-        if n == 0:
-            if nxt_row != Scaled((1,)):  # c[0][0] * phi_0 = 1
-                return False
-        else:
-            k = n - 1
-            # A zero up weight leaves phi_{k+1} undefined.
-            if rec.depth < k or not rec.up[k] or _row_step(ints, den, row, n + 1) != nxt_row:
-                return False
-            if given is not None:
-                prev, phi = phi.coeffs, Polynomial(_dual_step(rec, k, phi.coeffs, prev))
-        if given is not None and given != phi:
+    stream = checked_rows(rows)
+    pairs = ((r, None) for r in stream) if phis is None else zip(stream, phis, strict=True)
+    duals = iter_dual_polynomials(rec, top) if phis else None  # none to make when top is -1
+    row = Scaled(())
+    for n, (nxt, phi) in enumerate(pairs):
+        if nxt != (_row_step(ints, den, row, n + 1) if n else Scaled((1,))):
             return False
-        row = nxt_row
+        if phi is not None and phi != next(duals):
+            return False
+        row = nxt
     return True
 
 
@@ -546,38 +544,37 @@ def verify_triad(
 ) -> TriadReport:
     """Check x^n = sum_k c[n][k] * phi_k(x) symbolically for every row.
 
-    rows is a RowSource of rows 0..N: a Triangle, its rows, or a
-    Restartable over a row generator; each pass reads them through
+    rows is a RowSource of rows 0..N, and each pass reads it through
     checked_rows.  phis holds the Polynomials phi_0..phi_N, as a sequence or
-    a Restartable; each pass reads it in lockstep with the rows, so the
-    certificate never holds a restartable pair whole.
+    a Restartable; a pass reads it in lockstep with the rows, so neither is
+    held whole.
 
     rec is the banded recurrence the caller says the rows follow, and whose
     duals the phis are; without phis, its duals are the phis.  Given rec,
-    the identity is first certified for every row at once in O(N^2):
-    c[0][0] = 1, each row is the banded step of the one before, and rec
-    tabulates every level k < N with a nonzero up weight, so that phi_0 = 1
-    and x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1} define
-    phi_1..phi_N.  Without phis that is the whole proof and no dual is made;
-    given phis, the certificate makes phi_1..phi_N and compares each with
-    the given one.  The row checks run on Scaled vectors, so rational
-    families pay one gcd per row rather than per operation, and Scaled rows
-    (named_scaled_rows) pass to them as they are.  If rec is absent or any
-    check fails, a fresh pass expands every row (O(N^3)) in the phis, or in
-    iter_dual_polynomials(rec, N) without them, holding the phis read so
-    far; the residual is computed exactly, and the pass stops at the first
-    failing row, whose index and residual polynomial the report carries as
-    a concrete counterexample.
+    the identity is first proved for every row at once in O(N^2): when rec
+    tabulates every level k < N with a nonzero up weight, the duals exist,
+    and the rows follow rec (c[0][0] = 1 and each row is the banded step of
+    the one before) and the phis, if given, are those duals, then every row
+    holds.  Without phis no dual is made.  The row checks run on Scaled
+    vectors, so rational families pay one gcd per row rather than per
+    operation.  If rec is absent or any check fails, a fresh pass expands
+    every row (O(N^3)) in the phis, or in iter_dual_polynomials(rec, N)
+    without them, holding the phis read so far; the residual is computed
+    exactly, and the pass stops at the first failing row, whose index and
+    residual polynomial the report carries as a concrete counterexample.
     """
-    if isinstance(rows, Triangle):
-        rows = rows.rows
     top = len(rows) - 1
     if phis is None:
         if rec is None:
             raise ValueError("verify_triad needs phis, rec or both")
     elif len(phis) != top + 1:
         raise ValueError(f"{len(phis)} polynomials for rows 0..{top}; counts must match")
-    if rec is not None and _certified(checked_rows(rows), rec, phis):
+    # phi_0 = 1 and x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1}
+    # define phi_1..phi_N when up[k] != 0 for k < N.  With R_n = sum_k c[n][k]
+    # phi_k - x^n, rows that follow rec give R_{n+1} = x * R_n, so R_0 = 0
+    # makes every R_n vanish.
+    if (rec is not None and rec.depth >= top - 1 and all(rec.up[k] for k in range(top))
+            and _rows_follow(rows, rec, top, phis)):
         return TriadReport(top, True, None, "certificate")
     seen: list[Polynomial] = []
     duals = iter_dual_polynomials(rec, top) if phis is None else phis

@@ -1,0 +1,106 @@
+"""Mutation check of the checks that prove a triad row by row.
+
+Each entry of MUTANTS names a file, a text that occurs in it once, the text
+that replaces it and what the replacement breaks.  The script copies src/
+and tests/ to a temporary directory, applies each entry alone to that copy
+and runs
+
+    python -m pytest -x -q tests/test_dynsys.py tests/test_triads.py tests/test_scaled.py
+
+there.  The tests must pass on the unchanged copy and fail on every mutant.
+Run it from any directory, with pytest and hypothesis installed:
+
+    python3 tests/mutants.py
+
+It exits 0 when every mutant is killed, and 1 when the unchanged copy fails,
+an entry's text does not occur exactly once, or a mutant survives.  pytest
+does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_dynsys.py", "tests/test_triads.py", "tests/test_scaled.py")
+TRIADS = "src/dualtriad/triads.py"
+
+# (file, old text, new text, what the new text breaks)
+MUTANTS = [
+    (TRIADS, "if n else Scaled((1,))", "if n else nxt",
+     "_rows_follow: row 0 is not compared with the seed 1"),
+    (TRIADS, "_row_step(ints, den, row, n + 1) if n", "nxt if n",
+     "_rows_follow: rows after row 0 are not compared with the row step"),
+    (TRIADS, "if phi is not None and phi != next(duals):", "if phi is not None and next(duals) is None:",
+     "_rows_follow: the given phis are not compared with the duals of rec"),
+    (TRIADS, "rec.depth >= top - 1 and ", "",
+     "verify_triad: no check that rec tabulates the levels the duals read"),
+    (TRIADS, "rec.depth >= top - 1 and ", "rec.depth >= top and ",
+     "verify_triad: a recurrence tabulated exactly to level N-1 is refused"),
+    (TRIADS, "all(rec.up[k] for k in range(top))", "True",
+     "verify_triad: no check that the up weights below level N are nonzero"),
+    (TRIADS, "all(rec.up[k] for k in range(top))", "all(rec.up[k] for k in range(top - 1))",
+     "verify_triad: the up weight of level N-1 is not checked"),
+    (TRIADS, "for k in range(count):\n        if rec.up[k] == 0:",
+     "for k in range(count - 1):\n        if rec.up[k] == 0:",
+     "iter_dual_polynomials: the up weight of the last level is not checked"),
+    (TRIADS, "Scaled(banded_step(ints, nums, width), den * d)", "Scaled(banded_step(ints, nums, width), d)",
+     "_row_step: a step on rational weights drops their common denominator"),
+    (TRIADS, "out[j] -= stay * c", "out[j] += stay * c",
+     "_dual_step: the stay weight enters the dual with the wrong sign"),
+    (TRIADS, "out[j] -= down * c", "out[j] -= stay * c",
+     "_dual_step: phi_{k-1} is weighted by stay[k], not down[k]"),
+    (TRIADS, "if width != n + 1:", "if width > n + 1:",
+     "checked_rows: a short row passes"),
+    (TRIADS, "if n + 1 != len(rows):", "if n + 1 > len(rows):",
+     "checked_rows: a pass that reads too few rows passes"),
+]
+
+
+def run_tests(copy: Path) -> bool:
+    """True when the three test files pass in copy.  No bytecode is
+    written, so that a mutant of a file's size, written within the second
+    of the text before it, is never read from a stale cache."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    done = subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="dualtriad-mutants-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        if not run_tests(copy):
+            print("the tests fail on the unchanged copy")
+            return 1
+        for path, old, new, breaks in MUTANTS:
+            target = copy / path
+            text = target.read_text()
+            if text.count(old) != 1:
+                print(f"{path}: the text {old!r} occurs {text.count(old)} times, not once")
+                failed = True
+                continue
+            start = time.perf_counter()
+            target.write_text(text.replace(old, new))
+            try:
+                killed = not run_tests(copy)
+            finally:
+                target.write_text(text)
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {breaks}", flush=True)
+            failed |= not killed
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -618,6 +618,9 @@ _UP2_ZERO = BandedRecurrence.tabulate(lambda k: 1 if k != 2 else 0, 1, 0, 5)
                                       rec=banded_for_family("catalan-triad", 3)), ValueError,
                  "recurrence tabulated to level 3; 6 polynomials need level 5",
                  id="verify_triad-rec-only-depth"),
+    pytest.param(lambda: iter_dual_polynomials(BandedRecurrence((1, 1, 0), (1, 1, 1), (0, 0, 0)), 3),
+                 ValueError, "dual recurrence not solvable at level 2: up weight is 0",
+                 id="iter_dual_polynomials-last-level-zero-up-weight"),
 ])
 def test_library_preconditions(call, error, message):
     with pytest.raises(error) as info:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualtriad import cli
-from dualtriad.dynsys import phi_from_step_matrix, solve_step_matrix
+from dualtriad.dynsys import fit_banded, phi_from_step_matrix, solve_step_matrix
 from dualtriad.exact import Polynomial, X, linear_combination
 from dualtriad.sequences import (
     RootSequence,
@@ -66,6 +66,19 @@ class TestTriangleType:
     def test_unipotence(self):
         assert generate_named("fibonomial", 5).is_unipotent()
         assert not generate_named("eulerian", 5).is_unipotent()
+
+    def test_triangle_is_a_row_source(self):
+        # verify_triad and fit_banded read a Triangle as they read its rows.
+        rec = banded_for_family("q-gaussian", 7, q=Fraction(-2, 3))
+        tri = Triangle(generate_from_banded(rec, 8).rows)
+        phis = dual_polynomials(rec, 8)
+        assert len(tri) == tri.max_row + 1 and tuple(tri) == tri.rows
+        assert Triangle(tri) == tri
+        assert verify_triad(tri, phis, rec) == verify_triad(tri.rows, phis, rec)
+        assert verify_triad(tri, rec=rec) == verify_triad(tri.rows, rec=rec)
+        fib = generate_named("fibonomial", 8)
+        for source in (tri, fib):
+            assert fit_banded(source) == fit_banded(source.rows)
 
 
 class TestGenerateFromBanded:
