@@ -13,13 +13,12 @@ import sys
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, invert_unipotent, solve_step_matrix
+from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, solve_step_matrix
 from .exact import Polynomial, Rational, format_exact
 from .output import format_rows, write_document
 from .sequences import RootSequence
 from .triads import (
     FAMILIES,
-    BandedRecurrence,
     Restartable,
     banded_for_family,
     generate_named,
@@ -36,6 +35,16 @@ class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 2."""
 
 
+def _exact(text: str, message: str) -> Fraction:
+    """A flag's exact value, or UsageError(message); an exponent (1e400000: 400,001 digits) is refused."""
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise UsageError(message)
+
+
 def parse_roots(text: str) -> RootSequence:
     """Parse --roots: a comma list of exact values, optionally ending in an
     ellipsis that continues an arithmetic or geometric pattern."""
@@ -45,10 +54,7 @@ def parse_roots(text: str) -> RootSequence:
         items = items[:-1]
     if not items or any(not t for t in items):
         raise UsageError(f"cannot parse roots {text!r}")
-    try:
-        values = [Fraction(t) for t in items]
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse roots {text!r}") from None
+    values = [_exact(t, f"cannot parse roots {text!r}") for t in items]
     if not continued:
         return RootSequence.explicit(values)
     if len(values) == 1:
@@ -63,16 +69,6 @@ def parse_roots(text: str) -> RootSequence:
     raise UsageError(
         f"roots {text!r}: the ellipsis continues only arithmetic or geometric patterns"
     )
-
-
-def _parse_q(text: str) -> Fraction:
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse q value {text!r}") from None
-    if q == 0:
-        raise UsageError("q must be nonzero")
-    return q
 
 
 def _checked_rows(args: argparse.Namespace) -> int:
@@ -94,7 +90,9 @@ def _family_inputs(
     text that output documents carry.  levels is how many roots r_1, r_2, ...
     the command reads, which an explicit --roots list must cover."""
     entry = FAMILIES[args.family]
-    q = _parse_q(args.q) if args.q is not None else None
+    q = None if args.q is None else _exact(args.q, f"cannot parse q value {args.q!r}")
+    if q == 0:
+        raise UsageError("q must be nonzero")
     roots = parse_roots(args.roots) if args.roots is not None else None
     texts = {"q": None if q is None else format_exact(q), "roots": args.roots}
     for flag, text in texts.items():
@@ -118,33 +116,18 @@ def _emit(
     write_document(sys.stdout.write, fmt, family, params, format_rows(value_rows))
 
 
-def _phis(
-    name: str, rows: int, q: Optional[Fraction], roots: Optional[RootSequence]
-) -> tuple[Optional[list[Polynomial]], Optional[BandedRecurrence]]:
-    """phi_0..phi_rows of the named family, or the recurrence whose duals
-    they are.
-
-    A family with a banded recurrence gives that recurrence alone.  Any
-    other family gives the rows of its inverse triangle, built here to at
-    least row 1, so that a family without a unit diagonal fails at row 0 as
-    at any row; C and C^-1 are held only while inverting.
-    """
-    if FAMILIES[name].recurrence is not None:
-        return None, banded_for_family(name, rows - 1, q, roots)
-    inv = invert_unipotent(generate_named(name, max(rows, 1), q, roots))
-    return [Polynomial(row) for row in inv.rows[: rows + 1]], None
-
-
 def _phi_rows(
     name: str, rows: int, q: Optional[Fraction], roots: Optional[RootSequence]
 ) -> Iterator[tuple[Rational, ...]]:
-    """The coefficients of _phis(name, rows, q, roots), one row per phi, with
-    banded duals streamed as iter_dual_polynomials makes them.  No phi is
-    zero: a dual step keeps a nonzero leading coefficient, and an inverse
-    row has a unit diagonal."""
-    phis, rec = _phis(name, rows, q, roots)
-    polys = iter_dual_polynomials(rec, rows) if phis is None else phis
-    return (p.coeffs for p in polys)
+    """The coefficients of phi_0..phi_rows of the named family, one row per
+    phi: the duals of its banded recurrence, or its phi_rows stream in FAMILIES.
+    No phi is zero: phi_k has degree k."""
+    family = FAMILIES[name]
+    if family.recurrence is not None:
+        return (p.coeffs for p in iter_dual_polynomials(banded_for_family(name, rows - 1, q, roots), rows))
+    if family.phi_rows is None:
+        raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
+    return family.phi_rows(rows)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -176,10 +159,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family {args.family} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    phis, rec = _phis(family.dual, rows, q, roots)
     # Rows 0..rows as Scaled vectors, from a source that every pass restarts.
     source = Restartable(lambda: named_scaled_rows(args.family, rows, q, roots), rows + 1)
-    report = verify_triad(source, phis, rec)
+    if FAMILIES[family.dual].recurrence is None:
+        phis = Restartable(lambda: map(Polynomial, _phi_rows(family.dual, rows, q, roots)), rows + 1)
+        report = verify_triad(source, phis, None)
+    else:
+        report = verify_triad(source, None, banded_for_family(family.dual, rows - 1, q, roots))
     print(f"route: {family.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
@@ -232,10 +218,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
 def _parse_sequence(text: str, length: int, flag: str) -> list[Rational]:
     if text == "ones":
         return [1] * length
-    try:
-        values = [Fraction(t.strip()) for t in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse {flag} value {text!r}") from None
+    values = [_exact(t.strip(), f"cannot parse {flag} value {text!r}") for t in text.split(",")]
     if len(values) > length:
         raise UsageError(f"{flag} has {len(values)} entries, more than rows+1 = {length}")
     return values + [0] * (length - len(values))

@@ -5,10 +5,10 @@ to row n+1) factors through a single matrix F with C F = E C, so that
 C F^n = E^n C.  For a unipotent triangle F = C^{-1} E C is unique, lower
 Hessenberg with a unit superdiagonal, and found by forward substitution.
 Its eigen-style recursion x*phi = F*phi yields the phi whose coefficient
-rows are the rows of C^{-1}, which one inversion gives directly: the basis
-in which x^n expands with the triangle's own rows as coefficients.  A banded
-recurrence with unit up weights is the F of its triangle, so its duals are
-that triangle's phi.
+rows are the rows of C^{-1}, which one inversion also gives: the basis in
+which x^n expands with the triangle's own rows.  Both dense routes are the
+oracle of the phi streams of triads.FAMILIES, which read C^{-1} off each
+family's structure (a banded recurrence with unit up weights is its F).
 
 This module also decides, exactly, whether a triangle admits banded
 time-independent update weights at all (fit_banded), and carries the weighted

@@ -134,6 +134,15 @@ def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:
     return pascal_like_rows(rows, lambda n: (*fibs[n::-1], 1), lambda n: fibs[1 : n + 3])
 
 
+def fibonomial_inverse_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of C^-1 for the fibonomial C: w_{n-k} * C[n][k], where w_0 = 1
+    and w_n = -sum_{i<n} C[n][i] * w_i, as for any generalized binomial coefficients."""
+    w: list[int] = []
+    for n, row in enumerate(fibonomial_rows(rows)):
+        w.append(-sum(c * v for c, v in zip(row, w)) if n else 1)
+        yield tuple(w[n - k] * c for k, c in enumerate(row))
+
+
 def stirling_first_rows(rows: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..rows of the unsigned Stirling numbers of the first kind:
     left weight 1, right weight n."""

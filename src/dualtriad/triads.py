@@ -17,7 +17,8 @@ This module builds triangles (from weights, from named families, from root
 sequences), builds the polynomial side, converts between the two Catalan
 triangle conventions, and checks the expansion identity symbolically.  Every
 named family is declared once, in FAMILIES; fibonomial, stirling1 and
-eulerian, whose weights depend on n, come from sequences.pascal_like_rows.
+eulerian, whose weights depend on n, come from sequences.pascal_like_rows,
+and the first two read their phi off the structure of their inverse.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Protoco
 
 from ._record import Frozen
 from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, format_exact, linear_combination
-from .sequences import RootSequence, eulerian_rows, fibonomial_rows, stirling_first_rows
+from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fibonomial_rows,
+                        stirling_first_rows)
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
 
@@ -303,22 +305,22 @@ class Family(Frozen):
     """How one named family is built, what it takes, and where its duals are.
 
     recurrence maps (parameter value, depth) to the family's banded weights
-    for levels 0..depth; a family without one yields its rows 0..N from
-    rows(N) instead: a stream of sequences.pascal_like_rows, whose weights
-    depend on the row index, holding only the previous row.  param names the
-    parameter the family needs (None, "q" or "roots").  dual names the
-    family whose phi sequence completes this one's triad: the duals of that
-    family's recurrence, or the rows of its inverse triangle when it has no
-    recurrence; None when there is no dual.  route is the line verify prints
-    for that dual.
+    for levels 0..depth, whose duals are its phi.  A family without one
+    yields its rows 0..N from rows(N), a stream of pascal_like_rows, and the
+    coefficients of its phi_0..phi_N, the rows of its inverse, from
+    phi_rows(N), a stream read off the inverse's structure (None when the
+    family is not unipotent).  param names the parameter the family needs
+    (None, "q" or "roots").  dual names the family whose phi completes this
+    one's triad; None when there is no dual.  route is the line verify prints.
     """
 
-    __slots__ = ("dual", "route", "param", "recurrence", "rows")
+    __slots__ = ("dual", "route", "param", "recurrence", "rows", "phi_rows")
     dual: Optional[str]
     route: Optional[str]
     param: Optional[str]
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]]
     rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]]
+    phi_rows: Optional[Callable[[int], Iterator[tuple[Rational, ...]]]]
 
     def __init__(
         self,
@@ -327,8 +329,9 @@ class Family(Frozen):
         param: Optional[str] = None,
         recurrence: Optional[Callable[[Any, int], BandedRecurrence]] = None,
         rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]] = None,
+        phi_rows: Optional[Callable[[int], Iterator[tuple[Rational, ...]]]] = None,
     ) -> None:
-        self._set(dual, route, param, recurrence, rows)
+        self._set(dual, route, param, recurrence, rows, phi_rows)
 
 
 FAMILIES: dict[str, Family] = {
@@ -345,8 +348,13 @@ FAMILIES: dict[str, Family] = {
                                   1, lambda k: 2 if k else 0, lambda k: 1 if k > 1 else 0, depth)),
     "catalan-triad": Family(dual="catalan-triad", route=_BANDED_ROUTE,
                             recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
-    "fibonomial": Family(dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows),
-    "stirling1": Family(dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows),
+    "fibonomial": Family(dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows,
+                         phi_rows=fibonomial_inverse_rows),
+    # The lah triad with roots 0, -1, -2, ... with its sides swapped: its duals
+    # x(x + 1)...(x + k - 1) have these rows as coefficients; its rows are the phi.
+    "stirling1": Family(dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows,
+                        phi_rows=lambda rows: banded_rows(
+                            root_recurrence(RootSequence.arithmetic(0, -1), rows - 1), rows)),
     "eulerian": Family(dual=None, route=None, rows=eulerian_rows),
     "lah": Family(dual="lah", route="persistent-root polynomials", param="roots",
                   recurrence=root_recurrence),

@@ -1,4 +1,5 @@
-"""Mutation check of the checks that prove a triad row by row.
+"""Mutation check of the checks that prove a triad row by row, and of the
+phi streams that stand in for an inversion.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -30,6 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_dynsys.py", "tests/test_triads.py", "tests/test_scaled.py")
 TRIADS = "src/dualtriad/triads.py"
+EXACT = "src/dualtriad/exact.py"
+SEQUENCES = "src/dualtriad/sequences.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
@@ -60,6 +63,26 @@ MUTANTS = [
      "checked_rows: a short row passes"),
     (TRIADS, "if n + 1 != len(rows):", "if n + 1 > len(rows):",
      "checked_rows: a pass that reads too few rows passes"),
+    (TRIADS, "(v if s == 1 else s * v) if v else v", "v",
+     "banded_step: the stay weight is dropped"),
+    (TRIADS, "out[k + 1] += v if u == 1 else u * v", "out[k + 1] += v",
+     "banded_step: the up weight is dropped"),
+    (TRIADS, "out[k - 1] += down[k] * v", "out[k - 1] += v",
+     "banded_step: the down weight is dropped"),
+    (TRIADS, "if k and down[k]:", "if down[k]:",
+     "banded_step: down[0] drops from level 0 into the last entry"),
+    (EXACT, "g = gcd(den, *nums)", "g = gcd(den)",
+     "Scaled.__new__: the content ignores the numerators"),
+    (EXACT, "if den < 0:\n                g = -g", "if den < 0:\n                g = g",
+     "Scaled.__new__: a negative denominator stays negative"),
+    (EXACT, "nums = tuple([v // g for v in nums])", "nums = tuple(nums)",
+     "Scaled.__new__: the numerators are not divided by the content"),
+    (SEQUENCES, "if n else 1)", "if n else -1)",
+     "fibonomial_inverse_rows: the seed w_0 is -1"),
+    (SEQUENCES, "w.append(-sum(", "w.append(sum(",
+     "fibonomial_inverse_rows: w_n enters with the wrong sign"),
+    (TRIADS, "RootSequence.arithmetic(0, -1)", "RootSequence.arithmetic(0, 1)",
+     "stirling1's phi: the lah roots step up, not down"),
 ]
 
 

@@ -3,7 +3,6 @@
 import io
 import contextlib
 import errno
-import json
 import os
 import subprocess
 import sys
@@ -13,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from dualtriad import dynsys
 from dualtriad.cli import main, parse_roots
 from dualtriad.dynsys import convolve_fibonomial, phi_from_step_matrix, solve_step_matrix
 from dualtriad.output import OutputDocument, parse_exact
@@ -225,6 +225,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "more than rows+1" in err
 
+    def test_exponents_are_refused(self):
+        # Fraction reads 1e3 as 1000, and a larger exponent as an integer
+        # whose size, and so whose cost, the flag alone sets.
+        for argv, message in (
+            (["generate", "--family", "q-gaussian", "--q=1e3"], "q value '1e3'"),
+            (["verify", "--family", "q-gaussian", "--q=1E3"], "q value '1E3'"),
+            (["generate", "--family", "lah", "--roots=1e3,..."], "roots '1e3,...'"),
+            (["convolve", "--family", "fibonomial", "--a=1e3", "--b=ones"], "--a value '1e3'"),
+            (["convolve", "--family", "fibonomial", "--a=ones", "--b=1,1e3"], "--b value '1,1e3'"),
+        ):
+            assert run_cli(argv + ["--rows", "1"]) == (2, "", f"error: cannot parse {message}\n"), argv
+        # The library still carries every digit of a q past the int-string limit.
+        assert generate_named("q-gaussian", 1, q=10**5000).params == (("q", "1" + "0" * 5000),)
+
     def test_row_cap(self):
         assert run_cli(["generate", "--family", "pascal", "--rows", "600"])[0] == 2
         code, out, _ = run_cli(["generate", "--family", "pascal", "--rows", "600",
@@ -296,7 +310,7 @@ class TestPhiRoutes:
 
     @pytest.mark.parametrize("family,q,roots", ROUTE_FAMILIES)
     def test_phi_equals_step_matrix_eigen_recursion(self, family, q, roots):
-        # phi takes a family's own recurrence or one inversion; the dense
+        # phi takes a family's own recurrence or its inverse's structure; the dense
         # step matrix and its eigen-recursion are the oracle for both.
         argv = ["phi", "--family", family, "--rows", "24"]
         argv += [f"--q={q}"] if q else []
@@ -306,6 +320,22 @@ class TestPhiRoutes:
         tri = generate_named(family, 24, q=q and Fraction(q), roots=roots and parse_roots(roots))
         oracle = phi_from_step_matrix(solve_step_matrix(tri))
         assert OutputDocument.rows_from_csv(out) == [list(p.coeffs) for p in oracle]
+
+    @pytest.mark.parametrize("command", ["phi", "verify"])
+    @pytest.mark.parametrize("family", ["fibonomial", "stirling1"])
+    def test_no_command_inverts_a_triangle(self, monkeypatch, command, family):
+        # invert_unipotent and solve_step_matrix both forward-substitute;
+        # phi and verify read these families' phi from their structure.
+        runs = [["--rows", rows] for rows in ("0", "1", "6", "24")]
+        expected = [run_cli([command, "--family", family] + argv) for argv in runs]
+
+        def refuse(*args):
+            raise AssertionError("forward substitution")
+
+        monkeypatch.setattr(dynsys, "forward_substitute", refuse)
+        for argv, (code, out, err) in zip(runs, expected):
+            assert (code, err) == (0, "")
+            assert run_cli([command, "--family", family] + argv) == (code, out, err)
 
 
 class ClosedPipe:
@@ -505,14 +535,6 @@ class TestCliRoundTrips:
         middle = out.splitlines()[-1].split(",")[66]
         assert len(middle) > 4300
         assert parse_exact(middle) == q_binomial(132, 66, 10)
-
-    def test_q_past_the_int_string_limit(self):
-        # verify prints no params, and generate carries every digit of q.
-        argv = ["--family", "q-gaussian", "--q", "1e5000", "--rows", "1"]
-        assert run_cli(["verify"] + argv) == (0, "route: banded dual recurrence\nholds up to n=1\n", "")
-        code, out, err = run_cli(["generate"] + argv + ["--format", "json"])
-        assert (code, err) == (0, "")
-        assert json.loads(out)["params"]["q"] == "1" + "0" * 5000
 
     def test_fit_weights_past_the_int_string_limit(self):
         code, out, err = run_cli(["fit", "--family", "q-gaussian", "--q", str(10**200), "--rows", "23"])

@@ -1,10 +1,13 @@
 """Step matrices, triangle inversion, the banded-fit detector, convolution."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from dualtriad.cli import main
 from dualtriad.dynsys import (
     banded_step_matrix,
     FitResult,
@@ -23,6 +26,7 @@ from dualtriad.misprints import (
 )
 from dualtriad.sequences import RootSequence, binomial, fibonomial
 from dualtriad.triads import (
+    FAMILIES,
     BandedRecurrence,
     Restartable,
     Triangle,
@@ -230,6 +234,32 @@ class TestOracleEquivalence:
             tri = random_unipotent_triangle(rng, 10)
             phis = phi_from_step_matrix(solve_step_matrix(tri), tri.max_row)
             assert verify_triad(tri, phis).holds
+
+
+def cli_output(argv):
+    """The standard output of a CLI run that must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+class TestStructuredInverses:
+    """The phi streams of the non-banded families against one inversion."""
+
+    @pytest.mark.parametrize("family", ["fibonomial", "stirling1"])
+    def test_phi_stream_equals_inverse_rows(self, family):
+        for n in range(65):
+            inv = invert_unipotent(generate_named(family, max(n, 1)))
+            assert list(FAMILIES[family].phi_rows(n)) == list(inv.rows[: n + 1]), n
+
+    def test_stirling1_and_lah_swap_sides(self):
+        # stirling1 is the lah triad with roots 0, -1, -2, ... read the other
+        # way round: each family's rows are the other's phi.
+        lah = ["--family", "lah", "--roots=0,-1,-2,...", "--rows", "24"]
+        stirling1 = ["--family", "stirling1", "--rows", "24"]
+        assert cli_output(["phi"] + stirling1) == cli_output(["generate"] + lah)
+        assert cli_output(["generate"] + stirling1) == cli_output(["phi"] + lah)
 
 
 class TestEvolve:

@@ -33,7 +33,7 @@ def _make_records():
         "Family": (
             lambda: Family(dual="pascal", route="banded dual recurrence"),
             "Family(dual='pascal', route='banded dual recurrence', param=None, "
-            "recurrence=None, rows=None)",
+            "recurrence=None, rows=None, phi_rows=None)",
         ),
         "RootSequence": (
             lambda: RootSequence.geometric(2),
