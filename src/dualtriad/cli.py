@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, solve_step_matrix
 from .exact import Polynomial, Rational, format_exact
@@ -108,12 +108,14 @@ def _family_inputs(
 
 
 def _emit(
-    family: str, params: dict[str, str], value_rows: Iterable[Sequence[Rational]], fmt: str
+    family: str, params: dict[str, str], value_rows: Collection[Sequence[Rational]], fmt: str
 ) -> None:
-    # Rows are formatted and written as value_rows yields them; a caller
-    # checks every precondition before it calls this, so that a failure
-    # writes nothing.
-    write_document(sys.stdout.write, fmt, family, params, format_rows(value_rows))
+    # value_rows is a source that each pass restarts (a Restartable or a
+    # list), because pretty reads it twice.  Rows are formatted and written
+    # as a pass yields them; a caller checks every precondition before it
+    # calls this, so that a failure writes nothing.
+    rows = Restartable(lambda: format_rows(value_rows), len(value_rows))
+    write_document(sys.stdout.write, fmt, family, params, rows)
 
 
 def _phi_rows(
@@ -133,7 +135,8 @@ def _phi_rows(
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     q, roots, params = _family_inputs(args, rows)
-    _emit(args.family, params, named_rows(args.family, rows, q, roots), args.format)
+    source = Restartable(lambda: named_rows(args.family, rows, q, roots), rows + 1)
+    _emit(args.family, params, source, args.format)
     return 0
 
 
@@ -146,7 +149,8 @@ def cmd_dual(args: argparse.Namespace) -> int:
             f"family {args.family} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    _emit(args.family, params, _phi_rows(dual, rows, q, roots), args.format)
+    source = Restartable(lambda: _phi_rows(dual, rows, q, roots), rows + 1)
+    _emit(args.family, params, source, args.format)
     return 0
 
 
@@ -211,7 +215,8 @@ def cmd_solve_f(args: argparse.Namespace) -> int:
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     q, roots, params = _family_inputs(args, rows)
-    _emit(args.family, params, _phi_rows(args.family, rows, q, roots), args.format)
+    source = Restartable(lambda: _phi_rows(args.family, rows, q, roots), rows + 1)
+    _emit(args.family, params, source, args.format)
     return 0
 
 
@@ -226,6 +231,7 @@ def _parse_sequence(text: str, length: int, flag: str) -> list[Rational]:
 
 def cmd_convolve(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
+    _family_inputs(args, rows + 1)  # fibonomial takes neither --q nor --roots
     a = _parse_sequence(args.a, rows + 1, "--a")
     b = _parse_sequence(args.b, rows + 1, "--b")
     values = convolve_fibonomial(a, b, rows)

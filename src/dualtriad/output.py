@@ -5,14 +5,14 @@ numbers: entries outgrow 64-bit integers quickly and exactness is the
 contract.  JSON and CSV round-trip losslessly; the pretty format is a
 centered display only and is not meant to be parsed.
 
-write_document is the one writer of every format.  It takes the rows as an
-iterable and, for JSON and CSV, writes each row as it arrives, so a caller
-that streams rows from a recurrence never holds the whole document.
+write_document is the one writer of every format.  Every format holds one
+row at a time: JSON and CSV write each row as it arrives, and pretty reads
+its rows twice, once for the widest row and once to write, so a caller that
+streams rows from a recurrence never holds the whole document.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._record import Record
@@ -130,43 +130,47 @@ def write_document(
 ) -> None:
     """Write a document in fmt ("json", "csv" or "pretty") through write.
 
-    csv and json make one write per row as the row arrives, so only that row
-    is held; each row's strings are dropped once joined, before the write.
-    pretty holds the joined text of every row, because centering needs the
-    widest row first.  The json text is json.dumps(document, indent=2)
-    followed by a newline; csv and pretty end every row with one.
+    Every format makes one write per row and holds only that row.  csv and
+    json read the rows once, as they arrive, and build each row's line by
+    one join.  pretty reads them twice, first for the width of the widest
+    row, then to write each row centred under it; so it needs rows that each
+    pass restarts (a list or a triads.Restartable), and raises TypeError for
+    an iterator.  The json text is json.dumps(document, indent=2) followed
+    by a newline; csv and pretty end every row with one.
     """
     if fmt == "csv":
-        for text in map(",".join, rows):
-            write(text + "\n")
-            del text  # not held while the next row is made
+        for row in rows:
+            write(_line("", ",", row, "\n"))
     elif fmt == "json":
         from json.encoder import encode_basestring_ascii as string
 
         write(f'{{\n  "family": {_nested(family)},\n  "params": {_nested(params)},\n  "rows": [')
         sep = "\n    "
-        for text in map(partial(_json_row, string), rows):
-            write(sep + text)
-            del text
+        for row in rows:
+            # json.dumps(row, indent=2) two levels deep, without the slow
+            # pure-Python encoder that json.dumps uses whenever indent is set.
+            write(sep + "[]" if not row else
+                  _line(sep + "[\n      ", ",\n      ", list(map(string, row)), "\n    ]"))
             sep = ",\n    "
         close = "]" if sep == "\n    " else "\n  ]"
         write(f'{close},\n  "report": {_nested(report)}\n}}\n')
     elif fmt == "pretty":
-        texts = list(map(" ".join, rows))
-        width = max(map(len, texts), default=0)
-        for t in texts:
-            write(t.center(width).rstrip() + "\n")
+        if isinstance(rows, Iterator):
+            raise TypeError("pretty reads its rows twice: pass a list or a Restartable, not an iterator")
+        # An empty row counts -1, which centres as width 0 does.
+        width = max((sum(map(len, row)) + len(row) - 1 for row in rows), default=0)
+        for row in rows:
+            write(" ".join(row).center(width).rstrip() + "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _json_row(string: Callable[[str], str], row: Sequence[str]) -> str:
-    # json.dumps(row, indent=2) two levels deep, built without the slow
-    # pure-Python encoder that json.dumps uses whenever indent is set;
-    # string is what json.dumps writes for a str item of a list.
-    if not row:
-        return "[]"
-    return "[\n      " + ",\n      ".join(map(string, row)) + "\n    ]"
+def _line(head: str, sep: str, row: Sequence[str], tail: str) -> str:
+    # head + sep.join(row) + tail as one join, so that the row's text is
+    # copied once; only the first and the last entry are copied twice.
+    if len(row) < 2:
+        return head + "".join(row) + tail
+    return sep.join([head + row[0], *row[1:-1], row[-1] + tail])
 
 
 def _nested(value: object) -> str:

@@ -1,12 +1,13 @@
-"""Mutation check of the checks that prove a triad row by row, and of the
-phi streams that stand in for an inversion.
+"""Mutation check of the checks that prove a triad row by row, of fit's
+elimination, of the phi streams that stand in for an inversion, and of the
+writer of every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
 and tests/ to a temporary directory, applies each entry alone to that copy
 and runs
 
-    python -m pytest -x -q tests/test_dynsys.py tests/test_triads.py tests/test_scaled.py
+    python -m pytest -x -q tests/test_output.py tests/test_dynsys.py tests/test_triads.py tests/test_scaled.py
 
 there.  The tests must pass on the unchanged copy and fail on every mutant.
 Run it from any directory, with pytest and hypothesis installed:
@@ -29,10 +30,13 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ("tests/test_dynsys.py", "tests/test_triads.py", "tests/test_scaled.py")
+# The fast test file first: pytest -x stops at the first failure.
+TESTS = ("tests/test_output.py", "tests/test_dynsys.py", "tests/test_triads.py", "tests/test_scaled.py")
 TRIADS = "src/dualtriad/triads.py"
 EXACT = "src/dualtriad/exact.py"
 SEQUENCES = "src/dualtriad/sequences.py"
+DYNSYS = "src/dualtriad/dynsys.py"
+OUTPUT = "src/dualtriad/output.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
@@ -83,11 +87,17 @@ MUTANTS = [
      "fibonomial_inverse_rows: w_n enters with the wrong sign"),
     (TRIADS, "RootSequence.arithmetic(0, -1)", "RootSequence.arithmetic(0, 1)",
      "stirling1's phi: the lah roots step up, not down"),
+    (DYNSYS, "tags |= pt", "tags = tags",
+     "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
+    (OUTPUT, "for row in rows), default=0)", "for row in list(rows)[:1]), default=0)",
+     "write_document: pretty takes its width from the first row only"),
+    (OUTPUT, '_line("", ",", row, "\\n")', '_line("", ",", row, "")',
+     "write_document: csv drops the line end"),
 ]
 
 
 def run_tests(copy: Path) -> bool:
-    """True when the three test files pass in copy.  No bytecode is
+    """True when the test files pass in copy.  No bytecode is
     written, so that a mutant of a file's size, written within the second
     of the text before it, is never read from a stale cache."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")

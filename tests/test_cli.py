@@ -206,6 +206,13 @@ class TestExitCodes:
         assert run_cli(["fit", "--family", "pascal", "--rows", "4"])[0] == 2
         assert run_cli(["convolve", "--family", "fibonomial", "--a", "bad,x",
                         "--b", "ones", "--rows", "3"])[0] == 2
+        # convolve checks --q and --roots as every command does; it took them
+        # and ignored them before.
+        for flags, message in ((["--q=1e9", "--roots=zz"], "cannot parse q value '1e9'"),
+                               (["--q=2"], "--q only applies to family q-gaussian"),
+                               (["--roots=1,2,..."], "--roots only applies to family lah")):
+            argv = ["convolve", "--family", "fibonomial", *flags, "--a", "ones", "--b", "ones", "--rows", "3"]
+            assert run_cli(argv) == (2, "", f"error: {message}\n"), flags
         assert run_cli([])[0] == 2
         for argv in (
             ["generate", "--family", "pascal", "--rows", "3", "--max-rows", "-1"],
@@ -394,11 +401,13 @@ class TestStreamedOutputMemory:
         ["generate", "--family", "pascal", "--rows", "400", "--format", "csv"],
         ["generate", "--family", "pascal", "--rows", "400", "--format", "json"],
         ["dual", "--family", "q-gaussian", "--q=2/3", "--rows", "80"],
+        ["generate", "--family", "pascal", "--rows", "400", "--format", "pretty"],
+        ["generate", "--family", "eulerian", "--rows", "192", "--format", "pretty"],
     ])
     def test_peak_is_a_small_part_of_the_output(self, argv):
-        # Rows go from the recurrence to stdout one at a time; holding the
-        # whole triangle, its strings or the joined text would cost more
-        # than the output itself.
+        # Rows go from the recurrence to stdout one at a time, in pretty on
+        # each of its two passes; holding the whole triangle, its strings or
+        # the joined text would cost more than the output itself.
         sink = CountingSink()
         tracemalloc.start()
         try:

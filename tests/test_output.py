@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dualtriad.exact import Polynomial
 from dualtriad.output import OutputDocument, format_exact, format_rows, parse_exact, write_document
 from dualtriad.sequences import RootSequence
-from dualtriad.triads import generate_named, lah_from_roots
+from dualtriad.triads import Restartable, generate_named, lah_from_roots
 
 
 def named_triangles():
@@ -218,6 +218,29 @@ class TestOneWriter:
         head = ["write"] if fmt == "json" else []
         tail = ["write"] if fmt == "json" else []
         assert events == head + ["row 0", "write", "row 1", "write", "row 2", "write"] + tail
+
+    def test_pretty_reads_twice_and_holds_one_row(self):
+        # The first pass reads every row for the width and writes nothing;
+        # the second makes each row again and writes it before the next.
+        events = []
+
+        def rows():
+            for n in range(3):
+                events.append(f"row {n}")
+                yield [str(10**n)]
+
+        write_document(events.append, "pretty", "x", {}, Restartable(rows, 3))
+        assert events == ["row 0", "row 1", "row 2",
+                          "row 0", " 1\n", "row 1", " 10\n", "row 2", "100\n"]
+
+    def test_pretty_refuses_an_iterator(self):
+        # A second pass over an iterator would read nothing: no row would
+        # print, where the caller meant every row to.
+        writes = []
+        for rows in (iter([["1"], ["1", "1"]]), (row for row in [["1"]]), map(list, ["1"])):
+            with pytest.raises(TypeError):
+                write_document(writes.append, "pretty", "x", {}, rows)
+        assert writes == []
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
