@@ -11,22 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Optional, Sequence
 
 from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, solve_step_matrix
-from .exact import Polynomial, Rational, format_exact
+from .exact import Polynomial, Rational, Scaled, format_exact
 from .output import format_rows, write_document
 from .sequences import RootSequence
-from .triads import (
-    FAMILIES,
-    Restartable,
-    banded_for_family,
-    generate_named,
-    iter_dual_polynomials,
-    named_rows,
-    named_scaled_rows,
-    verify_triad,
-)
+from .triads import FAMILIES, Family, Restartable, Triangle, verify_triad
 
 DEFAULT_ROW_CAP = 512
 
@@ -83,12 +74,11 @@ def _checked_rows(args: argparse.Namespace) -> int:
     return rows
 
 
-def _family_inputs(
-    args: argparse.Namespace, levels: int
-) -> tuple[Optional[Fraction], Optional[RootSequence], dict[str, str]]:
-    """The family flags, checked: the parsed q and roots, and the parameter
-    text that output documents carry.  levels is how many roots r_1, r_2, ...
-    the command reads, which an explicit --roots list must cover."""
+def _family_inputs(args: argparse.Namespace, levels: int) -> tuple[Family, Any, dict[str, str]]:
+    """The family flags, checked: the Family, its parsed parameter (q, roots
+    or None) and the parameter text that output documents carry.  levels is
+    how many roots r_1, r_2, ... the command reads, which an explicit
+    --roots list must cover."""
     entry = FAMILIES[args.family]
     q = None if args.q is None else _exact(args.q, f"cannot parse q value {args.q!r}")
     if q == 0:
@@ -104,7 +94,7 @@ def _family_inputs(
     if roots is not None and roots.rule == "explicit" and len(roots.data) < levels:
         raise UsageError(f"explicit root sequence has only {len(roots.data)} levels")
     params = {} if entry.param is None else {entry.param: texts[entry.param]}
-    return q, roots, params
+    return entry, (roots if entry.param == "roots" else q), params
 
 
 def _emit(
@@ -118,58 +108,44 @@ def _emit(
     write_document(sys.stdout.write, fmt, family, params, rows)
 
 
-def _phi_rows(
-    name: str, rows: int, q: Optional[Fraction], roots: Optional[RootSequence]
-) -> Iterator[tuple[Rational, ...]]:
-    """The coefficients of phi_0..phi_rows of the named family, one row per
-    phi: the duals of its banded recurrence, or its phi_rows stream in FAMILIES.
-    No phi is zero: phi_k has degree k."""
-    family = FAMILIES[name]
-    if family.recurrence is not None:
-        return (p.coeffs for p in iter_dual_polynomials(banded_for_family(name, rows - 1, q, roots), rows))
-    if family.phi_rows is None:
-        raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
-    return family.phi_rows(rows)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    q, roots, params = _family_inputs(args, rows)
-    source = Restartable(lambda: named_rows(args.family, rows, q, roots), rows + 1)
+    family, value, params = _family_inputs(args, rows)
+    source = Restartable(lambda: map(Scaled.values, family.scaled_rows(value, rows)), rows + 1)
     _emit(args.family, params, source, args.format)
     return 0
 
 
 def cmd_dual(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    q, roots, params = _family_inputs(args, rows)
-    dual = FAMILIES[args.family].dual
-    if dual is None or FAMILIES[dual].recurrence is None:
+    family, value, params = _family_inputs(args, rows)
+    dual = FAMILIES.get(family.dual)
+    if dual is None or dual.recurrence is None:
         raise UsageError(
             f"family {args.family} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    source = Restartable(lambda: _phi_rows(dual, rows, q, roots), rows + 1)
+    source = Restartable(lambda: dual.phis(value, rows), rows + 1)
     _emit(args.family, params, source, args.format)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    q, roots, _ = _family_inputs(args, rows)
-    family = FAMILIES[args.family]
+    family, value, _ = _family_inputs(args, rows)
     if family.dual is None:  # a failed precondition of the family, not of the flags
         raise ValueError(
             f"family {args.family} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
     # Rows 0..rows as Scaled vectors, from a source that every pass restarts.
-    source = Restartable(lambda: named_scaled_rows(args.family, rows, q, roots), rows + 1)
-    if FAMILIES[family.dual].recurrence is None:
-        phis = Restartable(lambda: map(Polynomial, _phi_rows(family.dual, rows, q, roots)), rows + 1)
+    source = Restartable(lambda: family.scaled_rows(value, rows), rows + 1)
+    dual = FAMILIES[family.dual]
+    if dual.recurrence is None:
+        phis = Restartable(lambda: map(Polynomial, dual.phis(value, rows)), rows + 1)
         report = verify_triad(source, phis, None)
     else:
-        report = verify_triad(source, None, banded_for_family(family.dual, rows - 1, q, roots))
+        report = verify_triad(source, None, dual.recurrence(value, rows - 1))
     print(f"route: {family.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
@@ -183,8 +159,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     if rows < 5:
         raise UsageError("fit needs --rows of at least 5")
-    q, roots, _ = _family_inputs(args, rows)
-    result = fit_banded(Restartable(lambda: named_scaled_rows(args.family, rows, q, roots), rows + 1))
+    family, value, _ = _family_inputs(args, rows)
+    result = fit_banded(Restartable(lambda: family.scaled_rows(value, rows), rows + 1))
     if result.fits:
         rec = result.recurrence
         print("fit: banded time-independent recurrence found")
@@ -201,21 +177,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    q, roots, params = _family_inputs(args, rows + 1)
-    if FAMILIES[args.family].recurrence is not None:
+    family, value, params = _family_inputs(args, rows + 1)
+    if family.recurrence is not None:
         # Every banded family is unipotent (up weights 1), so its F is its
         # own recurrence; the dense solve is for the other families.
-        sm = banded_step_matrix(banded_for_family(args.family, rows, q, roots), rows)
+        sm = banded_step_matrix(family.recurrence(value, rows), rows)
     else:
-        sm = solve_step_matrix(generate_named(args.family, rows + 1, q, roots))
+        sm = solve_step_matrix(Triangle(family.scaled_rows(value, rows + 1)))
     _emit(args.family, params, sm.rows, args.format)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
-    q, roots, params = _family_inputs(args, rows)
-    source = Restartable(lambda: _phi_rows(args.family, rows, q, roots), rows + 1)
+    family, value, params = _family_inputs(args, rows)
+    source = Restartable(lambda: family.phis(value, rows), rows + 1)
     _emit(args.family, params, source, args.format)
     return 0
 

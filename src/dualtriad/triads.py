@@ -128,8 +128,8 @@ class Restartable(Generic[T]):
 class RowSource(Protocol):
     """The rows 0..N of a triangle as verify_triad and fit_banded read them:
     a sized iterable that each pass reads afresh, such as a Triangle, its
-    rows, or a Restartable over named_rows or named_scaled_rows.  A row is a
-    sequence of values or a Scaled vector."""
+    rows, or a Restartable over a Family's scaled_rows.  A row is a sequence
+    of values or a Scaled vector."""
 
     def __len__(self) -> int: ...
 
@@ -309,9 +309,10 @@ class Family(Frozen):
     yields its rows 0..N from rows(N), a stream of pascal_like_rows, and the
     coefficients of its phi_0..phi_N, the rows of its inverse, from
     phi_rows(N), a stream read off the inverse's structure (None when the
-    family is not unipotent).  param names the parameter the family needs
-    (None, "q" or "roots").  dual names the family whose phi completes this
-    one's triad; None when there is no dual.  route is the line verify prints.
+    family is not unipotent); scaled_rows and phis stream either route.
+    param names the parameter the family needs (None, "q" or "roots").  dual
+    names the family whose phi completes this one's triad; None when there
+    is no dual.  route is the line verify prints.
     """
 
     __slots__ = ("dual", "route", "param", "recurrence", "rows", "phi_rows")
@@ -332,6 +333,32 @@ class Family(Frozen):
         phi_rows: Optional[Callable[[int], Iterator[tuple[Rational, ...]]]] = None,
     ) -> None:
         self._set(dual, route, param, recurrence, rows, phi_rows)
+
+    def scaled_rows(self, value: Any, rows: int) -> Iterator[Scaled]:
+        """Rows 0..rows as Scaled vectors, one at a time; value is the
+        family's parameter (None when it takes none).
+
+        A banded family's rows come from its recurrence, so that the closed
+        forms in the sequences module stay an independent cross-check; the
+        others read their row stream, whose widths checked_rows checks.  The
+        arguments are checked here, before the first row, and only the
+        previous row is held.
+        """
+        if rows < 0:
+            raise ValueError("rows must be nonnegative")
+        if self.recurrence is None:
+            return checked_rows(Restartable(lambda: map(Scaled, self.rows(rows)), rows + 1))
+        return scaled_banded_rows(self.recurrence(value, rows - 1), rows)
+
+    def phis(self, value: Any, rows: int) -> Iterator[tuple[Rational, ...]]:
+        """The coefficients of phi_0..phi_rows, one row per phi: the duals of
+        the recurrence, or the phi_rows stream.  No phi is zero: phi_k has
+        degree k."""
+        if self.recurrence is not None:
+            return (p.coeffs for p in iter_dual_polynomials(self.recurrence(value, rows - 1), rows))
+        if self.phi_rows is None:
+            raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
+        return self.phi_rows(rows)
 
 
 FAMILIES: dict[str, Family] = {
@@ -396,51 +423,19 @@ def banded_for_family(
     return entry.recurrence(value, depth)
 
 
-def named_scaled_rows(
-    family: str,
-    rows: int,
-    q: Optional[Rational] = None,
-    roots: Optional[RootSequence] = None,
-) -> Iterator[Scaled]:
-    """Rows 0..rows of a named triangle family as Scaled vectors, one at a
-    time.
-
-    Banded families are generated by their recurrence, so that the closed
-    forms in the sequences module stay an independent cross-check;
-    fibonomial, stirling1 and eulerian read their row stream in sequences,
-    whose widths checked_rows checks.  The arguments are checked here,
-    before the first row, and only the previous row is held.
-    """
-    if rows < 0:
-        raise ValueError("rows must be nonnegative")
-    _, entry, value = _resolve(family, q, roots)
-    if entry.recurrence is None:
-        return checked_rows(Restartable(lambda: map(Scaled, entry.rows(rows)), rows + 1))
-    return scaled_banded_rows(entry.recurrence(value, rows - 1), rows)
-
-
-def named_rows(
-    family: str,
-    rows: int,
-    q: Optional[Rational] = None,
-    roots: Optional[RootSequence] = None,
-) -> Iterator[tuple[Rational, ...]]:
-    """The rows of named_scaled_rows(family, rows, q, roots) as values."""
-    return map(Scaled.values, named_scaled_rows(family, rows, q, roots))
-
-
 def generate_named(
     family: str,
     rows: int,
     q: Optional[Rational] = None,
     roots: Optional[RootSequence] = None,
 ) -> Triangle:
-    """The triangle of named_rows(family, rows, q, roots)."""
-    # named_scaled_rows checks the arguments before q is formatted; _resolve lets
+    """The triangle of FAMILIES[family].scaled_rows, the name and parameters checked."""
+    # scaled_rows checks the row count before q is formatted; _resolve lets
     # only a family that takes q receive one.
-    stream = named_scaled_rows(family, rows, q, roots)
+    name, entry, value = _resolve(family, q, roots)
+    stream = entry.scaled_rows(value, rows)
     params = () if q is None else (("q", format_exact(q)),)
-    return Triangle(stream, family=canonical_family(family), params=params)
+    return Triangle(stream, family=name, params=params)
 
 
 def lah_from_roots(
@@ -491,14 +486,14 @@ def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynom
         if rec.up[k] == 0:
             raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
 
-    def step(
-        pair: tuple[tuple[Rational, ...], Polynomial], k: int
-    ) -> tuple[tuple[Rational, ...], Polynomial]:
-        prev, phi = pair
-        return phi.coeffs, Polynomial(_dual_step(rec, k, phi.coeffs, prev))
+    def duals() -> Iterator[Polynomial]:
+        prev, phi = (), Polynomial((1,))
+        yield phi
+        for k in range(count):
+            prev, phi = phi.coeffs, Polynomial(_dual_step(rec, k, phi.coeffs, prev))
+            yield phi
 
-    # Each item is the pair (coefficients of phi_{k-1}, phi_k).
-    return (phi for _, phi in accumulate(range(count), step, initial=((), Polynomial((1,)))))
+    return duals()
 
 
 def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:

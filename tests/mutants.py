@@ -1,6 +1,6 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
-elimination, of the phi streams that stand in for an inversion, and of the
-writer of every output format.
+elimination, of the phi streams that stand in for an inversion, of the
+family's row and phi routes, and of the writer of every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -87,6 +87,12 @@ MUTANTS = [
      "fibonomial_inverse_rows: w_n enters with the wrong sign"),
     (TRIADS, "RootSequence.arithmetic(0, -1)", "RootSequence.arithmetic(0, 1)",
      "stirling1's phi: the lah roots step up, not down"),
+    (TRIADS, "iter_dual_polynomials(self.recurrence(value, rows - 1), rows)",
+     "iter_dual_polynomials(self.recurrence(value, rows - 1), rows - 1)",
+     "Family.phis: the banded route yields one phi too few"),
+    (TRIADS, "scaled_banded_rows(self.recurrence(value, rows - 1), rows)",
+     "scaled_banded_rows(self.recurrence(value, rows - 2), rows)",
+     "Family.scaled_rows: the recurrence is tabulated one level short"),
     (DYNSYS, "tags |= pt", "tags = tags",
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
     (OUTPUT, "for row in rows), default=0)", "for row in list(rows)[:1]), default=0)",

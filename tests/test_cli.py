@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dualtriad import dynsys
+from dualtriad import dynsys, triads
 from dualtriad.cli import main, parse_roots
 from dualtriad.dynsys import convolve_fibonomial, phi_from_step_matrix, solve_step_matrix
 from dualtriad.output import OutputDocument, parse_exact
@@ -343,6 +343,23 @@ class TestPhiRoutes:
         for argv, (code, out, err) in zip(runs, expected):
             assert (code, err) == (0, "")
             assert run_cli([command, "--family", family] + argv) == (code, out, err)
+
+    def test_each_command_looks_its_family_up_once(self, monkeypatch):
+        # _family_inputs hands each command the Family it found; no command
+        # resolves a family name again through the library's lookup.
+        families = [["--family", family] for family in ROUTE_MATRIX if family not in ("q-gaussian", "lah")]
+        families += [["--family", "q-gaussian", q] for q in ("--q=2", "--q=-2/3")]
+        families.append(["--family", "lah", "--roots=1/2,3/2,..."])
+        runs = [[command, *family, "--rows", rows]
+                for command in COMMANDS[:-1] for family in families for rows in ("0", "6")]
+        expected = [run_cli(argv) for argv in runs]
+
+        def refuse(*args):
+            raise AssertionError("a second lookup of the family")
+
+        monkeypatch.setattr(triads, "_resolve", refuse)
+        for argv, result in zip(runs, expected):
+            assert run_cli(argv) == result, argv
 
 
 class ClosedPipe:

@@ -37,7 +37,6 @@ from dualtriad.triads import (
     generate_named,
     iter_dual_polynomials,
     lah_from_roots,
-    named_rows,
     verify_triad,
 )
 
@@ -245,13 +244,31 @@ def cli_output(argv):
 
 
 class TestStructuredInverses:
-    """The phi streams of the non-banded families against one inversion."""
+    """Each family's phi stream against one inversion."""
 
-    @pytest.mark.parametrize("family", ["fibonomial", "stirling1"])
-    def test_phi_stream_equals_inverse_rows(self, family):
-        for n in range(65):
-            inv = invert_unipotent(generate_named(family, max(n, 1)))
-            assert list(FAMILIES[family].phi_rows(n)) == list(inv.rows[: n + 1]), n
+    @pytest.mark.parametrize("family,q,roots,top", [
+        ("pascal", None, None, 24),
+        ("q-gaussian", 2, None, 24),
+        ("q-gaussian", Fraction(-5, 2), None, 24),
+        ("catalan-triad", None, None, 24),
+        ("catalan-shifted", None, None, 24),
+        ("lah", None, RootSequence.arithmetic(Fraction(1, 2), 1), 24),
+        ("fibonomial", None, None, 64),
+        ("stirling1", None, None, 64),
+    ], ids=["pascal", "q-gaussian-2", "q-gaussian--5/2", "catalan-triad", "catalan-shifted",
+            "lah-1/2,3/2,...", "fibonomial", "stirling1"])
+    def test_phi_stream_equals_inverse_rows(self, family, q, roots, top):
+        # Every family with a dual streams its phi through Family.phis: the
+        # duals of its recurrence or its inverse's structure.  Each N is its
+        # own stream, so a stream that stops short or runs on fails.
+        value = q if roots is None else roots
+        for n in range(top + 1):
+            inv = invert_unipotent(generate_named(family, max(n, 1), q=q, roots=roots))
+            assert list(FAMILIES[family].phis(value, n)) == list(inv.rows[: n + 1]), n
+
+    def test_no_phi_without_unit_diagonal(self):
+        with pytest.raises(ValueError, match=r"^step matrix requires a unipotent triangle \(unit diagonal\)$"):
+            FAMILIES["eulerian"].phis(None, 3)
 
     def test_stirling1_and_lah_swap_sides(self):
         # stirling1 is the lah triad with roots 0, -1, -2, ... read the other
@@ -455,7 +472,8 @@ class TestStreamedFit:
     @pytest.mark.parametrize("name,q,roots", FIT_CASES)
     def test_equals_column_at_a_time_route(self, name, q, roots, n_max):
         tri = generate_named(name, n_max, q=q, roots=roots)
-        source = Restartable(lambda: named_rows(name, n_max, q=q, roots=roots), n_max + 1)
+        value = q if roots is None else roots
+        source = Restartable(lambda: FAMILIES[name].scaled_rows(value, n_max), n_max + 1)
         streamed = _fit_outcome(fit_banded(source))
         assert streamed == reference_fit(tri)
         assert _fit_outcome(fit_banded(tri)) == streamed

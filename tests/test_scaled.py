@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from dualtriad.dynsys import fit_banded
 from dualtriad.exact import Polynomial, Scaled, as_exact
 from dualtriad.triads import (
+    FAMILIES,
     BandedRecurrence,
     Restartable,
     Triangle,
     banded_for_family,
     dual_polynomials,
     generate_from_banded,
-    named_scaled_rows,
     scaled_banded_rows,
     verify_triad,
 )
@@ -76,7 +76,7 @@ class TestScaledForm:
     def test_integer_families_stay_over_denominator_one(self):
         for name, q in (("catalan-triad", None), ("q-gaussian", 2), ("pascal", None),
                         ("catalan-shifted", None), ("fibonomial", None), ("eulerian", None)):
-            assert {den for _, den in named_scaled_rows(name, 20, q=q)} == {1}
+            assert {den for _, den in FAMILIES[name].scaled_rows(q, 20)} == {1}
         rec = banded_for_family("q-gaussian", 19, q=-3)
         assert {Scaled.of(p.coeffs)[1] for p in dual_polynomials(rec, 20)} == {1}
 

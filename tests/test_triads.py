@@ -32,7 +32,6 @@ from dualtriad.triads import (
     generate_from_banded,
     generate_named,
     lah_from_roots,
-    named_rows,
     persistent_root_polys,
     root_recurrence,
     verify_triad,
@@ -156,7 +155,6 @@ class TestGenerateNamed:
 
     @pytest.mark.parametrize("call,message", [
         (lambda: generate_named("pascal", 3, q=2.0), "does not take the parameter q"),
-        (lambda: named_rows("pascal", 3, q=2.0), "does not take the parameter q"),
         (lambda: generate_named("q-gaussian", -1, q=2.0), "rows must be nonnegative"),
     ])
     def test_arguments_checked_before_q_is_formatted(self, call, message):
