@@ -5,10 +5,9 @@ numbers: entries outgrow 64-bit integers quickly and exactness is the
 contract.  JSON and CSV round-trip losslessly; the pretty format is a
 centered display only and is not meant to be parsed.
 
-write_document is the one writer of every format.  Every format holds one
-row at a time: JSON and CSV write each row as it arrives, and pretty reads
-its rows twice, once for the widest row and once to write, so a caller that
-streams rows from a recurrence never holds the whole document.
+write_document is the one writer of every format.  It holds one row at a
+time, so a caller that streams rows from a recurrence never holds the whole
+document, and writes a long row's line in pieces.
 """
 
 from __future__ import annotations
@@ -17,6 +16,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._record import Record
 from .exact import Rational, format_exact, parse_exact
+
+_PIECE = 1 << 16  # the most characters of a row's line in one write (see write_document)
 
 
 class OutputDocument(Record):
@@ -130,17 +131,17 @@ def write_document(
 ) -> None:
     """Write a document in fmt ("json", "csv" or "pretty") through write.
 
-    Every format makes one write per row and holds only that row.  csv and
-    json read the rows once, as they arrive, and build each row's line by
-    one join.  pretty reads them twice, first for the width of the widest
-    row, then to write each row centred under it; so it needs rows that each
-    pass restarts (a list or a triads.Restartable), and raises TypeError for
-    an iterator.  The json text is json.dumps(document, indent=2) followed
-    by a newline; csv and pretty end every row with one.
+    Every format holds one row, and writes its line in pieces of at most
+    _PIECE characters (an entry may overrun one), so a long row's line and
+    its encoded bytes never exist whole; a shorter row is one write.  csv
+    and json read the rows once.  pretty reads them twice, for the widest
+    row and then to centre each under it, so it raises TypeError for an
+    iterator: pass rows that each pass restarts (a list or a Restartable).
+    The json text is json.dumps(document, indent=2); every line ends in a newline.
     """
     if fmt == "csv":
         for row in rows:
-            write(_line("", ",", row, "\n"))
+            _write_row(write, "", ",", row, "\n")
     elif fmt == "json":
         from json.encoder import encode_basestring_ascii as string
 
@@ -148,9 +149,11 @@ def write_document(
         sep = "\n    "
         for row in rows:
             # json.dumps(row, indent=2) two levels deep, without the slow
-            # pure-Python encoder that json.dumps uses whenever indent is set.
-            write(sep + "[]" if not row else
-                  _line(sep + "[\n      ", ",\n      ", list(map(string, row)), "\n    ]"))
+            # pure-Python encoder that json.dumps uses whenever indent is set;
+            # a long row's entries are quoted as its pieces are written.
+            quoted = map(string, row) if sum(map(len, row)) > _PIECE else list(map(string, row))
+            indent = "\n      " if row else ""  # an empty row is []
+            _write_row(write, sep + "[" + indent, "," + indent, quoted, indent[:-2] + "]")
             sep = ",\n    "
         close = "]" if sep == "\n    " else "\n  ]"
         write(f'{close},\n  "report": {_nested(report)}\n}}\n')
@@ -160,17 +163,34 @@ def write_document(
         # An empty row counts -1, which centres as width 0 does.
         width = max((sum(map(len, row)) + len(row) - 1 for row in rows), default=0)
         for row in rows:
-            write(" ".join(row).center(width).rstrip() + "\n")
+            # " ".join(row).center(width).rstrip(): str.center's left pad (none on
+            # a blank line), then the entries up to the last that is not blank.
+            marg = width + 1 - sum(map(len, row)) - len(row)
+            entries = list(row)
+            while entries and not entries[-1].strip():
+                entries.pop()
+            entries[-1:] = [entry.rstrip() for entry in entries[-1:]]
+            pad = marg // 2 + (marg & width & 1) if entries else 0
+            for _ in range(pad // _PIECE):
+                write(" " * _PIECE)
+            _write_row(write, " " * (pad % _PIECE), " ", entries, "\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _line(head: str, sep: str, row: Sequence[str], tail: str) -> str:
-    # head + sep.join(row) + tail as one join, so that the row's text is
-    # copied once; only the first and the last entry are copied twice.
-    if len(row) < 2:
-        return head + "".join(row) + tail
-    return sep.join([head + row[0], *row[1:-1], row[-1] + tail])
+def _write_row(write: Callable[[str], object], head: str, sep: str, row: Iterable[str], tail: str) -> None:
+    # head + sep.join(row) + tail: one write if row is a list whose line fits in _PIECE,
+    # else pieces, each written before its next entry would take it past _PIECE.
+    piece, size = [], len(head) + len(tail)
+    if isinstance(row, list) and size + sum(map(len, row)) + len(sep) * (len(row) - 1) <= _PIECE:
+        piece, row = row, ()
+    for entry in row:
+        if piece and size + len(entry) > _PIECE:
+            write(head + sep.join(piece))
+            head, piece, size = sep, [], len(sep) + len(tail)
+        piece.append(entry)
+        size += len(entry) + len(sep)
+    write(head + sep.join(piece) + tail)
 
 
 def _nested(value: object) -> str:

@@ -97,8 +97,14 @@ MUTANTS = [
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
     (OUTPUT, "for row in rows), default=0)", "for row in list(rows)[:1]), default=0)",
      "write_document: pretty takes its width from the first row only"),
-    (OUTPUT, '_line("", ",", row, "\\n")', '_line("", ",", row, "")',
+    (OUTPUT, '_write_row(write, "", ",", row, "\\n")', '_write_row(write, "", ",", row, "")',
      "write_document: csv drops the line end"),
+    (OUTPUT, "head, piece, size = sep, [],", 'head, piece, size = "", [],',
+     "_write_row: the separator between two pieces is dropped"),
+    (OUTPUT, "write(head + sep.join(piece))", "write(head + sep.join(piece) + tail)",
+     "_write_row: the tail is written after every piece"),
+    (OUTPUT, "marg // 2 + (marg & width & 1)", "marg // 2",
+     "write_document: pretty's left pad is not str.center's on an odd width"),
 ]
 
 

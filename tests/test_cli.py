@@ -3,6 +3,7 @@
 import io
 import contextlib
 import errno
+import functools
 import os
 import subprocess
 import sys
@@ -11,11 +12,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualtriad import dynsys, triads
 from dualtriad.cli import main, parse_roots
 from dualtriad.dynsys import convolve_fibonomial, phi_from_step_matrix, solve_step_matrix
-from dualtriad.output import OutputDocument, parse_exact
+from dualtriad.output import OutputDocument, format_rows, parse_exact
 from dualtriad.sequences import RootSequence, q_binomial
 from dualtriad.triads import generate_named
 
@@ -413,6 +416,19 @@ class CountingSink:
         pass
 
 
+class CountingRaw(io.RawIOBase):
+    """A binary stream that counts the bytes written to it and keeps none."""
+
+    size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.size += len(data)
+        return len(data)
+
+
 class TestStreamedOutputMemory:
     @pytest.mark.parametrize("argv", [
         ["generate", "--family", "pascal", "--rows", "400", "--format", "csv"],
@@ -436,6 +452,35 @@ class TestStreamedOutputMemory:
         assert code == 0
         assert sink.size > 2_000_000
         assert peak < sink.size / 4, (peak, sink.size)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+    def test_peak_is_below_the_longest_row(self, fmt):
+        # The longest row of q=10 N=136 is 409 KiB of digits.  Its line is
+        # written in pieces, so the peak holds that row's strings, the
+        # integer rows they come from and one piece, not the joined line and
+        # its encoded bytes besides (3.1 to 3.5 times the row when it did).
+        # The sink encodes what it is given, as sys.stdout does.
+        raw = CountingRaw()
+        sink = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["generate", "--family", "q-gaussian", "--q=10", "--rows", "136", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sink.flush()
+        assert code == 0 and raw.size > 2_000_000
+        longest = longest_row_text("q-gaussian", 136, 10)
+        assert longest > 400_000
+        assert peak < 2.75 * longest, (peak, longest)
+
+
+@functools.lru_cache(maxsize=None)
+def longest_row_text(family, rows, q):
+    """The characters of the longest row joined by commas."""
+    triangle = generate_named(family, rows, q=q).rows
+    return max(sum(map(len, row)) + len(row) - 1 for row in format_rows(triangle))
 
 
 class TestStreamedProofMemory:
@@ -476,6 +521,45 @@ class TestRouteMatrix:
                 if command == "verify":
                     lines = out.splitlines()
                     assert lines[:1] == ([] if route is None else [f"route: {route}"])
+
+
+@st.composite
+def fuzzed_argvs(draw):
+    """An argv of any command, family (or an unknown one), --q, --roots,
+    --rows and --format.  A flag that the command and family take is given
+    three times in four, one they do not take (a usage error) once in
+    four."""
+    command = draw(st.sampled_from(COMMANDS))
+    family = draw(st.sampled_from([*sorted(triads.FAMILIES), "nosuch"]))
+    own = (getattr(triads.FAMILIES.get(family), "param", None),
+           None if command in ("verify", "fit") else "format")
+    argv = [command, "--family", family, "--rows", str(draw(st.integers(-1, 12)))]
+    for flag, values in (
+        ("q", ["2", "-2/3", "0", "1e3", "abc", "1/0"]),
+        ("roots", ["0,1,2,...", "1/2,3/2,…", "1,2,4,...", "3,1", "1,2,5,...", "1,,2", "zz"]),
+        ("format", ["csv", "json", "pretty", "xml"]),
+    ):
+        if draw(st.integers(0, 3)) < (3 if flag in own else 1):
+            argv.append(f"--{flag}={draw(st.sampled_from(values))}")
+    if command == "convolve":
+        argv += ["--a", draw(st.sampled_from(["ones", "1,-1/2", "x"])), "--b", "ones"]
+    return argv
+
+
+class TestArgvFuzz:
+    # The argv sweep pins the outputs of the argvs it lists; this covers
+    # the combinations it does not.
+    @settings(max_examples=200, deadline=None)
+    @given(fuzzed_argvs())
+    def test_exit_code_and_parsable_output(self, argv):
+        code, out, _ = run_cli(argv)
+        assert code in (0, 1, 2), argv
+        fmt = next((a.split("=")[1] for a in argv if a.startswith("--format=")), "csv")
+        if code == 0 and argv[0] not in ("verify", "fit"):
+            if fmt == "csv":
+                OutputDocument.rows_from_csv(out)
+            elif fmt == "json":
+                OutputDocument.from_json(out)
 
 
 class TestRootsParsing:

@@ -3,11 +3,13 @@
 import json
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualtriad import output
 from dualtriad.exact import Polynomial
 from dualtriad.output import OutputDocument, format_exact, format_rows, parse_exact, write_document
 from dualtriad.sequences import RootSequence
@@ -184,16 +186,12 @@ class TestOneWriter:
         assert doc.to_csv() == joined_csv(doc.rows)
         assert doc.to_pretty() == joined_pretty(doc.rows)
 
-    @settings(max_examples=150, deadline=None)
-    @given(documents)
-    def test_matches_whole_document_renderings(self, doc):
-        self.assert_renderings(doc)
-
     def test_edge_documents(self):
         for doc in (
             OutputDocument(family="", params={}, rows=[]),
             OutputDocument(family="x", params={"q": "2"}, rows=[["1"]]),
             OutputDocument(family="x", params={}, rows=[[], ["1"], []]),
+            OutputDocument(family="x", params={}, rows=[["1"], ["12"], ["123"]]),
             OutputDocument(family='q"\\\u00e9', params={"roots": "1,2,…"}, rows=[["1"], ["1", BIG]],
                            report={"holds": True, "first_failure": [3, ["-2", "1/3"]], "route": {}}),
         ):
@@ -204,6 +202,26 @@ class TestOneWriter:
         writes = []
         write_document(writes.append, fmt, "x", {}, [["1"], ["1", "1"], ["1", "2", "1"]])
         assert len(writes) == 3 + extra
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+    @pytest.mark.parametrize("row", [
+        [str(k % 997) for k in range(60_000)],
+        ["1", "9" * 100_000, "2"],
+    ], ids=["200KiB-of-short-entries", "one-entry-of-100000-digits"])
+    def test_long_rows_are_written_in_pieces(self, fmt, row):
+        # No write holds more than _PIECE characters and one entry, so that
+        # neither a long row's line nor its encoded bytes exist whole; the
+        # short first row, whose pretty pad is longer than _PIECE, too.
+        rows = [["1"], row]
+        writes = []
+        write_document(writes.append, fmt, "x", {}, rows)
+        whole = {"family": "x", "params": {}, "rows": rows, "report": None}
+        expected = {"csv": joined_csv(rows), "json": json.dumps(whole, indent=2) + "\n",
+                    "pretty": joined_pretty(rows)}[fmt]
+        assert "".join(writes) == expected
+        longest = max(map(len, row)) + (2 if fmt == "json" else 0)
+        assert max(map(len, writes)) <= output._PIECE + longest
+        assert len(writes) >= 3 + (fmt == "json") * 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_written_as_they_arrive(self, fmt):
@@ -245,3 +263,14 @@ class TestOneWriter:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             write_document(print, "xml", "x", {}, [])
+
+    # Last, so that a deterministic test above fails first and fast.
+    @settings(max_examples=150, deadline=None)
+    @given(documents)
+    def test_matches_whole_document_renderings(self, doc):
+        self.assert_renderings(doc)
+        # Pieces of a few characters split every row, between entries and
+        # inside pretty's left pad.
+        for piece in (1, 5, 64):
+            with mock.patch.object(output, "_PIECE", piece):
+                self.assert_renderings(doc)
