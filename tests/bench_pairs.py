@@ -1,12 +1,14 @@
 """Alternating benchmark pairs of two checkouts, summarised as one JSON file.
 
     python3 tests/bench_pairs.py PARENT CHANGE --seeds 1-10 --out BENCH_x.json \
-        [--workloads verify-bigint verify-rational cli-batch] [--seconds 30]
+        [--workloads verify-bigint verify-rational cli-batch] \
+        [--parent-commit SHA] [--change-commit SHA]
 
 PARENT and CHANGE are two source trees (from `git archive` or `git clone`)
-that each hold perfbench/ and src/.  Give their directories names of the
-same length: the path alone moves peak_rss_mb by about 0.1 MB.  For every
-workload and seed the script runs
+that each hold perfbench/ and src/; name the commits of archived trees, which
+git cannot read there.  Give the two directories names of the same length:
+the path alone moves peak_rss_mb by about 0.1 MB.  For every workload and
+seed the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
 
@@ -31,6 +33,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("total_s", "setup_s", "peak_rss_mb")
+SECONDS = 30  # BENCHMARK.json's run_seconds
 
 
 def seeds(text: str) -> list[int]:
@@ -41,9 +44,9 @@ def seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(tree: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -65,7 +68,6 @@ def main() -> int:
     parser.add_argument("--seeds", type=seeds, required=True)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", default=["verify-bigint", "verify-rational", "cli-batch"])
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--parent-commit", help="recorded as the parent's commit (default: git rev-parse HEAD)")
     parser.add_argument("--change-commit", help="recorded as the change's commit (default: git rev-parse HEAD)")
     args = parser.parse_args()
@@ -75,20 +77,20 @@ def main() -> int:
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "nproc": os.cpu_count(),
-            "int_max_str_digits": sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None,
+            "int_max_str_digits": sys.get_int_max_str_digits(),
             "platform": platform.platform(),
             "parent_commit": args.parent_commit or commit(trees["parent"]),
             "change_commit": args.change_commit or commit(trees["change"]),
         },
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0, alternating parent and change",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0, "
+                   "alternating parent and change",
         "workloads": {},
     }
     for workload in args.workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                outcome = run(trees[side], workload, seed, args.seconds)
+                outcome = run(trees[side], workload, seed)
                 runs[side].append(outcome)
                 values = " ".join(f"{m} {outcome['metrics'][m]['value']:.4f}" for m in METRICS)
                 print(f"{workload} seed {seed} {side}: {values} failed {outcome['failed']}", flush=True)

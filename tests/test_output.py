@@ -210,8 +210,8 @@ class TestOneWriter:
     ], ids=["200KiB-of-short-entries", "one-entry-of-100000-digits"])
     def test_long_rows_are_written_in_pieces(self, fmt, row):
         # No write holds more than _PIECE characters and one entry, so that
-        # neither a long row's line nor its encoded bytes exist whole; the
-        # short first row, whose pretty pad is longer than _PIECE, too.
+        # neither a long row's line nor its encoded bytes exist whole.  Over
+        # the 200 KiB row, the first row's pretty pad is longer than _PIECE.
         rows = [["1"], row]
         writes = []
         write_document(writes.append, fmt, "x", {}, rows)
