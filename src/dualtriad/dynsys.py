@@ -51,7 +51,7 @@ class StepMatrix(Frozen):
             if len(row) != n + 2:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 2}")
             coerced.append(tuple(as_exact(v) for v in row))
-        self._set(tuple(coerced))
+        super().__init__(tuple(coerced))
 
     @property
     def row_count(self) -> int:
@@ -200,14 +200,7 @@ class FitResult(Frozen):
     recurrence: Optional[BandedRecurrence]
     column: Optional[int]
     witness: tuple[tuple[int, int], ...]
-
-    def __init__(
-        self,
-        recurrence: Optional[BandedRecurrence],
-        column: Optional[int] = None,
-        witness: tuple[tuple[int, int], ...] = (),
-    ) -> None:
-        self._set(recurrence, column, witness)
+    _defaults = {"column": None, "witness": ()}
 
     @property
     def fits(self) -> bool:
@@ -359,7 +352,7 @@ def fit_banded(rows: RowSource) -> FitResult:
         if k + 1 <= n_max - 1:
             down[k + 1] = down_kp1
     rec = BandedRecurrence(tuple(up), tuple(stay), tuple(down))
-    if not _rows_follow(rows, rec, n_max):  # pragma: no cover - consistent columns imply it
+    if _rows_follow(rows, rec, n_max) <= n_max:  # pragma: no cover - consistent columns imply it
         raise ArithmeticError("consistent column fits failed to regenerate the triangle")
     return FitResult(rec)
 

@@ -20,11 +20,7 @@ class MisprintEntry(Frozen):
     published: str
     computed: str
     note: str
-
-    def __init__(
-        self, ident: str, location: str, published: str, computed: str, note: str = ""
-    ) -> None:
-        self._set(ident, location, published, computed, note)
+    _defaults = {"note": ""}
 
 
 LEDGER: tuple[MisprintEntry, ...] = (

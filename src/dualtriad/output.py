@@ -29,18 +29,7 @@ class OutputDocument(Record):
     params: dict[str, str]
     rows: list[list[str]]
     report: Optional[dict]
-
-    def __init__(
-        self,
-        family: str,
-        params: Optional[dict[str, str]] = None,
-        rows: Optional[list[list[str]]] = None,
-        report: Optional[dict] = None,
-    ) -> None:
-        self.family = family
-        self.params = {} if params is None else params
-        self.rows = [] if rows is None else rows
-        self.report = report
+    _defaults = {"params": dict, "rows": list, "report": None}
 
     @classmethod
     def from_values(

@@ -182,9 +182,6 @@ class RootSequence(Frozen):
     rule: str
     data: tuple[Rational, ...]
 
-    def __init__(self, rule: str, data: tuple[Rational, ...]) -> None:
-        self._set(rule, data)
-
     @classmethod
     def constant(cls, value: Rational) -> "RootSequence":
         return cls("constant", (as_exact(value),))

@@ -57,7 +57,7 @@ class Triangle(Frozen):
         family: str = "",
         params: tuple[tuple[str, str], ...] = (),
     ) -> None:
-        self._set(tuple(map(Scaled.values, checked_rows(tuple(rows)))), family, params)
+        super().__init__(tuple(map(Scaled.values, checked_rows(tuple(rows)))), family, params)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -163,7 +163,7 @@ class BandedRecurrence(Frozen):
     def __init__(
         self, up: Iterable[Rational], stay: Iterable[Rational], down: Iterable[Rational]
     ) -> None:
-        self._set(*(tuple(as_exact(v) for v in w) for w in (up, stay, down)))
+        super().__init__(*(tuple(as_exact(v) for v in w) for w in (up, stay, down)))
         if not (len(self.up) == len(self.stay) == len(self.down)):
             raise ValueError("up, stay and down must cover the same levels")
 
@@ -199,15 +199,7 @@ class TriadReport(Frozen):
     holds: bool
     first_failure: Optional[tuple[int, Polynomial]]
     method: str
-
-    def __init__(
-        self,
-        verified_up_to: int,
-        holds: bool,
-        first_failure: Optional[tuple[int, Polynomial]] = None,
-        method: str = "brute",
-    ) -> None:
-        self._set(verified_up_to, holds, first_failure, method)
+    _defaults = {"first_failure": None, "method": "brute"}
 
 
 def root_recurrence(roots: RootSequence, depth: int) -> BandedRecurrence:
@@ -322,27 +314,17 @@ class Family(Frozen):
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]]
     rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]]
     phi_rows: Optional[Callable[[int], Iterator[tuple[Rational, ...]]]]
-
-    def __init__(
-        self,
-        dual: Optional[str],
-        route: Optional[str],
-        param: Optional[str] = None,
-        recurrence: Optional[Callable[[Any, int], BandedRecurrence]] = None,
-        rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]] = None,
-        phi_rows: Optional[Callable[[int], Iterator[tuple[Rational, ...]]]] = None,
-    ) -> None:
-        self._set(dual, route, param, recurrence, rows, phi_rows)
+    _defaults = {"param": None, "recurrence": None, "rows": None, "phi_rows": None}
 
     def scaled_rows(self, value: Any, rows: int) -> Iterator[Scaled]:
         """Rows 0..rows as Scaled vectors, one at a time; value is the
         family's parameter (None when it takes none).
 
-        A banded family's rows come from its recurrence, so that the closed
-        forms in the sequences module stay an independent cross-check; the
-        others read their row stream, whose widths checked_rows checks.  The
-        arguments are checked here, before the first row, and only the
-        previous row is held.
+        A banded family's rows come from its recurrence; only the tests
+        compare them with the closed forms in the sequences module, which no
+        command reads.  The others read their row stream, whose widths
+        checked_rows checks.  The arguments are checked here, before the
+        first row, and only the previous row is held.
         """
         if rows < 0:
             raise ValueError("rows must be nonnegative")
@@ -515,11 +497,11 @@ def _rows_follow(
     rec: BandedRecurrence,
     top: int,
     phis: Optional[Union[Sequence[Polynomial], Restartable[Polynomial]]] = None,
-) -> bool:
-    """True when the rows 0..top of the source are rec's: row 0 is the seed 1
-    and each later row is the banded step of the one before; and, given
-    phis, when they are the phi_0..phi_top of iter_dual_polynomials(rec,
-    top), whose preconditions the caller has checked.
+) -> int:
+    """The first n at which row n of the source, or phi_n, leaves rec (top + 1
+    when none does): row 0 must be the seed 1, each later row the banded step
+    of the one before and, given phis, phi_n the phi_n of
+    iter_dual_polynomials(rec, top), whose preconditions the caller checked.
 
     One lockstep pass reads each row through checked_rows, holding only the
     row before it, and each phi beside the dual it must equal.  The row step
@@ -532,12 +514,11 @@ def _rows_follow(
     duals = iter_dual_polynomials(rec, top) if phis else None  # none to make when top is -1
     row = Scaled(())
     for n, (nxt, phi) in enumerate(pairs):
-        if nxt != (_row_step(ints, den, row, n + 1) if n else Scaled((1,))):
-            return False
-        if phi is not None and phi != next(duals):
-            return False
+        if nxt != (_row_step(ints, den, row, n + 1) if n else Scaled((1,))) or (
+                phi is not None and phi != next(duals)):
+            return n
         row = nxt
-    return True
+    return top + 1
 
 
 def verify_triad(
@@ -560,11 +541,11 @@ def verify_triad(
     the one before) and the phis, if given, are those duals, then every row
     holds.  Without phis no dual is made.  The row checks run on Scaled
     vectors, so rational families pay one gcd per row rather than per
-    operation.  If rec is absent or any check fails, a fresh pass expands
-    every row (O(N^3)) in the phis, or in iter_dual_polynomials(rec, N)
-    without them, holding the phis read so far; the residual is computed
-    exactly, and the pass stops at the first failing row, whose index and
-    residual polynomial the report carries as a concrete counterexample.
+    operation.  If rec is absent or a check fails, a fresh pass expands the
+    rows from the first row or phi that leaves rec (row 0 without rec) in the
+    phis, or without them in iter_dual_polynomials(rec, N), holding the phis
+    read so far (O(N^3)); it stops at the first failing row, whose index and
+    exact residual polynomial the report carries as a concrete counterexample.
     """
     top = len(rows) - 1
     if phis is None:
@@ -575,14 +556,18 @@ def verify_triad(
     # phi_0 = 1 and x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1}
     # define phi_1..phi_N when up[k] != 0 for k < N.  With R_n = sum_k c[n][k]
     # phi_k - x^n, rows that follow rec give R_{n+1} = x * R_n, so R_0 = 0
-    # makes every R_n vanish.
-    if (rec is not None and rec.depth >= top - 1 and all(rec.up[k] for k in range(top))
-            and _rows_follow(rows, rec, top, phis)):
+    # makes every R_n vanish; rows and phis that first leave rec at n make
+    # R_0..R_{n-1} vanish, so the expansion starts at row n.
+    certifiable = rec is not None and rec.depth >= top - 1 and all(rec.up[k] for k in range(top))
+    start = _rows_follow(rows, rec, top, phis) if certifiable else 0
+    if start > top:
         return TriadReport(top, True, None, "certificate")
     seen: list[Polynomial] = []
     duals = iter_dual_polynomials(rec, top) if phis is None else phis
     for n, (row, phi) in enumerate(zip(checked_rows(rows), duals, strict=True)):
         seen.append(phi)
+        if n < start:
+            continue
         residual = linear_combination(row.values(), seen) - Polynomial.monomial(n)
         if residual:
             return TriadReport(top, False, (n, residual))

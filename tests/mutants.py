@@ -1,13 +1,15 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
-elimination, of the phi streams that stand in for an inversion, of the
-family's row and phi routes, and of the writer of every output format.
+elimination and pair scaling, of the phi streams that stand in for an
+inversion, of the family's row and phi routes, of the records' constructor
+and of the writer of every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
 and tests/ to a temporary directory, applies each entry alone to that copy
 and runs
 
-    python -m pytest -x -q tests/test_output.py tests/test_dynsys.py tests/test_triads.py tests/test_scaled.py
+    python -m pytest -x -q tests/test_records.py tests/test_dynsys.py tests/test_output.py \
+        tests/test_triads.py tests/test_scaled.py
 
 there.  The tests must pass on the unchanged copy and fail on every mutant.
 Run it from any directory, with pytest and hypothesis installed:
@@ -30,13 +32,18 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# The fast test file first: pytest -x stops at the first failure.
-TESTS = ("tests/test_output.py", "tests/test_dynsys.py", "tests/test_triads.py", "tests/test_scaled.py")
+# pytest -x stops at the first failure, so the files that kill mutants
+# soonest run first: test_records takes a second, test_dynsys kills most
+# mutants (15 of 36), test_output kills the writer's, and the hypothesis
+# classes of test_scaled come last.
+TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
+         "tests/test_scaled.py")
 TRIADS = "src/dualtriad/triads.py"
 EXACT = "src/dualtriad/exact.py"
 SEQUENCES = "src/dualtriad/sequences.py"
 DYNSYS = "src/dualtriad/dynsys.py"
 OUTPUT = "src/dualtriad/output.py"
+RECORD = "src/dualtriad/_record.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
@@ -44,8 +51,10 @@ MUTANTS = [
      "_rows_follow: row 0 is not compared with the seed 1"),
     (TRIADS, "_row_step(ints, den, row, n + 1) if n", "nxt if n",
      "_rows_follow: rows after row 0 are not compared with the row step"),
-    (TRIADS, "if phi is not None and phi != next(duals):", "if phi is not None and next(duals) is None:",
+    (TRIADS, "phi is not None and phi != next(duals))", "phi is not None and next(duals) is None)",
      "_rows_follow: the given phis are not compared with the duals of rec"),
+    (TRIADS, "if n < start:", "if n <= start:",
+     "verify_triad: the expansion after a failed certificate starts one row late"),
     (TRIADS, "rec.depth >= top - 1 and ", "",
      "verify_triad: no check that rec tabulates the levels the duals read"),
     (TRIADS, "rec.depth >= top - 1 and ", "rec.depth >= top and ",
@@ -95,6 +104,14 @@ MUTANTS = [
      "Family.scaled_rows: the recurrence is tabulated one level short"),
     (DYNSYS, "tags |= pt", "tags = tags",
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
+    (DYNSYS, "row = [e // g * v for v in row]", "row = [v for v in row]",
+     "fit_banded: row n is not scaled to the pair's common denominator"),
+    (DYNSYS, "rhs = [d // g * v for v in nxt]", "rhs = [v for v in nxt]",
+     "fit_banded: row n + 1 is not scaled to the pair's common denominator"),
+    (RECORD, "values[field] = value() if isinstance(value, type) else value", "values[field] = value",
+     "Record.__init__: a type default is stored uncalled, not as a fresh instance"),
+    (RECORD, "if field in values or field not in names:", "if field in values:",
+     "Record.__init__: an unknown field is accepted"),
     (OUTPUT, "for row in rows), default=0)", "for row in list(rows)[:1]), default=0)",
      "write_document: pretty takes its width from the first row only"),
     (OUTPUT, '_write_row(write, "", ",", row, "\\n")', '_write_row(write, "", ",", row, "")',

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualtriad import dynsys, triads
-from dualtriad.cli import main, parse_roots
+from dualtriad.cli import DEFAULT_ROW_CAP, main, parse_roots
 from dualtriad.dynsys import convolve_fibonomial, phi_from_step_matrix, solve_step_matrix
 from dualtriad.output import OutputDocument, format_rows, parse_exact
 from dualtriad.sequences import RootSequence, q_binomial
@@ -560,6 +560,100 @@ class TestArgvFuzz:
                 OutputDocument.rows_from_csv(out)
             elif fmt == "json":
                 OutputDocument.from_json(out)
+
+
+# Texts that a flag's value often takes, shared by every flag: numbers in
+# forms that int() or Fraction() accept or refuse, patterns, separators and
+# option-like words.
+EDGE_TEXTS = ["", " ", "-", "--", "0", "-0", "1", "-1", "+3", " 3 ", "1_0", "٣", "0x10", "1e3",
+              "1/0", "2/3", "-2/3", "1" + "0" * 40, "abc", "nan", "inf", "…", "...", ",", "1,,2",
+              "0,1,2,...", "1/2,3/2,…", "1,2,4,...", "3,1", "1,2,5,...", "0,0,...", "ones", "1,-1/2",
+              "pascal", "Pascal", "q_gaussian", "lah", "csv", "json", "pretty", "xml", "\x00", "é",
+              "--help", "-h"]
+# Texts that each flag parses, so that most argvs reach the command (a --rows
+# of 513 is past the default cap).
+GOOD_TEXTS = {
+    "family": sorted(triads.FAMILIES),
+    "q": ["2", "-2/3", "1/2", "-1", "1" + "0" * 40],
+    "roots": ["0,1,2,...", "1/2,3/2,…", "1,2,4,...", "3,1,4,1,5,9,2,6,5,3,5,8,9", "0,0,..."],
+    "rows": ["0", "1", "5", "12", "513"],
+    "max-rows": ["0", "5", "12"],
+    "a": ["ones", "1,-1/2", "0,0,1"],
+    "b": ["ones", "2/3"],
+    "format": ["csv", "json", "pretty"],
+}
+
+
+def _int_at_most(text, bound, or_above=None):
+    """False when int(text), as argparse reads --rows and --max-rows, is a
+    row count above bound (and at most or_above): a run of that many rows
+    would cost seconds, while a count past the row cap is refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        return True
+    return value <= bound or (or_above is not None and value > or_above)
+
+
+# The free texts --rows and --max-rows may take: (bound, or_above).
+ROW_BOUNDS = {"rows": (12, DEFAULT_ROW_CAP), "max-rows": (12,)}
+
+
+@st.composite
+def flag_text_argvs(draw):
+    """An argv of any command in which each of --family, --q, --roots,
+    --rows, --max-rows, --a, --b and --format may take free text (an edge
+    text or any short string), as `--flag=text` or as two tokens.  A flag
+    that the command and family take is left out one time in eight, takes
+    free text one time in eight and a text it accepts otherwise; any other
+    flag is given one time in eight.  A numeric --rows is at most 12 or past
+    the default cap, and --max-rows at most 12, so that no run costs
+    seconds."""
+    command = draw(st.sampled_from(COMMANDS))
+    family = draw(st.sampled_from(GOOD_TEXTS["family"]))
+    own = {"family", "rows", triads.FAMILIES[family].param}
+    own.update(("a", "b") if command == "convolve" else ())
+    own.update(() if command in ("verify", "fit") else ("format",))
+    free = st.one_of(st.sampled_from(EDGE_TEXTS), st.text(max_size=8))
+    flags = []
+    for flag, good in GOOD_TEXTS.items():
+        choice = draw(st.integers(0, 7))
+        if (choice == 0) == (flag in own):
+            continue
+        parsed = choice > 1 if flag in own else draw(st.booleans())
+        if parsed:
+            text = family if flag == "family" else draw(st.sampled_from(good))
+        elif flag in ROW_BOUNDS:
+            text = draw(free.filter(lambda t: _int_at_most(t, *ROW_BOUNDS[flag])))
+        else:
+            text = draw(free)
+        flags.append([f"--{flag}={text}"] if draw(st.booleans()) else [f"--{flag}", text])
+    argv = [command]
+    for tokens in draw(st.permutations(flags)):
+        argv += tokens
+    return argv
+
+
+class TestFlagTextFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(flag_text_argvs())
+    def test_exit_code_and_where_the_error_goes(self, argv):
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1 and out:
+            # A failed triad: verify's verdict on stdout, nothing on stderr.
+            assert argv[0] == "verify" and err == "", argv
+            assert out.startswith("route: ") and "\nfails at n=" in out, argv
+        elif code:
+            assert out == "" and "error:" in err, argv
+
+    @pytest.mark.parametrize("flag", sorted(GOOD_TEXTS))
+    def test_double_dash_value_is_a_usage_error(self, flag):
+        # Before Python 3.13 argparse dropped a "--" given as an option's
+        # value, which left a list where a text was read: a TypeError.
+        argv = ["convolve", "--family", "fibonomial", "--rows", "3", "--a", "ones", "--b", "ones"]
+        code, out, err = run_cli([*argv, f"--{flag}=--"])
+        assert (code, out) == (2, "") and "'--'" in err
 
 
 class TestRootsParsing:

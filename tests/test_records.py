@@ -159,3 +159,29 @@ def test_defaults():
     assert MisprintEntry("a", "b", "c", "d").note == ""
     assert Family(dual=None, route=None).param is None
     assert OutputDocument("x").rows == [] and OutputDocument("x").report is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TriadReport(4),  # a missing field
+    lambda: TriadReport(4, True, methods="brute"),  # an unknown keyword
+    lambda: TriadReport(4, True, None, "brute", None),  # one positional too many
+    lambda: TriadReport(4, True, holds=False),  # a field given twice
+    lambda: Family(route=None),
+    lambda: FitResult(None, wittness=()),
+    lambda: MisprintEntry("a", "b", "c", "d", "e", "f"),
+    lambda: OutputDocument(),
+    lambda: OutputDocument("x", {}, [], None, None),
+    lambda: RootSequence(rule="constant", data=(1,), step=2),
+])
+def test_constructor_refuses_a_missing_unknown_or_extra_field(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_fields_by_position_or_by_name():
+    assert TriadReport(4, True, None, "certificate") == TriadReport(
+        method="certificate", holds=True, verified_up_to=4)
+    # A value passed in is stored as given; only a default is made fresh.
+    params = {"q": "2"}
+    assert OutputDocument("x", params).params is params
+    assert OutputDocument("x").rows is not OutputDocument("x").rows

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtriad import cli
+from dualtriad import cli, triads
 from dualtriad.dynsys import fit_banded, phi_from_step_matrix, solve_step_matrix
 from dualtriad.exact import Polynomial, X, linear_combination
 from dualtriad.sequences import (
@@ -384,6 +384,25 @@ class TestVerifyCertificate:
             assert not fast.holds and fast.method == "brute"
             kinds[kind] += 1
         assert min(kinds.values()) == 40
+
+    @pytest.mark.parametrize("name,q", [("q-gaussian", Fraction(-2, 3)), ("q-gaussian", 2),
+                                        ("catalan-triad", None)])
+    def test_failed_certificate_expands_from_the_failing_row(self, monkeypatch, name, q):
+        # Rows before the first that leaves rec hold by the certificate's
+        # induction, so one perturbed row at N/2 is the only row expanded.
+        n = 16
+        rows = [list(r) for r in generate_named(name, n, q=q).rows]
+        rows[n // 2][1] += 1
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return linear_combination(*args)
+
+        monkeypatch.setattr(triads, "linear_combination", counting)
+        report = verify_triad(Triangle(rows), rec=banded_for_family(name, n - 1, q=q))
+        assert (report.holds, report.first_failure[0], report.method) == (False, n // 2, "brute")
+        assert calls == [n // 2 + 1]
 
     def test_unperturbed_random_triads_certified(self):
         rng = random.Random(7)
