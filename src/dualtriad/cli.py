@@ -262,9 +262,12 @@ class _Subcommand(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def _get_values(self, action, arg_strings):  # type: ignore[no-untyped-def]
-        # argparse < 3.13 drops the first "--" of an option's values (--rows=-- read as []): give it one.
-        extra = ["--"] if action.option_strings and sys.version_info < (3, 13) else []
-        return super()._get_values(action, extra + arg_strings)
+        # Some argparse versions drop "--" as an option's value (--rows=-- read as []): read it as text.
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,9 +329,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return 2
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

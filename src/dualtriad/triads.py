@@ -609,11 +609,7 @@ def catalan_triad_from_shifted(tri: Triangle) -> Triangle:
     """
     if tri.max_row < 1:
         raise ValueError("need at least rows 0..1 to unshift")
-    rows = tuple(
-        tuple(tri.rows[n + 1][k + 1] for k in range(n + 1))
-        for n in range(tri.max_row)
-    )
-    return Triangle(rows, family="catalan-triad")
+    return Triangle(tuple(row[1:] for row in tri.rows[1:]), family="catalan-triad")
 
 
 def catalan_shifted_from_triad(tri: Triangle) -> Triangle:

@@ -523,45 +523,6 @@ class TestRouteMatrix:
                     assert lines[:1] == ([] if route is None else [f"route: {route}"])
 
 
-@st.composite
-def fuzzed_argvs(draw):
-    """An argv of any command, family (or an unknown one), --q, --roots,
-    --rows and --format.  A flag that the command and family take is given
-    three times in four, one they do not take (a usage error) once in
-    four."""
-    command = draw(st.sampled_from(COMMANDS))
-    family = draw(st.sampled_from([*sorted(triads.FAMILIES), "nosuch"]))
-    own = (getattr(triads.FAMILIES.get(family), "param", None),
-           None if command in ("verify", "fit") else "format")
-    argv = [command, "--family", family, "--rows", str(draw(st.integers(-1, 12)))]
-    for flag, values in (
-        ("q", ["2", "-2/3", "0", "1e3", "abc", "1/0"]),
-        ("roots", ["0,1,2,...", "1/2,3/2,…", "1,2,4,...", "3,1", "1,2,5,...", "1,,2", "zz"]),
-        ("format", ["csv", "json", "pretty", "xml"]),
-    ):
-        if draw(st.integers(0, 3)) < (3 if flag in own else 1):
-            argv.append(f"--{flag}={draw(st.sampled_from(values))}")
-    if command == "convolve":
-        argv += ["--a", draw(st.sampled_from(["ones", "1,-1/2", "x"])), "--b", "ones"]
-    return argv
-
-
-class TestArgvFuzz:
-    # The argv sweep pins the outputs of the argvs it lists; this covers
-    # the combinations it does not.
-    @settings(max_examples=200, deadline=None)
-    @given(fuzzed_argvs())
-    def test_exit_code_and_parsable_output(self, argv):
-        code, out, _ = run_cli(argv)
-        assert code in (0, 1, 2), argv
-        fmt = next((a.split("=")[1] for a in argv if a.startswith("--format=")), "csv")
-        if code == 0 and argv[0] not in ("verify", "fit"):
-            if fmt == "csv":
-                OutputDocument.rows_from_csv(out)
-            elif fmt == "json":
-                OutputDocument.from_json(out)
-
-
 # Texts that a flag's value often takes, shared by every flag: numbers in
 # forms that int() or Fraction() accept or refuse, patterns, separators and
 # option-like words.
@@ -575,8 +536,8 @@ EDGE_TEXTS = ["", " ", "-", "--", "0", "-0", "1", "-1", "+3", " 3 ", "1_0", "٣"
 GOOD_TEXTS = {
     "family": sorted(triads.FAMILIES),
     "q": ["2", "-2/3", "1/2", "-1", "1" + "0" * 40],
-    "roots": ["0,1,2,...", "1/2,3/2,…", "1,2,4,...", "3,1,4,1,5,9,2,6,5,3,5,8,9", "0,0,..."],
-    "rows": ["0", "1", "5", "12", "513"],
+    "roots": ["0,1,2,...", "1/2,3/2,…", "1,2,4,...", "3,1", "3,1,4,1,5,9,2,6,5,3,5,8,9", "0,0,..."],
+    "rows": [*map(str, range(13)), "513"],
     "max-rows": ["0", "5", "12"],
     "a": ["ones", "1,-1/2", "0,0,1"],
     "b": ["ones", "2/3"],
@@ -600,15 +561,15 @@ ROW_BOUNDS = {"rows": (12, DEFAULT_ROW_CAP), "max-rows": (12,)}
 
 
 @st.composite
-def flag_text_argvs(draw):
+def fuzzed_argvs(draw):
     """An argv of any command in which each of --family, --q, --roots,
     --rows, --max-rows, --a, --b and --format may take free text (an edge
     text or any short string), as `--flag=text` or as two tokens.  A flag
     that the command and family take is left out one time in eight, takes
     free text one time in eight and a text it accepts otherwise; any other
-    flag is given one time in eight.  A numeric --rows is at most 12 or past
-    the default cap, and --max-rows at most 12, so that no run costs
-    seconds."""
+    flag (a usage error) is given one time in eight.  A numeric --rows is at
+    most 12 or past the default cap, and --max-rows at most 12, so that no
+    run costs seconds."""
     command = draw(st.sampled_from(COMMANDS))
     family = draw(st.sampled_from(GOOD_TEXTS["family"]))
     own = {"family", "rows", triads.FAMILIES[family].param}
@@ -634,10 +595,12 @@ def flag_text_argvs(draw):
     return argv
 
 
-class TestFlagTextFuzz:
+class TestArgvFuzz:
+    # The argv sweep pins the outputs of the argvs it lists; this covers
+    # the combinations it does not.
     @settings(max_examples=300, deadline=None)
-    @given(flag_text_argvs())
-    def test_exit_code_and_where_the_error_goes(self, argv):
+    @given(fuzzed_argvs())
+    def test_exit_code_and_parsable_output(self, argv):
         code, out, err = run_cli(argv)
         assert code in (0, 1, 2), argv
         if code == 1 and out:
@@ -646,6 +609,14 @@ class TestFlagTextFuzz:
             assert out.startswith("route: ") and "\nfails at n=" in out, argv
         elif code:
             assert out == "" and "error:" in err, argv
+        elif argv[0] not in ("verify", "fit"):
+            # Each flag is given at most once, as --format=text or as two tokens.
+            fmt = next((t[9:] if "=" in t else argv[i + 1] for i, t in enumerate(argv)
+                        if t.split("=")[0] == "--format"), "csv")
+            if fmt == "csv":
+                OutputDocument.rows_from_csv(out)
+            elif fmt == "json":
+                OutputDocument.from_json(out)
 
     @pytest.mark.parametrize("flag", sorted(GOOD_TEXTS))
     def test_double_dash_value_is_a_usage_error(self, flag):
