@@ -9,15 +9,16 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Collection, Optional, Sequence
 
-from .dynsys import banded_step_matrix, convolve_fibonomial, fit_banded, solve_step_matrix
-from .exact import Polynomial, Rational, Scaled, format_exact
+from .dynsys import convolve_fibonomial, family_step_matrix, fit_banded
+from .exact import Rational, Scaled, format_exact
 from .output import format_rows, write_document
 from .sequences import RootSequence
-from .triads import FAMILIES, Family, Restartable, Triangle, verify_triad
+from .triads import FAMILIES, Family, Restartable
 
 DEFAULT_ROW_CAP = 512
 
@@ -26,9 +27,15 @@ class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 2."""
 
 
+# The values --q, --roots, --a and --b read, alike on every Python: a signed
+# integer, p/q or decimal (0.5, .5, 2.) in ASCII digits, between optional
+# spaces; no exponent (1e400000 has 400,001 digits) or digit separator.
+_EXACT_TEXT = re.compile(r"\s*[-+]?(\d+/\d+|\d+\.?\d*|\.\d+)\s*", re.ASCII)
+
+
 def _exact(text: str, message: str) -> Fraction:
-    """A flag's exact value, or UsageError(message); an exponent (1e400000: 400,001 digits) is refused."""
-    if "e" not in text.lower():
+    """A flag's exact value in the grammar of _EXACT_TEXT, or UsageError(message)."""
+    if _EXACT_TEXT.fullmatch(text):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -138,14 +145,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"family {args.family} admits no dual construction "
             "(not unipotent and no banded recurrence)"
         )
-    # Rows 0..rows as Scaled vectors, from a source that every pass restarts.
-    source = Restartable(lambda: family.scaled_rows(value, rows), rows + 1)
-    dual = FAMILIES[family.dual]
-    if dual.recurrence is None:
-        phis = Restartable(lambda: map(Polynomial, dual.phis(value, rows)), rows + 1)
-        report = verify_triad(source, phis, None)
-    else:
-        report = verify_triad(source, None, dual.recurrence(value, rows - 1))
+    report = family.verify(value, rows)
     print(f"route: {family.route}")
     if report.holds:
         print(f"holds up to n={report.verified_up_to}")
@@ -178,13 +178,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows + 1)
-    if family.recurrence is not None:
-        # Every banded family is unipotent (up weights 1), so its F is its
-        # own recurrence; the dense solve is for the other families.
-        sm = banded_step_matrix(family.recurrence(value, rows), rows)
-    else:
-        sm = solve_step_matrix(Triangle(family.scaled_rows(value, rows + 1)))
-    _emit(args.family, params, sm.rows, args.format)
+    _emit(args.family, params, family_step_matrix(family, value, rows).rows, args.format)
     return 0
 
 

@@ -8,7 +8,8 @@ Its eigen-style recursion x*phi = F*phi yields the phi whose coefficient
 rows are the rows of C^{-1}, which one inversion also gives: the basis in
 which x^n expands with the triangle's own rows.  Both dense routes are the
 oracle of the phi streams of triads.FAMILIES, which read C^{-1} off each
-family's structure (a banded recurrence with unit up weights is its F).
+family's structure.  family_step_matrix decides solve-f's route: a banded
+recurrence with unit up weights is its F, and only other families are solved.
 
 This module also decides, exactly, whether a triangle admits banded
 time-independent update weights at all (fit_banded), and carries the weighted
@@ -18,13 +19,14 @@ convolution built from fibonomial coefficients.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from ._record import Frozen
 from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, forward_substitute
 from .sequences import fibonomial_rows
 from .triads import (
     BandedRecurrence,
+    Family,
     RowSource,
     Triangle,
     _check_levels,
@@ -93,6 +95,15 @@ def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
         row[n], row[n + 1] = rec.stay[n], rec.up[n]
         out.append(row)
     return StepMatrix(out)
+
+
+def family_step_matrix(family: Family, value: Any, rows: int) -> StepMatrix:
+    """Rows 0..rows of a family's F (value is its parameter): a family with a
+    recurrence has up weights 1, so banded_step_matrix reads F off it; the
+    others solve for it over rows 0..rows + 1 (solve_step_matrix)."""
+    if family.recurrence is not None:
+        return banded_step_matrix(family.recurrence(value, rows), rows)
+    return solve_step_matrix(Triangle(family.scaled_rows(value, rows + 1)))
 
 
 def phi_from_step_matrix(

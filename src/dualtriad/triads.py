@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Callable, Generic, Iterable, Iterator, Optional, Protocol, Sequence, TypeVar, Union
+from typing import Any, Callable, Collection, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ._record import Frozen
 from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, format_exact, linear_combination
@@ -33,10 +33,6 @@ from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fi
                         stirling_first_rows)
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
-
-
-def canonical_family(name: str) -> str:
-    return name.strip().lower().replace("_", "-")
 
 
 class Triangle(Frozen):
@@ -125,15 +121,10 @@ class Restartable(Generic[T]):
         return first if first is not None else self._make()
 
 
-class RowSource(Protocol):
-    """The rows 0..N of a triangle as verify_triad and fit_banded read them:
-    a sized iterable that each pass reads afresh, such as a Triangle, its
-    rows, or a Restartable over a Family's scaled_rows.  A row is a sequence
-    of values or a Scaled vector."""
-
-    def __len__(self) -> int: ...
-
-    def __iter__(self) -> Iterator[Union[Sequence[Rational], Scaled]]: ...
+# The rows 0..N of a triangle as verify_triad and fit_banded read them: a sized
+# iterable that each pass reads afresh (a Triangle, its rows, a Restartable over
+# a Family's scaled_rows), whose rows are sequences of values or Scaled vectors.
+RowSource = Collection
 
 
 def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
@@ -241,13 +232,6 @@ def _cleared(rec: BandedRecurrence) -> tuple[BandedRecurrence, int]:
     return BandedRecurrence(weights[:levels], weights[levels : 2 * levels], weights[2 * levels :]), den
 
 
-def _row_step(ints: BandedRecurrence, den: int, row: Scaled, width: int) -> Scaled:
-    """The banded step of row, cut to width, where ints is den times the
-    recurrence: banded_step on the integers, reduced once."""
-    nums, d = row
-    return Scaled(banded_step(ints, nums, width), den * d)
-
-
 def _check_levels(rec: BandedRecurrence, name: str, value: int, count: int, items: str) -> None:
     """Raise ValueError unless the argument name has a nonnegative value and
     rec tabulates the levels 0..count-1 that count items read."""
@@ -271,7 +255,8 @@ def scaled_banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[Scaled]:
     """
     _check_levels(rec, "rows", rows, rows, "rows")
     ints, den = _cleared(rec)
-    return accumulate(range(1, rows + 1), lambda row, n: _row_step(ints, den, row, n + 1),
+    return accumulate(range(1, rows + 1),
+                      lambda row, n: Scaled(banded_step(ints, row[0], n + 1), den * row[1]),
                       initial=Scaled((1,)))
 
 
@@ -304,7 +289,10 @@ class Family(Frozen):
     family is not unipotent); scaled_rows and phis stream either route.
     param names the parameter the family needs (None, "q" or "roots").  dual
     names the family whose phi completes this one's triad; None when there
-    is no dual.  route is the line verify prints.
+    is no dual.  route is the line verify prints.  The recurrences decide the
+    routes, so that no command branches on them: verify proves the triad by
+    the certificate on the dual's or by the brute scan over the dual's phi,
+    and dynsys.family_step_matrix reads F off the family's or solves for it.
     """
 
     __slots__ = ("dual", "route", "param", "recurrence", "rows", "phi_rows")
@@ -342,6 +330,16 @@ class Family(Frozen):
             raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
         return self.phi_rows(rows)
 
+    def verify(self, value: Any, rows: int) -> TriadReport:
+        """The TriadReport of rows 0..rows against the phi of the dual family,
+        which must exist: verify_triad's certificate on the dual's recurrence,
+        or the brute scan over the dual's phi stream when it has none."""
+        source = Restartable(lambda: self.scaled_rows(value, rows), rows + 1)
+        dual = FAMILIES[self.dual]
+        if dual.recurrence is not None:
+            return verify_triad(source, None, dual.recurrence(value, rows - 1))
+        return verify_triad(source, Restartable(lambda: map(Polynomial, dual.phis(value, rows)), rows + 1))
+
 
 FAMILIES: dict[str, Family] = {
     "pascal": Family(dual="pascal", route=_BANDED_ROUTE,
@@ -354,7 +352,7 @@ FAMILIES: dict[str, Family] = {
     # misprint ledger), so verify reports the exact failure instead of hiding it.
     "catalan-shifted": Family(dual="catalan-triad", route=_BANDED_ROUTE + " (catalan polynomials)",
                               recurrence=lambda _, depth: BandedRecurrence.tabulate(
-                                  1, lambda k: 2 if k else 0, lambda k: 1 if k > 1 else 0, depth)),
+                                  1, (0,) + (2,) * depth, (0, 0) + (1,) * depth, depth)),
     "catalan-triad": Family(dual="catalan-triad", route=_BANDED_ROUTE,
                             recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
     "fibonomial": Family(dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows,
@@ -373,7 +371,7 @@ FAMILIES: dict[str, Family] = {
 def _resolve(
     family: str, q: Optional[Rational], roots: Optional[RootSequence]
 ) -> tuple[str, Family, Any]:
-    name = canonical_family(family)
+    name = family.strip().lower().replace("_", "-")
     entry = FAMILIES.get(name)
     if entry is None:
         raise ValueError(f"unknown family {family!r}")
@@ -499,25 +497,22 @@ def _rows_follow(
     phis: Optional[Union[Sequence[Polynomial], Restartable[Polynomial]]] = None,
 ) -> int:
     """The first n at which row n of the source, or phi_n, leaves rec (top + 1
-    when none does): row 0 must be the seed 1, each later row the banded step
-    of the one before and, given phis, phi_n the phi_n of
-    iter_dual_polynomials(rec, top), whose preconditions the caller checked.
+    when none does): row n must be row n of scaled_banded_rows(rec, top) and,
+    given phis, phi_n the phi_n of iter_dual_polynomials(rec, top), whose
+    preconditions the caller checked.
 
-    One lockstep pass reads each row through checked_rows, holding only the
-    row before it, and each phi beside the dual it must equal.  The row step
-    runs in integers on rec's weights cleared to one denominator and
-    compares two Scaled vectors.
+    One lockstep pass reads each row through checked_rows beside rec's row,
+    and each phi beside the dual it must equal.  Up to the first row that
+    leaves rec, rec's row n is the banded step of the source's row n - 1: so
+    n is the first row that is not the step of the one before (or the seed 1).
     """
-    ints, den = _cleared(rec)
     stream = checked_rows(rows)
     pairs = ((r, None) for r in stream) if phis is None else zip(stream, phis, strict=True)
+    steps = scaled_banded_rows(rec, max(top, 0))
     duals = iter_dual_polynomials(rec, top) if phis else None  # none to make when top is -1
-    row = Scaled(())
-    for n, (nxt, phi) in enumerate(pairs):
-        if nxt != (_row_step(ints, den, row, n + 1) if n else Scaled((1,))) or (
-                phi is not None and phi != next(duals)):
+    for n, (row, phi) in enumerate(pairs):
+        if row != next(steps) or (phi is not None and phi != next(duals)):
             return n
-        row = nxt
     return top + 1
 
 

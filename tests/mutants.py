@@ -1,7 +1,7 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
 elimination and pair scaling, of the phi streams that stand in for an
-inversion, of the family's row and phi routes, of the records' constructor
-and of the writer of every output format.
+inversion, of the family's row, phi, proof and step-matrix routes, of the
+records' constructor and of the writer of every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -47,9 +47,9 @@ RECORD = "src/dualtriad/_record.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
-    (TRIADS, "if n else Scaled((1,))", "if n else nxt",
+    (TRIADS, "if row != next(steps) or", "if (row != next(steps) and n) or",
      "_rows_follow: row 0 is not compared with the seed 1"),
-    (TRIADS, "_row_step(ints, den, row, n + 1) if n", "nxt if n",
+    (TRIADS, "if row != next(steps) or", "if (row != next(steps) and not n) or",
      "_rows_follow: rows after row 0 are not compared with the row step"),
     (TRIADS, "phi is not None and phi != next(duals))", "phi is not None and next(duals) is None)",
      "_rows_follow: the given phis are not compared with the duals of rec"),
@@ -66,8 +66,8 @@ MUTANTS = [
     (TRIADS, "for k in range(count):\n        if rec.up[k] == 0:",
      "for k in range(count - 1):\n        if rec.up[k] == 0:",
      "iter_dual_polynomials: the up weight of the last level is not checked"),
-    (TRIADS, "Scaled(banded_step(ints, nums, width), den * d)", "Scaled(banded_step(ints, nums, width), d)",
-     "_row_step: a step on rational weights drops their common denominator"),
+    (TRIADS, "n + 1), den * row[1])", "n + 1), row[1])",
+     "scaled_banded_rows: a step on rational weights drops their common denominator"),
     (TRIADS, "out[j] -= stay * c", "out[j] += stay * c",
      "_dual_step: the stay weight enters the dual with the wrong sign"),
     (TRIADS, "out[j] -= down * c", "out[j] -= stay * c",
@@ -102,6 +102,10 @@ MUTANTS = [
     (TRIADS, "scaled_banded_rows(self.recurrence(value, rows - 1), rows)",
      "scaled_banded_rows(self.recurrence(value, rows - 2), rows)",
      "Family.scaled_rows: the recurrence is tabulated one level short"),
+    (TRIADS, "if dual.recurrence is not None:", "if False:",
+     "Family.verify: a dual with a recurrence is scanned, not certified"),
+    (DYNSYS, "if family.recurrence is not None:", "if False:",
+     "family_step_matrix: a family with a recurrence is solved for F, not read off it"),
     (DYNSYS, "tags |= pt", "tags = tags",
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
     (DYNSYS, "row = [e // g * v for v in row]", "row = [v for v in row]",

@@ -195,6 +195,16 @@ class TestParserTexts:
         assert built == {"fit"}
 
 
+# Each flag that takes exact values: the argv before it, the text of its
+# error message, and what a text must be written as to be one value.
+VALUE_FLAGS = {
+    "--q": (["generate", "--family", "q-gaussian"], "q value {!r}", "{}"),
+    "--roots": (["generate", "--family", "lah"], "roots {!r}", "{},..."),
+    "--a": (["convolve", "--family", "fibonomial", "--b=ones"], "--a value {!r}", "{}"),
+    "--b": (["convolve", "--family", "fibonomial", "--a=ones"], "--b value {!r}", "{}"),
+}
+
+
 class TestExitCodes:
     def test_usage_errors_are_2(self):
         assert run_cli(["generate", "--family", "nonsense", "--rows", "3"])[0] == 2
@@ -248,6 +258,22 @@ class TestExitCodes:
             assert run_cli(argv + ["--rows", "1"]) == (2, "", f"error: cannot parse {message}\n"), argv
         # The library still carries every digit of a q past the int-string limit.
         assert generate_named("q-gaussian", 1, q=10**5000).params == (("q", "1" + "0" * 5000),)
+
+    @pytest.mark.parametrize("flag", sorted(VALUE_FLAGS))
+    def test_one_value_grammar_on_every_python(self, flag):
+        # Fraction() reads digit separators from 3.11 on, spaces around "/"
+        # from 3.12 on, and the digits of any script; a flag reads none of them.
+        argv, message, form = VALUE_FLAGS[flag]
+        for text in ("1_0", "2 /3", "٣", "١/٢", "１"):
+            value = form.format(text)
+            expected = (2, "", f"error: cannot parse {message.format(value)}\n")
+            assert run_cli([*argv, f"{flag}={value}", "--rows", "3"]) == expected, text
+        # What every Python reads alike: a sign, p/q, decimals, outer spaces.
+        for text, same in ((" 2 ", "2"), ("+2", "2"), ("0.5", "1/2"), (".5", "1/2"), ("2.", "2"),
+                           ("-2.50", "-5/2"), (" -3/4", "-3/4")):
+            result = run_cli([*argv, f"{flag}={form.format(text)}", "--rows", "3"])
+            assert result == run_cli([*argv, f"{flag}={form.format(same)}", "--rows", "3"]), text
+            assert result[0] == 0, text
 
     def test_row_cap(self):
         assert run_cli(["generate", "--family", "pascal", "--rows", "600"])[0] == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtriad import cli, triads
+from dualtriad import cli, dynsys, triads
 from dualtriad.dynsys import fit_banded, phi_from_step_matrix, solve_step_matrix
 from dualtriad.exact import Polynomial, X, linear_combination
 from dualtriad.sequences import (
@@ -462,7 +462,7 @@ class TestVerifyCertificate:
             reports.append(verify_triad(*args))
             return reports[-1]
 
-        monkeypatch.setattr(cli, "verify_triad", recording)
+        monkeypatch.setattr(triads, "verify_triad", recording)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["verify", "--family", family, "--rows", "12"] + extra)
@@ -472,6 +472,48 @@ class TestVerifyCertificate:
             assert out.getvalue().splitlines()[1] == "fails at n=1; residual = -2"
         else:
             assert code == 0
+
+    @pytest.mark.parametrize("family,extra", [
+        ("pascal", []),
+        ("q-gaussian", ["--q=-5/2"]),
+        ("catalan-shifted", []),
+        ("catalan-triad", []),
+        ("lah", ["--roots", "1/2,3/2,..."]),
+        ("fibonomial", []),
+        ("stirling1", []),
+        ("eulerian", []),
+    ])
+    def test_cli_takes_the_family_routes(self, monkeypatch, family, extra):
+        # verify and solve-f take the routes their Family decides: on a family
+        # with a recurrence the certificate and the read-off F, which need no
+        # phi stream, no expansion and no dense solve; on the others the brute
+        # scan over the dual's phi and the dense solve, which need neither the
+        # certificate nor a banded F.  catalan-shifted's certificate fails, so
+        # its report expands row 1.
+        runs = [[command, "--family", family, "--rows", rows, *extra]
+                for command in ("verify", "solve-f") for rows in ("0", "1", "6")]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        expected = [run(argv) for argv in runs]
+
+        def refuse(*args):
+            raise AssertionError("the other route")
+
+        if FAMILIES[family].recurrence is not None:
+            monkeypatch.setattr(dynsys, "solve_step_matrix", refuse)
+            monkeypatch.setattr(triads.Family, "phis", refuse)
+            if family != "catalan-shifted":
+                monkeypatch.setattr(triads, "linear_combination", refuse)
+        else:
+            monkeypatch.setattr(dynsys, "banded_step_matrix", refuse)
+            monkeypatch.setattr(triads, "_rows_follow", refuse)
+        for argv, result in zip(runs, expected):
+            assert run(argv) == result, argv
 
 
 class CountedSource(Restartable):
