@@ -27,9 +27,9 @@ class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 2."""
 
 
-# The values --q, --roots, --a and --b read, alike on every Python: a signed
-# integer, p/q or decimal (0.5, .5, 2.) in ASCII digits, between optional
-# spaces; no exponent (1e400000 has 400,001 digits) or digit separator.
+# What --q, --roots, --a and --b read, alike on every Python: an integer, p/q or
+# decimal (0.5, .5, 2.) in ASCII digits, with an optional sign and ASCII spaces
+# around it; no exponent (1e400000 has 400,001 digits) or digit separator.
 _EXACT_TEXT = re.compile(r"\s*[-+]?(\d+/\d+|\d+\.?\d*|\.\d+)\s*", re.ASCII)
 
 
@@ -46,7 +46,7 @@ def _exact(text: str, message: str) -> Fraction:
 def parse_roots(text: str) -> RootSequence:
     """Parse --roots: a comma list of exact values, optionally ending in an
     ellipsis that continues an arithmetic or geometric pattern."""
-    items = [t.strip() for t in text.split(",")]
+    items = [t.strip(" \t\n\r\f\v") for t in text.split(",")]
     continued = bool(items) and items[-1] in ("…", "...")
     if continued:
         items = items[:-1]
@@ -193,7 +193,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
 def _parse_sequence(text: str, length: int, flag: str) -> list[Rational]:
     if text == "ones":
         return [1] * length
-    values = [_exact(t.strip(), f"cannot parse {flag} value {text!r}") for t in text.split(",")]
+    values = [_exact(t, f"cannot parse {flag} value {text!r}") for t in text.split(",")]
     if len(values) > length:
         raise UsageError(f"{flag} has {len(values)} entries, more than rows+1 = {length}")
     return values + [0] * (length - len(values))

@@ -262,9 +262,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", sorted(VALUE_FLAGS))
     def test_one_value_grammar_on_every_python(self, flag):
         # Fraction() reads digit separators from 3.11 on, spaces around "/"
-        # from 3.12 on, and the digits of any script; a flag reads none of them.
+        # from 3.12 on, and the digits and spaces of any script; a flag reads
+        # none of them.
         argv, message, form = VALUE_FLAGS[flag]
-        for text in ("1_0", "2 /3", "٣", "١/٢", "１"):
+        for text in ("1_0", "2 /3", "٣", "١/٢", "１", "\xa02", "2\u2003"):
             value = form.format(text)
             expected = (2, "", f"error: cannot parse {message.format(value)}\n")
             assert run_cli([*argv, f"{flag}={value}", "--rows", "3"]) == expected, text
