@@ -8,7 +8,9 @@ the integer families never touch Fraction at all.  Floats are rejected so
 nothing silently leaves exact arithmetic.
 
 Two rules keep the representation: values are stored through as_exact, and
-every division goes through exact_div (int / int would give a float).
+every division goes through exact_div (int / int would give a float).  A
+caller that knows a quotient's terms coprime builds it with coprime_fraction,
+which skips the gcd that exact_div pays.
 
 A vector of scalars has a second form, Scaled: integers over one positive
 denominator.  The proofs that print no value (the triad certificate and the
@@ -51,6 +53,16 @@ def exact_div(a: Rational, b: Rational) -> Rational:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return as_exact(a / b)
+
+
+def coprime_fraction(num: int, den: int) -> Fraction:
+    """num/den as a Fraction, with no gcd: num and den must be coprime and
+    den > 1, which the caller knows.  Fraction(num, den) would spend a gcd
+    of their full size to find that out.  The terms are stored in
+    Fraction's own slots, as its _from_coprime_ints does from 3.12 on."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
 
 
 class Scaled(tuple):

@@ -6,7 +6,9 @@ a Fraction otherwise.  Out-of-range indices give 0 rather than an error so
 that recurrences can run without boundary branches.  fibonomial, q_binomial
 and catalan_entry are closed forms; stirling_first and eulerian read a row
 of pascal_like_rows, which builds the fibonomial, stirling1 and eulerian
-triangles from one row recurrence.
+triangles from one row recurrence, and the numerators of the inverse of the
+q-binomial triangle, which q_binomial_inverse_rows puts over their known
+denominators.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import deque
 from typing import Callable, Iterator, Sequence
 
 from ._record import Frozen
-from .exact import Rational, as_exact, exact_div
+from .exact import Rational, as_exact, coprime_fraction, exact_div
 
 
 def fibonacci(n: int) -> int:
@@ -125,6 +127,45 @@ def pascal_like_rows(
         # Entry k of (0, *row) is c(n, k-1) and of (*row, 0) is c(n, k).
         row = tuple(a * u + b * v for a, u, b, v in zip(left(n), (0, *row), right(n), (*row, 0)))
         yield row
+
+
+def q_binomial_inverse_rows(q: Rational, rows: int) -> Iterator[tuple[Rational, ...]]:
+    """Rows 0..rows of C^-1 for the q-binomial C, one at a time: the
+    coefficients of phi_n = (x - 1)(x - q)...(x - q^(n-1)).  By Gauss's
+    q-binomial theorem coefficient k is (-1)^j * q^(j(j-1)/2) * [n k]_q, with
+    j = n - k.
+
+    For q = a/b in lowest terms, coefficient k of row n is c(n, k) over
+    b^((n-k)(n+k-1)/2), where c is pascal_like_rows with left weight
+    b^(n+1-k) and right weight -a^n.  Modulo b, c(n, k) is -a^(n-1) times
+    c(n-1, k) for k < n, and c(n, n) = 1, so c(n, k) is coprime to b: each
+    value is in lowest terms as it stands and is built without a gcd.  An
+    integer q gives ints alone.  The arguments are checked here, before the
+    first row.
+    """
+    q = as_exact(q)
+    if q == 0:
+        raise ValueError("geometric ratio must be nonzero")
+    if rows < 0:
+        raise ValueError("count must be nonnegative")
+    a, b = q.numerator, q.denominator
+    powers = [b**i for i in range(rows + 1)]
+    nums = pascal_like_rows(rows, lambda n: powers[n + 1 :: -1], lambda n: (-a**n,) * (n + 2))
+    if b == 1:
+        return nums
+
+    def over_denominators(row: tuple[int, ...]) -> tuple[Rational, ...]:
+        # Coefficient n is 1, and the denominator of coefficient k is that
+        # of coefficient k + 1 times b^k; it is 1 only in row 1.
+        out: list[Rational] = list(row)
+        den = 1
+        for k in range(len(row) - 2, -1, -1):
+            den *= powers[k]
+            if den != 1:
+                out[k] = coprime_fraction(row[k], den)
+        return tuple(out)
+
+    return map(over_denominators, nums)
 
 
 def fibonomial_rows(rows: int) -> Iterator[tuple[int, ...]]:

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 from typing import Any, Callable, Collection, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ._record import Frozen
 from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, format_exact, linear_combination
 from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fibonomial_rows,
-                        stirling_first_rows)
+                        q_binomial_inverse_rows, stirling_first_rows)
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
 
@@ -283,10 +284,11 @@ class Family(Frozen):
 
     recurrence maps (parameter value, depth) to the family's banded weights
     for levels 0..depth, whose duals are its phi.  A family without one
-    yields its rows 0..N from rows(N), a stream of pascal_like_rows, and the
-    coefficients of its phi_0..phi_N, the rows of its inverse, from
-    phi_rows(N), a stream read off the inverse's structure (None when the
-    family is not unipotent); scaled_rows and phis stream either route.
+    yields its rows 0..N from rows(N), a stream of pascal_like_rows.
+    phi_rows maps (parameter value, N) to the coefficients of phi_0..phi_N,
+    the rows of the inverse, read off its structure (None when the family
+    is not unipotent or its phi are the duals); scaled_rows and phis stream
+    either route.
     param names the parameter the family needs (None, "q" or "roots").  dual
     names the family whose phi completes this one's triad; None when there
     is no dual.  route is the line verify prints.  The recurrences decide the
@@ -301,7 +303,7 @@ class Family(Frozen):
     param: Optional[str]
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]]
     rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]]
-    phi_rows: Optional[Callable[[int], Iterator[tuple[Rational, ...]]]]
+    phi_rows: Optional[Callable[[Any, int], Iterator[tuple[Rational, ...]]]]
     _defaults = {"param": None, "recurrence": None, "rows": None, "phi_rows": None}
 
     def scaled_rows(self, value: Any, rows: int) -> Iterator[Scaled]:
@@ -321,14 +323,14 @@ class Family(Frozen):
         return scaled_banded_rows(self.recurrence(value, rows - 1), rows)
 
     def phis(self, value: Any, rows: int) -> Iterator[tuple[Rational, ...]]:
-        """The coefficients of phi_0..phi_rows, one row per phi: the duals of
-        the recurrence, or the phi_rows stream.  No phi is zero: phi_k has
-        degree k."""
-        if self.recurrence is not None:
-            return (p.coeffs for p in iter_dual_polynomials(self.recurrence(value, rows - 1), rows))
-        if self.phi_rows is None:
+        """The coefficients of phi_0..phi_rows, one row per phi: the phi_rows
+        stream, or else the duals of the recurrence.  No phi is zero: phi_k
+        has degree k."""
+        if self.phi_rows is not None:
+            return self.phi_rows(value, rows)
+        if self.recurrence is None:
             raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
-        return self.phi_rows(rows)
+        return map(attrgetter("coeffs"), iter_dual_polynomials(self.recurrence(value, rows - 1), rows))
 
     def verify(self, value: Any, rows: int) -> TriadReport:
         """The TriadReport of rows 0..rows against the phi of the dual family,
@@ -345,7 +347,8 @@ FAMILIES: dict[str, Family] = {
     "pascal": Family(dual="pascal", route=_BANDED_ROUTE,
                      recurrence=lambda _, depth: root_recurrence(RootSequence.constant(1), depth)),
     "q-gaussian": Family(dual="q-gaussian", route=_BANDED_ROUTE, param="q",
-                         recurrence=lambda q, depth: root_recurrence(RootSequence.geometric(q), depth)),
+                         recurrence=lambda q, depth: root_recurrence(RootSequence.geometric(q), depth),
+                         phi_rows=q_binomial_inverse_rows),
     # Its recurrence is catalan-triad's moved up one level: nothing stays at
     # level 0 or drops back to it.  Checked against the Catalan polynomials on
     # purpose: the printed indexing does not complete the triad (see the
@@ -356,11 +359,11 @@ FAMILIES: dict[str, Family] = {
     "catalan-triad": Family(dual="catalan-triad", route=_BANDED_ROUTE,
                             recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
     "fibonomial": Family(dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows,
-                         phi_rows=fibonomial_inverse_rows),
+                         phi_rows=lambda _, rows: fibonomial_inverse_rows(rows)),
     # The lah triad with roots 0, -1, -2, ... with its sides swapped: its duals
     # x(x + 1)...(x + k - 1) have these rows as coefficients; its rows are the phi.
     "stirling1": Family(dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows,
-                        phi_rows=lambda rows: banded_rows(
+                        phi_rows=lambda _, rows: banded_rows(
                             root_recurrence(RootSequence.arithmetic(0, -1), rows - 1), rows)),
     "eulerian": Family(dual=None, route=None, rows=eulerian_rows),
     "lah": Family(dual="lah", route="persistent-root polynomials", param="roots",

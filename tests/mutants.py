@@ -34,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # pytest -x stops at the first failure, so the files that kill mutants
 # soonest run first: test_records takes a second, with test_dynsys it kills
-# 24 of the 38 mutants, test_output kills the writer's, and the hypothesis
+# 26 of the 41 mutants, test_output kills the writer's, and the hypothesis
 # classes of test_scaled come last.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
          "tests/test_scaled.py")
@@ -96,6 +96,12 @@ MUTANTS = [
      "fibonomial_inverse_rows: w_n enters with the wrong sign"),
     (TRIADS, "RootSequence.arithmetic(0, -1)", "RootSequence.arithmetic(0, 1)",
      "stirling1's phi: the lah roots step up, not down"),
+    (SEQUENCES, "den *= powers[k]", "den *= powers[k + 1]",
+     "q_binomial_inverse_rows: coefficient k's denominator is k + 1's times b^(k+1), not b^k"),
+    (SEQUENCES, "lambda n: (-a**n,) * (n + 2)", "lambda n: (a**n,) * (n + 2)",
+     "q_binomial_inverse_rows: the right weight a^n enters with the wrong sign"),
+    (TRIADS, "phi_rows=q_binomial_inverse_rows),", "),",
+     "q-gaussian's phi: dual and phi reduce the dual recurrence, not Gauss's closed form"),
     (TRIADS, "iter_dual_polynomials(self.recurrence(value, rows - 1), rows)",
      "iter_dual_polynomials(self.recurrence(value, rows - 1), rows - 1)",
      "Family.phis: the banded route yields one phi too few"),

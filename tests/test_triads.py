@@ -4,6 +4,7 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 from dualtriad import cli, dynsys, triads
 from dualtriad.dynsys import fit_banded, phi_from_step_matrix, solve_step_matrix
-from dualtriad.exact import Polynomial, X, linear_combination
+from dualtriad.exact import Polynomial, X, as_exact, linear_combination
 from dualtriad.sequences import (
     RootSequence,
     binomial,
     catalan_entry,
     fibonomial,
     q_binomial,
+    q_binomial_inverse_rows,
 )
 from dualtriad.triads import (
     FAMILIES,
@@ -239,6 +241,94 @@ class TestPersistentRootPolys:
         roots = RootSequence.explicit([1, 2, 4, -3, Fraction(1, 2)])
         phis = persistent_root_polys(roots, 5)
         assert phis[5] == Polynomial(expand_product_oracle(roots.prefix(5)))
+
+
+GAUSS_QS = [1, -1, 2, -3, 10, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3),
+            Fraction(4, 9), Fraction(-6, 35), Fraction(12, 5), Fraction(-7, 3), Fraction(5, 7),
+            Fraction(7, 2), Fraction(-3, 2), Fraction(1, 3)]
+
+
+def _old_q_gaussian_phis(q, rows):
+    """q-gaussian's phi as the duals of its recurrence, each coefficient reduced."""
+    return [p.coeffs for p in triads.iter_dual_polynomials(banded_for_family("q-gaussian", rows - 1, q=q), rows)]
+
+
+class TestGaussInverse:
+    """q-gaussian's phi stream, read off Gauss's q-binomial theorem with its
+    Fractions built without a gcd, against the duals of the recurrence."""
+
+    @pytest.mark.parametrize("q", GAUSS_QS, ids=str)
+    def test_equals_the_duals_term_for_term(self, q):
+        for rows in (0, 1, 2, 5, 40):
+            new = list(q_binomial_inverse_rows(q, rows))
+            assert new == _old_q_gaussian_phis(q, rows), rows
+            for row in new:
+                for v in row:
+                    # An integral value is an int, and a Fraction's terms are
+                    # the ones Fraction(num, den) reduces to, with equal hash.
+                    if type(v) is not int:
+                        assert type(v) is Fraction and v.denominator > 1
+                        assert gcd(v.numerator, v.denominator) == 1
+                        reduced = Fraction(v.numerator, v.denominator)
+                        assert (v, hash(v)) == (reduced, hash(reduced))
+
+    @pytest.mark.parametrize("q", [q for q in GAUSS_QS if q != -1], ids=str)
+    def test_gauss_closed_form(self, q):
+        # Coefficient k of phi_n is (-1)^j q^(j(j-1)/2) [n k]_q, j = n - k.
+        for n, row in enumerate(q_binomial_inverse_rows(q, 8)):
+            assert row == tuple((-1) ** (n - k) * as_exact(q) ** ((n - k) * (n - k - 1) // 2) * q_binomial(n, k, q)
+                                for k in range(n + 1))
+
+    def test_row_one_constant_is_an_int(self):
+        rows = list(q_binomial_inverse_rows(Fraction(2, 3), 1))
+        assert rows == [(1,), (-1, 1)]
+        assert [type(v) for v in rows[1]] == [int, int]
+
+    @pytest.mark.parametrize("q,rows,error,message", [
+        (Fraction(2, 3), -1, ValueError, "count must be nonnegative"),
+        (2, -1, ValueError, "count must be nonnegative"),
+        (0.5, 3, TypeError, "exact arithmetic accepts int or Fraction, got float"),
+        (0, 3, ValueError, "geometric ratio must be nonzero"),
+        (Fraction(0), 3, ValueError, "geometric ratio must be nonzero"),
+    ])
+    def test_arguments_checked_before_the_first_row(self, q, rows, error, message):
+        # The errors are the old route's, and the call raises them: no row
+        # is read.
+        for call in (lambda: q_binomial_inverse_rows(q, rows), lambda: FAMILIES["q-gaussian"].phis(q, rows),
+                     lambda: _old_q_gaussian_phis(q, rows)):
+            with pytest.raises(error, match=f"^{message}$"):
+                call()
+
+    def test_cli_routes(self, monkeypatch):
+        # dual and phi on q-gaussian read the Gauss stream and never the dual
+        # recurrence; dual on the other banded families still reads it.
+        runs = [[command, "--family", "q-gaussian", f"--q={q}", "--rows", rows]
+                for command in ("dual", "phi") for q in ("2", "-2/3") for rows in ("0", "1", "6")]
+
+        def run(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+            return out.getvalue()
+
+        expected = [run(argv) for argv in runs]
+        reached = []
+        original = triads.iter_dual_polynomials
+
+        def recording(rec, count):
+            reached.append(count)
+            return original(rec, count)
+
+        monkeypatch.setattr(triads, "iter_dual_polynomials", recording)
+        for family, extra in (("pascal", []), ("lah", ["--roots=1/2,3/2,..."]), ("catalan-triad", [])):
+            run(["dual", "--family", family, "--rows", "6", *extra])
+        assert reached == [6, 6, 6]
+
+        def refuse(*args):
+            raise AssertionError("the dual recurrence")
+
+        monkeypatch.setattr(triads, "iter_dual_polynomials", refuse)
+        assert [run(argv) for argv in runs] == expected
 
 
 class TestVerifyTriad:
