@@ -30,7 +30,6 @@ from .triads import (
     RowSource,
     Triangle,
     _check_levels,
-    _rows_follow,
     banded_step,
     checked_rows,
 )
@@ -200,11 +199,11 @@ def evolve(
 class FitResult(Frozen):
     """Outcome of the banded-fit decision.
 
-    On a fit, recurrence regenerates the triangle exactly.  Otherwise witness
-    lists (row, column) index pairs whose update equations are jointly
-    inconsistent - substituting them back gives a linear system with no
-    solution, which is an exact certificate that no time-independent weights
-    exist.
+    On a fit, recurrence regenerates the triangle exactly, which its
+    consistent column equations prove.  Otherwise witness lists (row, column)
+    index pairs whose update equations are jointly inconsistent - substituting
+    them back gives a linear system with no solution, which is an exact
+    certificate that no time-independent weights exist.
     """
 
     __slots__ = ("recurrence", "column", "witness")
@@ -301,20 +300,22 @@ def _minimal_conflict(equations: Sequence[_Equation], tags: frozenset[int]) -> l
 def fit_banded(rows: RowSource) -> FitResult:
     """Decide whether time-independent banded weights reproduce the triangle.
 
-    rows is a RowSource of rows 0..N, read in two passes and never held
-    whole; each pass reads the rows through checked_rows.
-    Column k's update equations, one per row pair (n, n+1) for n >= k-1, are
-    solved exactly for the three weights touching that column; every column
-    takes its equation from each row pair as it passes, until a column at or
-    below it has turned inconsistent.  The rows are read as Scaled vectors
-    and each row pair's equations are multiplied by the pair's common
-    denominator, so that a rational triangle is checked in integers; only
-    the fitted weights are built as reduced values.  Underdetermined columns
-    take the minimal-support solution (down weight 0 first, then up).  A fit is
-    returned only if every column is consistent and a fresh pass of the rows
-    follows the fitted weights, as verify_triad's certificate checks them;
-    otherwise the smallest inconsistent column is reported with a minimal
-    inconsistent equation set as its witness.
+    rows is a RowSource of rows 0..N, read once through checked_rows and
+    never held whole.  Column k's update equations, one per row pair (n, n+1)
+    for n >= k-1, are solved exactly for the three weights touching that
+    column; every column takes its equation from each row pair as it passes,
+    until a column at or below it has turned inconsistent.  The rows are read
+    as Scaled vectors and each row pair's equations are multiplied by the
+    pair's common denominator, so that a rational triangle is checked in
+    integers; only the fitted weights are built as reduced values.
+    Underdetermined columns take the minimal-support solution (down weight 0
+    first, then up).  Consistent columns are a fit: column k's equation for
+    (n, n+1) is entry k of the banded step of row n, scaled by the pair's
+    common denominator, every weight the step reads is solved in exactly one
+    column, and those the fit drops (up[-1], stay[N], down[N], down[N+1])
+    multiply only zeros outside the triangle, so each row is the step of the
+    one before.  Otherwise the smallest inconsistent column is reported with
+    a minimal inconsistent equation set as its witness.
     """
     n_max = len(rows) - 1
     if n_max < 4:
@@ -362,10 +363,7 @@ def fit_banded(rows: RowSource) -> FitResult:
             stay[k] = stay_k
         if k + 1 <= n_max - 1:
             down[k + 1] = down_kp1
-    rec = BandedRecurrence(tuple(up), tuple(stay), tuple(down))
-    if _rows_follow(rows, rec, n_max) <= n_max:  # pragma: no cover - consistent columns imply it
-        raise ArithmeticError("consistent column fits failed to regenerate the triangle")
-    return FitResult(rec)
+    return FitResult(BandedRecurrence(tuple(up), tuple(stay), tuple(down)))
 
 
 def convolve_fibonomial(

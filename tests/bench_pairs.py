@@ -7,8 +7,9 @@
 PARENT and CHANGE are two source trees (from `git archive` or `git clone`)
 that each hold perfbench/ and src/; name the commits of archived trees, which
 git cannot read there.  Give the two directories names of the same length:
-the path alone moves peak_rss_mb by about 0.1 MB.  For every workload and
-seed the script runs
+the path alone moves peak_rss_mb by about 0.1 MB, so the script exits 2 when
+the resolved paths of PARENT and CHANGE differ in length.  For every workload
+and seed the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0
 
@@ -72,6 +73,9 @@ def main() -> int:
     parser.add_argument("--change-commit", help="recorded as the change's commit (default: git rev-parse HEAD)")
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(trees["parent"])) != len(str(trees["change"])):
+        parser.error(f"PARENT {trees['parent']} and CHANGE {trees['change']} differ in path length; "
+                     "the path alone moves peak_rss_mb, so give both the same length")
     result = {
         "environment": {
             "python": platform.python_version(),

@@ -1,7 +1,7 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
-elimination and pair scaling, of the phi streams that stand in for an
-inversion, of the family's row, phi, proof and step-matrix routes, of the
-records' constructor and of the writer of every output format.
+elimination, pair scaling and weight assembly, of the phi streams that stand
+in for an inversion, of the family's row, phi, proof and step-matrix routes,
+of the records' constructor and of the writer of every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -34,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # pytest -x stops at the first failure, so the files that kill mutants
 # soonest run first: test_records takes a second, with test_dynsys it kills
-# 26 of the 41 mutants, test_output kills the writer's, and the hypothesis
+# 29 of the 44 mutants, test_output kills the writer's, and the hypothesis
 # classes of test_scaled come last.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
          "tests/test_scaled.py")
@@ -118,6 +118,12 @@ MUTANTS = [
      "fit_banded: row n is not scaled to the pair's common denominator"),
     (DYNSYS, "rhs = [d // g * v for v in nxt]", "rhs = [v for v in nxt]",
      "fit_banded: row n + 1 is not scaled to the pair's common denominator"),
+    (DYNSYS, "if k + 1 <= n_max - 1:", "if k + 1 < n_max - 1:",
+     "fit_banded: the down weight of the last level is left 0"),
+    (DYNSYS, "up[k - 1] = up_km1", "up[k - 1] = stay_k",
+     "fit_banded: each up weight is assembled from its column's stay weight"),
+    (DYNSYS, "if k <= n_max - 1:", "if k < n_max - 1:",
+     "fit_banded: the stay weight of the last level is left 0"),
     (RECORD, "values[field] = value() if isinstance(value, type) else value", "values[field] = value",
      "Record.__init__: a type default is stored uncalled, not as a fresh instance"),
     (RECORD, "if field in values or field not in names:", "if field in values:",

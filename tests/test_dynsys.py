@@ -413,11 +413,17 @@ class TestFitBanded:
             assert got.down[1:] == rec.down[1 : d + 1]
 
     def test_regeneration_matches_on_fit(self):
-        tri = generate_named("q-gaussian", 9, q=Fraction(1, 2))
-        result = fit_banded(tri)
-        assert result.fits
-        regen = generate_from_banded(result.recurrence, tri.max_row)
-        assert regen.rows == tri.rows
+        # fit_banded reads its rows once, and its consistent columns prove
+        # that the fitted weights regenerate them; this checks it, value for
+        # value, on every banded family with weights of both signs, integral
+        # and rational, growing and shrinking.
+        for name, value in REGENERATION_CASES:
+            for n_max in (5, 12, 40):
+                rows = Triangle(FAMILIES[name].scaled_rows(value, n_max)).rows
+                result = fit_banded(Restartable(lambda: FAMILIES[name].scaled_rows(value, n_max), n_max + 1))
+                assert result.fits, (name, value, n_max)
+                regen = generate_from_banded(result.recurrence, n_max)
+                assert regen.rows == rows, (name, value, n_max)
 
     def test_lah_triangles_fit(self):
         roots = RootSequence.explicit([3, -1, 4, 1, -5, 9, 2, 6])
@@ -431,6 +437,18 @@ class TestFitBanded:
         with pytest.raises(ValueError):
             fit_banded(generate_named("pascal", 3))
 
+
+# (family, value) for the regeneration check: every family that fits.
+REGENERATION_CASES = [
+    ("pascal", None),
+    *(("q-gaussian", Fraction(q)) for q in ("2", "-2", "3", "3/2", "-3/2", "2/3", "-2/3", "5/7", "1/2")),
+    ("lah", RootSequence.arithmetic(0, 1)),
+    ("lah", RootSequence.arithmetic(Fraction(1, 2), 1)),
+    ("lah", RootSequence.arithmetic(Fraction(-1, 2), -1)),
+    ("lah", RootSequence.geometric(Fraction(1, 3), first=Fraction(1, 3))),
+    ("catalan-triad", None),
+    ("catalan-shifted", None),
+]
 
 # (family, q, roots) for the streamed-fit cross-check: every family, and q
 # and roots of both signs, integral and rational, growing and shrinking.
@@ -529,6 +547,27 @@ class TestStreamedFit:
             fit_banded(lists[:3] + [lists[3][:3]] + lists[4:])
         with pytest.raises(ValueError, match="read 10 rows of a source of length 11"):
             fit_banded(Restartable(lambda: iter(lists), 11))
+
+    @pytest.mark.parametrize("name,value,fits", [
+        ("q-gaussian", Fraction(-3, 2), True),
+        ("pascal", None, True),
+        ("catalan-triad", None, True),
+        ("lah", RootSequence.arithmetic(Fraction(1, 2), 1), True),
+        ("fibonomial", None, False),
+        ("stirling1", None, False),
+        ("eulerian", None, False),
+    ])
+    def test_reads_its_source_once(self, name, value, fits):
+        # A fit is proved by the pass that solves its columns, and a no-fit
+        # by its witness: neither restarts the rows (one call of make).
+        passes = []
+
+        def make():
+            passes.append(None)
+            return FAMILIES[name].scaled_rows(value, 12)
+
+        assert fit_banded(Restartable(make, 13)).fits == fits
+        assert len(passes) == 1
 
     def test_preconditions_before_any_row_is_read(self):
         with pytest.raises(ValueError, match="rows 0..4"):
