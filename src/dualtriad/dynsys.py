@@ -59,8 +59,8 @@ class StepMatrix(Frozen):
         return len(self.rows)
 
 
-def _require_unipotent(tri: Triangle) -> None:
-    if not tri.is_unipotent():
+def _require_unipotent(unipotent: bool) -> None:
+    if not unipotent:
         raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
 
 
@@ -71,7 +71,7 @@ def solve_step_matrix(tri: Triangle) -> StepMatrix:
     C F is checked against the shifted triangle implicitly by construction.
     Requires a unipotent triangle.
     """
-    _require_unipotent(tri)
+    _require_unipotent(tri.is_unipotent())
     if tri.max_row < 1:
         raise ValueError("need at least rows 0..1 to solve for a step matrix")
     return StepMatrix(tuple(forward_substitute(tri.rows, tri.rows[1:])))
@@ -99,9 +99,12 @@ def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
 def family_step_matrix(family: Family, value: Any, rows: int) -> StepMatrix:
     """Rows 0..rows of a family's F (value is its parameter): a family with a
     recurrence has up weights 1, so banded_step_matrix reads F off it; the
-    others solve for it over rows 0..rows + 1 (solve_step_matrix)."""
+    others solve for it over rows 0..rows + 1 (solve_step_matrix).  Of those,
+    a family with no phi_rows has no inverse, so it is not unipotent and is
+    refused before its first row is made."""
     if family.recurrence is not None:
         return banded_step_matrix(family.recurrence(value, rows), rows)
+    _require_unipotent(family.phi_rows is not None)
     return solve_step_matrix(Triangle(family.scaled_rows(value, rows + 1)))
 
 
@@ -139,7 +142,7 @@ def phi_from_step_matrix(
 def invert_unipotent(tri: Triangle) -> Triangle:
     """Exact inverse of a unipotent triangle; row n holds the coefficients of
     the degree-n basis polynomial dual to the triangle's expansion."""
-    _require_unipotent(tri)
+    _require_unipotent(tri.is_unipotent())
     units = [(0,) * n + (1,) for n in range(tri.max_row + 1)]
     inv = forward_substitute(tri.rows, units)
     family = f"{tri.family}-inverse" if tri.family else "inverse"

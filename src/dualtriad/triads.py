@@ -24,8 +24,8 @@ and the first two read their phi off the structure of their inverse.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from operator import attrgetter
+from itertools import accumulate, chain, islice, repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Collection, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ._record import Frozen
@@ -122,8 +122,8 @@ class Restartable(Generic[T]):
         return first if first is not None else self._make()
 
 
-# The rows 0..N of a triangle as verify_triad and fit_banded read them: a sized
-# iterable that each pass reads afresh (a Triangle, its rows, a Restartable over
+# The rows 0..N of a triangle as verify_triad and fit_banded read them, each
+# proof in one pass: a sized iterable (a Triangle, its rows, a Restartable over
 # a Family's scaled_rows), whose rows are sequences of values or Scaled vectors.
 RowSource = Collection
 
@@ -493,32 +493,6 @@ def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
     return dual_polynomials(root_recurrence(roots, count - 1), count)
 
 
-def _rows_follow(
-    rows: RowSource,
-    rec: BandedRecurrence,
-    top: int,
-    phis: Optional[Union[Sequence[Polynomial], Restartable[Polynomial]]] = None,
-) -> int:
-    """The first n at which row n of the source, or phi_n, leaves rec (top + 1
-    when none does): row n must be row n of scaled_banded_rows(rec, top) and,
-    given phis, phi_n the phi_n of iter_dual_polynomials(rec, top), whose
-    preconditions the caller checked.
-
-    One lockstep pass reads each row through checked_rows beside rec's row,
-    and each phi beside the dual it must equal.  Up to the first row that
-    leaves rec, rec's row n is the banded step of the source's row n - 1: so
-    n is the first row that is not the step of the one before (or the seed 1).
-    """
-    stream = checked_rows(rows)
-    pairs = ((r, None) for r in stream) if phis is None else zip(stream, phis, strict=True)
-    steps = scaled_banded_rows(rec, max(top, 0))
-    duals = iter_dual_polynomials(rec, top) if phis else None  # none to make when top is -1
-    for n, (row, phi) in enumerate(pairs):
-        if row != next(steps) or (phi is not None and phi != next(duals)):
-            return n
-    return top + 1
-
-
 def verify_triad(
     rows: RowSource,
     phis: Optional[Union[Sequence[Polynomial], Restartable[Polynomial]]] = None,
@@ -526,24 +500,26 @@ def verify_triad(
 ) -> TriadReport:
     """Check x^n = sum_k c[n][k] * phi_k(x) symbolically for every row.
 
-    rows is a RowSource of rows 0..N, and each pass reads it through
-    checked_rows.  phis holds the Polynomials phi_0..phi_N, as a sequence or
-    a Restartable; a pass reads it in lockstep with the rows, so neither is
-    held whole.
+    rows is a RowSource of rows 0..N, read once through checked_rows.  phis
+    holds the Polynomials phi_0..phi_N, as a sequence or a Restartable, read
+    once in lockstep with the rows, so neither is held whole.
 
     rec is the banded recurrence the caller says the rows follow, and whose
     duals the phis are; without phis, its duals are the phis.  Given rec,
     the identity is first proved for every row at once in O(N^2): when rec
     tabulates every level k < N with a nonzero up weight, the duals exist,
-    and the rows follow rec (c[0][0] = 1 and each row is the banded step of
-    the one before) and the phis, if given, are those duals, then every row
-    holds.  Without phis no dual is made.  The row checks run on Scaled
-    vectors, so rational families pay one gcd per row rather than per
-    operation.  If rec is absent or a check fails, a fresh pass expands the
-    rows from the first row or phi that leaves rec (row 0 without rec) in the
-    phis, or without them in iter_dual_polynomials(rec, N), holding the phis
-    read so far (O(N^3)); it stops at the first failing row, whose index and
-    exact residual polynomial the report carries as a concrete counterexample.
+    and the rows follow rec (each row is row n of scaled_banded_rows(rec, N),
+    so c[0][0] = 1 and each row is the banded step of the one before) and
+    the phis, if given, are those duals, then every row holds.  Without phis
+    no dual is made.  The row checks run on Scaled vectors, so rational
+    families pay one gcd per row rather than per operation.  Without rec,
+    or with one that cannot certify, the pass expands every row (O(N^3)) in
+    the phis, or in iter_dual_polynomials(rec, N) without them; if a check
+    fails at row n, the same pass expands from row n on, with
+    phi_0..phi_{n-1} made afresh by iter_dual_polynomials(rec, N), which
+    the checks showed the given phis equal.  The expansion holds the phis
+    read so far and stops at the first failing row, whose index and exact
+    residual polynomial the report carries as a concrete counterexample.
     """
     top = len(rows) - 1
     if phis is None:
@@ -551,21 +527,31 @@ def verify_triad(
             raise ValueError("verify_triad needs phis, rec or both")
     elif len(phis) != top + 1:
         raise ValueError(f"{len(phis)} polynomials for rows 0..{top}; counts must match")
+    stream = checked_rows(rows)
+    pairs = zip(stream, repeat(None)) if phis is None else zip(stream, phis, strict=True)
     # phi_0 = 1 and x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1}
     # define phi_1..phi_N when up[k] != 0 for k < N.  With R_n = sum_k c[n][k]
     # phi_k - x^n, rows that follow rec give R_{n+1} = x * R_n, so R_0 = 0
     # makes every R_n vanish; rows and phis that first leave rec at n make
     # R_0..R_{n-1} vanish, so the expansion starts at row n.
-    certifiable = rec is not None and rec.depth >= top - 1 and all(rec.up[k] for k in range(top))
-    start = _rows_follow(rows, rec, top, phis) if certifiable else 0
-    if start > top:
-        return TriadReport(top, True, None, "certificate")
+    start = 0
+    if rec is not None and rec.depth >= top - 1 and all(rec.up[k] for k in range(top)):
+        steps = scaled_banded_rows(rec, max(top, 0))
+        duals = iter_dual_polynomials(rec, top) if phis else None  # none to make when top is -1
+        for start, (row, phi) in enumerate(pairs):
+            if row != next(steps) or (phi is not None and phi != next(duals)):
+                pairs = chain([(row, phi)], pairs)
+                break
+        else:
+            return TriadReport(top, True, None, "certificate")
     seen: list[Polynomial] = []
-    duals = iter_dual_polynomials(rec, top) if phis is None else phis
-    for n, (row, phi) in enumerate(zip(checked_rows(rows), duals, strict=True)):
+    if phis is None or start:
+        duals = iter_dual_polynomials(rec, top)
+        seen = list(islice(duals, start))
+        if phis is None:
+            pairs = zip(map(itemgetter(0), pairs), duals)
+    for n, (row, phi) in enumerate(pairs, start):
         seen.append(phi)
-        if n < start:
-            continue
         residual = linear_combination(row.values(), seen) - Polynomial.monomial(n)
         if residual:
             return TriadReport(top, False, (n, residual))

@@ -5,14 +5,16 @@ of the records' constructor and of the writer of every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
-and tests/ to a temporary directory, applies each entry alone to that copy
-and runs
+and tests/ to one temporary directory per worker, min(os.cpu_count(), 4) of
+them, applies each entry alone to a free copy and runs
 
     python -m pytest -x -q tests/test_records.py tests/test_dynsys.py tests/test_output.py \
         tests/test_triads.py tests/test_scaled.py
 
-there.  The tests must pass on the unchanged copy and fail on every mutant.
-Run it from any directory, with pytest and hypothesis installed:
+there, one pytest process per worker at a time.  The tests must pass on an
+unchanged copy and fail on every mutant.  The verdicts are printed in the
+order of MUTANTS.  Run it from any directory, with pytest and hypothesis
+installed:
 
     python3 tests/mutants.py
 
@@ -24,17 +26,19 @@ does not collect this file.
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # pytest -x stops at the first failure, so the files that kill mutants
 # soonest run first: test_records takes a second, with test_dynsys it kills
-# 29 of the 44 mutants, test_output kills the writer's, and the hypothesis
+# 31 of the 48 mutants, test_output kills the writer's, and the hypothesis
 # classes of test_scaled come last.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
          "tests/test_scaled.py")
@@ -47,14 +51,20 @@ RECORD = "src/dualtriad/_record.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
-    (TRIADS, "if row != next(steps) or", "if (row != next(steps) and n) or",
-     "_rows_follow: row 0 is not compared with the seed 1"),
-    (TRIADS, "if row != next(steps) or", "if (row != next(steps) and not n) or",
-     "_rows_follow: rows after row 0 are not compared with the row step"),
+    (TRIADS, "if row != next(steps) or", "if (row != next(steps) and start) or",
+     "verify_triad: row 0 is not compared with the seed 1"),
+    (TRIADS, "if row != next(steps) or", "if (row != next(steps) and not start) or",
+     "verify_triad: rows after row 0 are not compared with the row step"),
     (TRIADS, "phi is not None and phi != next(duals))", "phi is not None and next(duals) is None)",
-     "_rows_follow: the given phis are not compared with the duals of rec"),
-    (TRIADS, "if n < start:", "if n <= start:",
-     "verify_triad: the expansion after a failed certificate starts one row late"),
+     "verify_triad: the given phis are not compared with the duals of rec"),
+    (TRIADS, "chain([(row, phi)], pairs)", "chain([], pairs)",
+     "verify_triad: the expansion after a failed certificate drops the failing row"),
+    (TRIADS, "islice(duals, start)", "islice(duals, start - 1)",
+     "verify_triad: the expansion holds one dual too few before the failing row"),
+    (TRIADS, "if phis is None or start:", "if phis is None:",
+     "verify_triad: the given phis' prefix is not taken from rec's duals"),
+    (TRIADS, "enumerate(pairs, start)", "enumerate(pairs, start + 1)",
+     "verify_triad: the expansion's row index is one row late"),
     (TRIADS, "rec.depth >= top - 1 and ", "",
      "verify_triad: no check that rec tabulates the levels the duals read"),
     (TRIADS, "rec.depth >= top - 1 and ", "rec.depth >= top and ",
@@ -112,6 +122,8 @@ MUTANTS = [
      "Family.verify: a dual with a recurrence is scanned, not certified"),
     (DYNSYS, "if family.recurrence is not None:", "if False:",
      "family_step_matrix: a family with a recurrence is solved for F, not read off it"),
+    (DYNSYS, "_require_unipotent(family.phi_rows is not None)", "_require_unipotent(True)",
+     "family_step_matrix: a family that is not unipotent makes its rows before it is refused"),
     (DYNSYS, "tags |= pt", "tags = tags",
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
     (DYNSYS, "row = [e // g * v for v in row]", "row = [v for v in row]",
@@ -152,31 +164,51 @@ def run_tests(copy: Path) -> bool:
 
 
 def main() -> int:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    started = time.perf_counter()
     failed = False
+    runnable = []
+    for mutant in MUTANTS:
+        path, old = mutant[:2]
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            print(f"{path}: the text {old!r} occurs {count} times, not once")
+            failed = True
+        else:
+            runnable.append(mutant)
+    workers = min(os.cpu_count() or 1, 4)
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     with tempfile.TemporaryDirectory(prefix="dualtriad-mutants-") as tmp:
-        copy = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
-        if not run_tests(copy):
+        copies: queue.Queue[Path] = queue.Queue()
+        for worker in range(workers):
+            copy = Path(tmp, str(worker))
+            for part in ("src", "tests"):
+                shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+            copies.put(copy)
+        if not run_tests(Path(tmp, "0")):
             print("the tests fail on the unchanged copy")
             return 1
-        for path, old, new, breaks in MUTANTS:
+
+        def killed(mutant: tuple[str, str, str, str]) -> tuple[bool, float]:
+            """Whether the tests fail with the mutant applied to a free copy,
+            and how long they ran; the copy is restored and freed after."""
+            path, old, new, _ = mutant
+            copy = copies.get()
             target = copy / path
             text = target.read_text()
-            if text.count(old) != 1:
-                print(f"{path}: the text {old!r} occurs {text.count(old)} times, not once")
-                failed = True
-                continue
             start = time.perf_counter()
             target.write_text(text.replace(old, new))
             try:
-                killed = not run_tests(copy)
+                return not run_tests(copy), time.perf_counter() - start
             finally:
                 target.write_text(text)
-            verdict = "killed" if killed else "SURVIVED"
-            print(f"{verdict:8} {time.perf_counter() - start:5.1f} s  {breaks}", flush=True)
-            failed |= not killed
+                copies.put(copy)
+
+        with ThreadPoolExecutor(workers) as pool:
+            for mutant, (dead, seconds) in zip(runnable, pool.map(killed, runnable)):
+                verdict = "killed" if dead else "SURVIVED"
+                print(f"{verdict:8} {seconds:5.1f} s  {mutant[3]}", flush=True)
+                failed |= not dead
+    print(f"{len(runnable)} mutants, {workers} at a time, in {time.perf_counter() - started:.0f} s")
     return 1 if failed else 0
 
 

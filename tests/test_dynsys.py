@@ -14,6 +14,7 @@ from dualtriad.dynsys import (
     StepMatrix,
     convolve_fibonomial,
     evolve,
+    family_step_matrix,
     fit_banded,
     invert_unipotent,
     phi_from_step_matrix,
@@ -28,6 +29,7 @@ from dualtriad.sequences import RootSequence, binomial, fibonomial
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
+    Family,
     Restartable,
     Triangle,
     banded_for_family,
@@ -92,6 +94,15 @@ class TestSolveStepMatrix:
     def test_non_unipotent_rejected(self):
         with pytest.raises(ValueError):
             solve_step_matrix(generate_named("eulerian", 6))
+
+    def test_family_not_unipotent_refused_before_its_rows(self, monkeypatch):
+        # eulerian has no inverse, so solve-f refuses it without making the
+        # N + 2 rows whose diagonal would show it.
+        calls = []
+        monkeypatch.setattr(Family, "scaled_rows", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^step matrix requires a unipotent triangle \(unit diagonal\)$"):
+            family_step_matrix(FAMILIES["eulerian"], None, 512)
+        assert calls == []
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):

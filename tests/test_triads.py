@@ -601,7 +601,7 @@ class TestVerifyCertificate:
                 monkeypatch.setattr(triads, "linear_combination", refuse)
         else:
             monkeypatch.setattr(dynsys, "banded_step_matrix", refuse)
-            monkeypatch.setattr(triads, "_rows_follow", refuse)
+            monkeypatch.setattr(triads, "iter_dual_polynomials", refuse)
         for argv, result in zip(runs, expected):
             assert run(argv) == result, argv
 
@@ -650,10 +650,9 @@ class TestStreamedVerify:
         if not streamed.holds:
             n, residual = streamed.first_failure
             assert reference_verify(tri.rows, phis) == (n, list(residual.coeffs))
-            # The brute pass stops at the first failing row.
-            assert rows.reads[-1] == n + 1 and polys.reads[-1] == n + 1
-        passes = 1 if streamed.method == "certificate" else 2
-        assert len(rows.reads) == passes and len(polys.reads) == passes
+            # The one pass stops at the first failing row.
+            assert rows.reads == [n + 1] and polys.reads == [n + 1]
+        assert len(rows.reads) == 1 and len(polys.reads) == 1
 
     def test_list_rows_are_checked_as_a_triangle_checks_them(self):
         rec = banded_for_family("q-gaussian", 11, q=2)
@@ -673,8 +672,8 @@ class TestStreamedVerify:
     @pytest.mark.parametrize("kind,late", [("entry", 20), ("phi", 22)])
     def test_certificate_failing_late(self, kind, late):
         # The certificate checks rows and phis up to the late change, fails
-        # there, and a fresh brute pass must report what the collected route
-        # and the plain-loop residual report.
+        # there, and the same pass must expand from it to report what the
+        # collected route and the plain-loop residual report.
         rec = banded_for_family("q-gaussian", 23, q=2)
         rows = [list(r) for r in generate_from_banded(rec, 24).rows]
         phis = dual_polynomials(rec, 24)
@@ -692,8 +691,23 @@ class TestStreamedVerify:
         assert _same_outcome(streamed, verify_triad(tri, phis))
         n, residual = streamed.first_failure
         assert reference_verify(tri.rows, phis) == (n, list(residual.coeffs))
-        assert source.reads == [late + 1, late + 1]
-        assert polys.reads == [late + 1, late + 1]
+        assert source.reads == [late + 1]
+        assert polys.reads == [late + 1]
+
+    def test_family_verify_makes_its_rows_once(self, monkeypatch):
+        # catalan-shifted's certificate fails at row 1, and the expansion
+        # goes on from there in the same pass over the family's rows.
+        calls = []
+        scaled_rows = triads.Family.scaled_rows
+
+        def counting(self, *args):
+            calls.append(args)
+            return scaled_rows(self, *args)
+
+        monkeypatch.setattr(triads.Family, "scaled_rows", counting)
+        report = FAMILIES["catalan-shifted"].verify(None, 64)
+        assert (report.holds, report.first_failure[0], report.method) == (False, 1, "brute")
+        assert calls == [(None, 64)]
 
     def test_count_mismatch_rejected_before_reading(self):
         rows, polys = CountedSource(generate_named("pascal", 3).rows), CountedSource([Polynomial((1,))])
