@@ -9,7 +9,7 @@ rows are the rows of C^{-1}, which one inversion also gives: the basis in
 which x^n expands with the triangle's own rows.  Both dense routes are the
 oracle of the phi streams of triads.FAMILIES, which read C^{-1} off each
 family's structure.  family_step_matrix decides solve-f's route: a banded
-recurrence with unit up weights is its F, and only other families are solved.
+recurrence with unit up weights is its F, and the others are solved row by row.
 
 This module also decides, exactly, whether a triangle admits banded
 time-independent update weights at all (fit_banded), and carries the weighted
@@ -18,6 +18,7 @@ convolution built from fibonomial coefficients.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from math import gcd
 from typing import Any, Iterable, Optional, Sequence, Union
 
@@ -67,14 +68,13 @@ def _require_unipotent(unipotent: bool) -> None:
 def solve_step_matrix(tri: Triangle) -> StepMatrix:
     """Solve C F = (row shift of C) by forward substitution.
 
-    A triangle with rows 0..N yields F rows 0..N-1; each row of the product
-    C F is checked against the shifted triangle implicitly by construction.
-    Requires a unipotent triangle.
+    A unipotent triangle with rows 0..N yields F rows 0..N-1, and row n of
+    C F is row n + 1 of C by construction.
     """
     _require_unipotent(tri.is_unipotent())
     if tri.max_row < 1:
         raise ValueError("need at least rows 0..1 to solve for a step matrix")
-    return StepMatrix(tuple(forward_substitute(tri.rows, tri.rows[1:])))
+    return StepMatrix(forward_substitute(pairwise(tri.rows)))
 
 
 def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
@@ -98,14 +98,15 @@ def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
 
 def family_step_matrix(family: Family, value: Any, rows: int) -> StepMatrix:
     """Rows 0..rows of a family's F (value is its parameter): a family with a
-    recurrence has up weights 1, so banded_step_matrix reads F off it; the
-    others solve for it over rows 0..rows + 1 (solve_step_matrix).  Of those,
-    a family with no phi_rows has no inverse, so it is not unipotent and is
-    refused before its first row is made."""
+    recurrence has up weights 1, so banded_step_matrix reads F off it.  One
+    with no phi_rows is not unipotent and is refused before its first row;
+    the others' rows have a unit diagonal by construction (pascal_like_rows).
+    They solve F_n = C_{n+1} - sum_{k<n} C[n][k] F_k in one pass over rows
+    0..rows + 1, holding F and two rows of C (forward_substitute)."""
     if family.recurrence is not None:
         return banded_step_matrix(family.recurrence(value, rows), rows)
     _require_unipotent(family.phi_rows is not None)
-    return solve_step_matrix(Triangle(family.scaled_rows(value, rows + 1)))
+    return StepMatrix(forward_substitute(pairwise(map(Scaled.values, family.scaled_rows(value, rows + 1)))))
 
 
 def phi_from_step_matrix(
@@ -144,7 +145,7 @@ def invert_unipotent(tri: Triangle) -> Triangle:
     the degree-n basis polynomial dual to the triangle's expansion."""
     _require_unipotent(tri.is_unipotent())
     units = [(0,) * n + (1,) for n in range(tri.max_row + 1)]
-    inv = forward_substitute(tri.rows, units)
+    inv = forward_substitute(zip(tri.rows, units))
     family = f"{tri.family}-inverse" if tri.family else "inverse"
     return Triangle(tuple(inv), family=family, params=tri.params)
 

@@ -349,18 +349,17 @@ def linear_combination(
 
 
 def forward_substitute(
-    lower: Sequence[Sequence[Rational]], rhs_rows: Sequence[Sequence[Rational]]
+    pairs: Iterable[tuple[Sequence[Rational], Sequence[Rational]]]
 ) -> list[tuple[Rational, ...]]:
     """Rows Y with L Y = R for a unit lower-triangular L, by forward substitution.
 
-    Row i of Y is rhs_rows[i] minus lower[i][j] * Y[j] summed over j < i.  The
-    diagonal of L is taken to be 1 and never read, nor is anything above it;
-    each Y[j] with j < i must be no wider than rhs_rows[i].
+    pairs yields (row i of L, row i of R), read once; row i of Y is row i of R
+    minus L[i][j] * Y[j] summed over j < i.  L's diagonal is taken to be 1 and
+    never read, nor is anything above it; no Y[j] may be wider than R's row i.
     """
     out: list[tuple[Rational, ...]] = []
-    for i, rhs in enumerate(rhs_rows):
+    for i, (row, rhs) in enumerate(pairs):
         acc = list(rhs)
-        row = lower[i]
         for j in range(i):
             c = row[j]
             if c:
@@ -393,5 +392,5 @@ def solve_unit_lower(
                 "systems are supported"
             )
         lower.append(tuple(as_exact(v) for v in row[:i]))
-    solved = forward_substitute(lower, [(as_exact(v),) for v in rhs])
+    solved = forward_substitute(zip(lower, [(as_exact(v),) for v in rhs]))
     return tuple(as_exact(y) for (y,) in solved)

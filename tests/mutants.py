@@ -1,7 +1,8 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
 elimination, pair scaling and weight assembly, of the phi streams that stand
 in for an inversion, of the family's row, phi, proof and step-matrix routes,
-of the records' constructor and of the writer of every output format.
+of forward substitution, of the records' constructor and of the writer of
+every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -38,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # pytest -x stops at the first failure, so the files that kill mutants
 # soonest run first: test_records takes a second, with test_dynsys it kills
-# 31 of the 48 mutants, test_output kills the writer's, and the hypothesis
+# 33 of the 50 mutants, test_output kills the writer's, and the hypothesis
 # classes of test_scaled come last.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
          "tests/test_scaled.py")
@@ -124,6 +125,10 @@ MUTANTS = [
      "family_step_matrix: a family with a recurrence is solved for F, not read off it"),
     (DYNSYS, "_require_unipotent(family.phi_rows is not None)", "_require_unipotent(True)",
      "family_step_matrix: a family that is not unipotent makes its rows before it is refused"),
+    (DYNSYS, "family.scaled_rows(value, rows + 1)", "family.scaled_rows(value, rows)",
+     "family_step_matrix: the dense route reads one row of C too few"),
+    (EXACT, "acc = list(rhs)", "acc = list(row)",
+     "forward_substitute: row i of L is taken as its own right-hand side"),
     (DYNSYS, "tags |= pt", "tags = tags",
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
     (DYNSYS, "row = [e // g * v for v in row]", "row = [v for v in row]",

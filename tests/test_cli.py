@@ -335,14 +335,16 @@ ROUTE_FAMILIES = [
 class TestPhiRoutes:
     @pytest.mark.parametrize("family,q,roots", ROUTE_FAMILIES)
     def test_solve_f_equals_dense_solve(self, family, q, roots):
-        # Banded families print their recurrence as F; the dense solve of
-        # C F = (shift of C) is the oracle.
-        argv = ["solve-f", "--family", family, "--rows", "12"]
+        # Banded families print their recurrence as F, and fibonomial and
+        # stirling1 forward-substitute a stream of row pairs; the dense solve
+        # of C F = (shift of C) on the collected triangle is the oracle.
+        rows = 64 if family in ("fibonomial", "stirling1") else 12
+        argv = ["solve-f", "--family", family, "--rows", str(rows)]
         argv += [f"--q={q}"] if q else []
         argv += ["--roots", roots] if roots else []
         code, out, _ = run_cli(argv)
         assert code == 0
-        tri = generate_named(family, 13, q=q and Fraction(q), roots=roots and parse_roots(roots))
+        tri = generate_named(family, rows + 1, q=q and Fraction(q), roots=roots and parse_roots(roots))
         assert OutputDocument.rows_from_csv(out) == [list(row) for row in solve_step_matrix(tri).rows]
 
     @pytest.mark.parametrize("family,q,roots", ROUTE_FAMILIES)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualtriad import dynsys
 from dualtriad.cli import main
 from dualtriad.dynsys import (
     banded_step_matrix,
@@ -104,6 +105,27 @@ class TestSolveStepMatrix:
             family_step_matrix(FAMILIES["eulerian"], None, 512)
         assert calls == []
 
+    @pytest.mark.parametrize("family", ["fibonomial", "stirling1"])
+    def test_solve_f_streams_its_rows_once(self, monkeypatch, family):
+        # The dense route reads rows 0..N+1 in one pass, as row pairs, and
+        # collects no Triangle of them.
+        argv = ["solve-f", "--family", family, "--rows", "12"]
+        expected = cli_output(argv)
+        calls = []
+        scaled_rows = Family.scaled_rows
+
+        def counting(self, *args):
+            calls.append(args)
+            return scaled_rows(self, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a collected triangle")
+
+        monkeypatch.setattr(Family, "scaled_rows", counting)
+        monkeypatch.setattr(dynsys, "Triangle", refuse)
+        assert cli_output(argv) == expected
+        assert calls == [(None, 13)]
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             solve_step_matrix(generate_named("pascal", 0))
@@ -123,6 +145,7 @@ class TestSolveStepMatrix:
             rec = banded_for_family(name, rows, q=q, roots=roots)
             tri = generate_named(name, rows + 1, q=q, roots=roots)
             assert banded_step_matrix(rec, rows) == solve_step_matrix(tri)
+            assert family_step_matrix(FAMILIES[name], q or roots, rows) == solve_step_matrix(tri)
 
     def test_banded_step_matrix_needs_the_levels(self):
         with pytest.raises(ValueError, match="need level 4"):

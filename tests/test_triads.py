@@ -577,9 +577,10 @@ class TestVerifyCertificate:
         # verify and solve-f take the routes their Family decides: on a family
         # with a recurrence the certificate and the read-off F, which need no
         # phi stream, no expansion and no dense solve; on the others the brute
-        # scan over the dual's phi and the dense solve, which need neither the
-        # certificate nor a banded F.  catalan-shifted's certificate fails, so
-        # its report expands row 1.
+        # scan over the dual's phi and the dense solve of streamed row pairs,
+        # which need neither the certificate nor a banded F.  No command
+        # calls solve_step_matrix, which collects a triangle first.
+        # catalan-shifted's certificate fails, so its report expands row 1.
         runs = [[command, "--family", family, "--rows", rows, *extra]
                 for command in ("verify", "solve-f") for rows in ("0", "1", "6")]
 
@@ -594,8 +595,9 @@ class TestVerifyCertificate:
         def refuse(*args):
             raise AssertionError("the other route")
 
+        monkeypatch.setattr(dynsys, "solve_step_matrix", refuse)
         if FAMILIES[family].recurrence is not None:
-            monkeypatch.setattr(dynsys, "solve_step_matrix", refuse)
+            monkeypatch.setattr(dynsys, "forward_substitute", refuse)
             monkeypatch.setattr(triads.Family, "phis", refuse)
             if family != "catalan-shifted":
                 monkeypatch.setattr(triads, "linear_combination", refuse)
