@@ -12,7 +12,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Collection, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 from .dynsys import convolve_fibonomial, family_step_matrix, fit_banded
 from .exact import Rational, Scaled, format_exact
@@ -104,22 +104,20 @@ def _family_inputs(args: argparse.Namespace, levels: int) -> tuple[Family, Any, 
     return entry, (roots if entry.param == "roots" else q), params
 
 
-def _emit(
-    family: str, params: dict[str, str], value_rows: Collection[Sequence[Rational]], fmt: str
-) -> None:
-    # value_rows is a source that each pass restarts (a Restartable or a
-    # list), because pretty reads it twice.  Rows are formatted and written
-    # as a pass yields them; a caller checks every precondition before it
-    # calls this, so that a failure writes nothing.
-    rows = Restartable(lambda: format_rows(value_rows), len(value_rows))
+def _emit(family: str, params: dict[str, str], make: Callable[[], Iterable[Sequence[Rational]]],
+          count: int, fmt: str) -> None:
+    # make() starts a pass over the count value rows (pretty makes two), and
+    # the first runs before anything is written: a stream's failed argument
+    # check, like every precondition the caller checked, writes nothing.
+    rows = Restartable(lambda: format_rows(make()), count)
     write_document(sys.stdout.write, fmt, family, params, rows)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows)
-    source = Restartable(lambda: map(Scaled.values, family.scaled_rows(value, rows)), rows + 1)
-    _emit(args.family, params, source, args.format)
+    _emit(args.family, params, lambda: map(Scaled.values, family.scaled_rows(value, rows)), rows + 1,
+          args.format)
     return 0
 
 
@@ -132,8 +130,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
             f"family {args.family} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    source = Restartable(lambda: dual.phis(value, rows), rows + 1)
-    _emit(args.family, params, source, args.format)
+    _emit(args.family, params, lambda: dual.phis(value, rows), rows + 1, args.format)
     return 0
 
 
@@ -178,15 +175,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows + 1)
-    _emit(args.family, params, family_step_matrix(family, value, rows).rows, args.format)
+    matrix = family_step_matrix(family, value, rows)
+    _emit(args.family, params, lambda: matrix.rows, rows + 1, args.format)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows)
-    source = Restartable(lambda: family.phis(value, rows), rows + 1)
-    _emit(args.family, params, source, args.format)
+    _emit(args.family, params, lambda: family.phis(value, rows), rows + 1, args.format)
     return 0
 
 
@@ -205,54 +202,41 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     a = _parse_sequence(args.a, rows + 1, "--a")
     b = _parse_sequence(args.b, rows + 1, "--b")
     values = convolve_fibonomial(a, b, rows)
-    _emit("fibonomial", {"a": args.a, "b": args.b}, [values], args.format)
+    _emit("fibonomial", {"a": args.a, "b": args.b}, lambda: [values], 1, args.format)
     return 0
 
 
-def _arguments(
-    handler: Callable[[argparse.Namespace], int],
-    fmt: bool = True,
-    families: Collection[str] = FAMILIES,
-    sequences: Sequence[str] = (),
-) -> Callable[[argparse.ArgumentParser], None]:
-    """What adds one subcommand's arguments: the family flags, --format
-    when the command emits rows, and the sequences it convolves."""
-
-    def build(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--family", required=True, choices=families)
-        sub.add_argument("--q", help="q parameter for the q-gaussian family (exact, e.g. 2 or 1/2)")
-        sub.add_argument("--roots", help="roots for the lah family: comma list, optionally ending in ...")
-        sub.add_argument("--rows", type=int, required=True, help="largest row index N (rows 0..N)")
-        sub.add_argument(
-            "--max-rows", type=int, default=DEFAULT_ROW_CAP,
-            help=f"row cap guarding against runaway exact computation (default {DEFAULT_ROW_CAP})",
-        )
-        if fmt:
-            sub.add_argument("--format", choices=("json", "csv", "pretty"), default="csv")
-        for flag in sequences:
-            sub.add_argument(flag, required=True, help="'ones' or a comma list of exact values")
-        sub.set_defaults(handler=handler)
-
-    return build
-
-
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments when it parses.
+    """A subcommand's parser: the family flags, --format when the command
+    emits rows, and the sequences it convolves.
 
-    A run parses one subcommand, so the others never build theirs; the help
-    and usage texts are those of a parser built whole.
+    It adds its arguments when it first parses.  A run parses one
+    subcommand, so the others never build theirs; the help and usage texts
+    are those of a parser built whole.
     """
 
     def __init__(
-        self, *args: object, build: Callable[[argparse.ArgumentParser], None], **kwargs: object
+        self, *args: object, handler: Callable[[argparse.Namespace], int], fmt: bool = True,
+        families: Collection[str] = FAMILIES, sequences: Sequence[str] = (), **kwargs: object
     ) -> None:
         super().__init__(*args, **kwargs)
-        self._build: Optional[Callable[[argparse.ArgumentParser], None]] = build
+        self.set_defaults(handler=handler)
+        self._unbuilt: Optional[tuple[bool, Collection[str], Sequence[str]]] = (fmt, families, sequences)
 
     def parse_known_args(self, args=None, namespace=None):  # type: ignore[no-untyped-def]
-        build, self._build = self._build, None
-        if build is not None:
-            build(self)
+        if self._unbuilt is not None:
+            (fmt, families, sequences), self._unbuilt = self._unbuilt, None
+            add = self.add_argument
+            add("--family", required=True, choices=families)
+            add("--q", help="q parameter for the q-gaussian family (exact, e.g. 2 or 1/2)")
+            add("--roots", help="roots for the lah family: comma list, optionally ending in ...")
+            add("--rows", type=int, required=True, help="largest row index N (rows 0..N)")
+            add("--max-rows", type=int, default=DEFAULT_ROW_CAP,
+                help=f"row cap guarding against runaway exact computation (default {DEFAULT_ROW_CAP})")
+            if fmt:
+                add("--format", choices=("json", "csv", "pretty"), default="csv")
+            for flag in sequences:
+                add(flag, required=True, help="'ones' or a comma list of exact values")
         return super().parse_known_args(args, namespace)
 
     def _get_values(self, action, arg_strings):  # type: ignore[no-untyped-def]
@@ -273,19 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ledger", action="store_true",
                         help="print the ledger of known published-value discrepancies and exit")
     sub = parser.add_subparsers(dest="command", parser_class=_Subcommand)
-    sub.add_parser("generate", help="emit a triangle", build=_arguments(cmd_generate))
+    sub.add_parser("generate", help="emit a triangle", handler=cmd_generate)
     sub.add_parser("dual", help="emit the dual polynomial sequence of a banded or root family",
-                   build=_arguments(cmd_dual))
-    sub.add_parser("verify", help="check x^n = sum_k c[n][k] phi_k(x) exactly",
-                   build=_arguments(cmd_verify, fmt=False))
+                   handler=cmd_dual)
+    sub.add_parser("verify", help="check x^n = sum_k c[n][k] phi_k(x) exactly", handler=cmd_verify, fmt=False)
     sub.add_parser("fit", help="decide whether banded time-independent weights reproduce the triangle",
-                   build=_arguments(cmd_fit, fmt=False))
-    sub.add_parser("solve-f", help="emit rows 0..N of the one-step transition matrix",
-                   build=_arguments(cmd_solve_f))
+                   handler=cmd_fit, fmt=False)
+    sub.add_parser("solve-f", help="emit rows 0..N of the one-step transition matrix", handler=cmd_solve_f)
     sub.add_parser("phi", help="emit the step-matrix polynomial sequence of a unipotent family",
-                   build=_arguments(cmd_phi))
+                   handler=cmd_phi)
     sub.add_parser("convolve", help="convolve two sequences with fibonomial weights",
-                   build=_arguments(cmd_convolve, families=("fibonomial",), sequences=("--a", "--b")))
+                   handler=cmd_convolve, families=("fibonomial",), sequences=("--a", "--b"))
     return parser
 
 

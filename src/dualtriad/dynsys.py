@@ -103,6 +103,8 @@ def family_step_matrix(family: Family, value: Any, rows: int) -> StepMatrix:
     the others' rows have a unit diagonal by construction (pascal_like_rows).
     They solve F_n = C_{n+1} - sum_{k<n} C[n][k] F_k in one pass over rows
     0..rows + 1, holding F and two rows of C (forward_substitute)."""
+    if rows < 0:
+        raise ValueError("rows must be nonnegative")
     if family.recurrence is not None:
         return banded_step_matrix(family.recurrence(value, rows), rows)
     _require_unipotent(family.phi_rows is not None)

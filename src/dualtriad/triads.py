@@ -326,6 +326,8 @@ class Family(Frozen):
         """The coefficients of phi_0..phi_rows, one row per phi: the phi_rows
         stream, or else the duals of the recurrence.  No phi is zero: phi_k
         has degree k."""
+        if rows < 0:
+            raise ValueError("count must be nonnegative")
         if self.phi_rows is not None:
             return self.phi_rows(value, rows)
         if self.recurrence is None:

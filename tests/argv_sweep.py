@@ -9,10 +9,15 @@ A change that must keep the CLI's behaviour checks that the recomputed lines
 equal the file byte for byte (tests/test_argv_sweep.py).  From Python 3.13
 argparse wraps a usage line keeping each option with its metavar, so
 tests/golden/argv_sweep-3.13.sha256 holds the lines that differ there, and
-they replace those of the same argv.  Regenerate the files only when the
-output is meant to change, first on Python 3.10-3.12, then on 3.13:
+they replace those of the same argv.
+
+Run as a script, it makes the same check on any Python, pytest or not, and
+exits 1 naming the first argv whose line changed:
 
     COLUMNS=80 PYTHONPATH=src python tests/argv_sweep.py
+
+With --write it writes the files instead.  Do that only when the output is
+meant to change, first on Python 3.10-3.12, then on 3.13.
 """
 
 from __future__ import annotations
@@ -141,7 +146,16 @@ if __name__ == "__main__":
     if os.environ.get("COLUMNS") != "80":
         raise SystemExit("run with COLUMNS=80: argparse wraps help to the terminal width")
     lines = [sweep_line(argv) for argv in argvs()]
-    if sys.version_info < (3, 13):
+    if "--write" not in sys.argv[1:]:
+        recorded = recorded_lines()
+        if len(lines) != len(recorded):
+            raise SystemExit(f"the sweep has {len(lines)} argvs, the recorded files {len(recorded)}")
+        changed = [line for line, old in zip(recorded, lines) if line != old]
+        if changed:
+            first = _argv_of(changed[0]).rstrip()
+            raise SystemExit(f"{len(changed)} of {len(lines)} argvs changed, the first: {first}")
+        print(f"all {len(lines)} argvs byte-identical")
+    elif sys.version_info < (3, 13):
         SWEEP_FILE.write_text("".join(lines))
     else:
         base = SWEEP_FILE.read_text().splitlines(keepends=True)

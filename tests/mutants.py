@@ -125,6 +125,10 @@ MUTANTS = [
      "family_step_matrix: a family with a recurrence is solved for F, not read off it"),
     (DYNSYS, "_require_unipotent(family.phi_rows is not None)", "_require_unipotent(True)",
      "family_step_matrix: a family that is not unipotent makes its rows before it is refused"),
+    (TRIADS, 'if rows < 0:\n            raise ValueError("count', 'if rows < -1:\n            raise ValueError("count',
+     "Family.phis: rows -1 reaches the family's phi stream"),
+    (DYNSYS, 'if rows < 0:\n        raise ValueError("rows', 'if rows < -1:\n        raise ValueError("rows',
+     "family_step_matrix: rows -1 reaches the family's route"),
     (DYNSYS, "family.scaled_rows(value, rows + 1)", "family.scaled_rows(value, rows)",
      "family_step_matrix: the dense route reads one row of C too few"),
     (EXACT, "acc = list(rhs)", "acc = list(row)",

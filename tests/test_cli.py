@@ -185,14 +185,25 @@ class TestParserTexts:
         assert not (out, err)[code == 0]
 
     def test_one_subcommand_builds_its_arguments(self):
-        from dualtriad.cli import build_parser
+        from dualtriad import cli
 
-        parser = build_parser()
-        args = parser.parse_args(["fit", "--family", "pascal", "--rows", "5"])
-        assert (args.family, args.rows, args.max_rows) == ("pascal", 5, 512)
-        subparsers = next(a for a in parser._actions if a.dest == "command")
-        built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
-        assert built == {"fit"}
+        common = {"ledger", "command", "handler", "family", "q", "roots", "rows", "max_rows"}
+        for command, handler, family, flags, more in (
+            ("generate", cli.cmd_generate, "pascal", [], {"format"}),
+            ("dual", cli.cmd_dual, "pascal", [], {"format"}),
+            ("verify", cli.cmd_verify, "pascal", [], set()),
+            ("fit", cli.cmd_fit, "pascal", [], set()),
+            ("solve-f", cli.cmd_solve_f, "pascal", [], {"format"}),
+            ("phi", cli.cmd_phi, "pascal", [], {"format"}),
+            ("convolve", cli.cmd_convolve, "fibonomial", ["--a", "ones", "--b", "1,2"], {"format", "a", "b"}),
+        ):
+            parser = cli.build_parser()
+            args = parser.parse_args([command, "--family", family, "--rows", "5", *flags])
+            assert set(vars(args)) == common | more, command
+            assert (args.handler, args.family, args.rows, args.max_rows) == (handler, family, 5, 512)
+            subparsers = next(a for a in parser._actions if a.dest == "command")
+            built = {name for name, sub in subparsers.choices.items() if len(sub._actions) > 1}
+            assert built == {command}, command
 
 
 # Each flag that takes exact values: the argv before it, the text of its

@@ -747,3 +747,30 @@ def test_library_preconditions(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+# A parameter value for each family that takes one.
+_FAMILY_VALUES = {"q-gaussian": Fraction(2), "lah": RootSequence.arithmetic(1, 1)}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_negative_row_count_refused_first(name):
+    # Every family refuses rows -1 with the words of the streams, before it
+    # calls its recurrence, row stream or phi stream: each is replaced by one
+    # that records its call.
+    family, made = FAMILIES[name], []
+    spied = Family(dual=family.dual, route=family.route, param=family.param, **{
+        field: (lambda *args, field=field: made.append(field)) if getattr(family, field) else None
+        for field in ("recurrence", "rows", "phi_rows")
+    })
+    value = _FAMILY_VALUES.get(name)
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        spied.phis(value, -1)
+    with pytest.raises(ValueError, match="^rows must be nonnegative$"):
+        family_step_matrix(spied, value, -1)
+    assert made == []
+    # The families themselves give the same errors.
+    with pytest.raises(ValueError, match="^count must be nonnegative$"):
+        family.phis(value, -1)
+    with pytest.raises(ValueError, match="^rows must be nonnegative$"):
+        family_step_matrix(family, value, -1)

@@ -1,7 +1,8 @@
 """The package namespace: `import dualtriad` imports no submodule, and every
-public name and submodule is served on first use; and the compile budget of
-its largest module."""
+public name and submodule is served on first use; the compile budget of its
+largest module; and the names the benchmark's tracer wraps."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +79,22 @@ def test_triads_code_object_budget():
     # From 3.12 on, comprehensions are inlined and count less.
     path = Path(__file__).resolve().parent.parent / "src" / "dualtriad" / "triads.py"
     assert _code_objects(compile(path.read_text(), str(path), "exec")) <= 63
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps (module, attribute) pairs of dualtriad by
+    # name, and a traced name renamed under src/ breaks the benchmark, which
+    # no other tier-1 test runs.  A dotted attribute is a method in its
+    # class's __dict__, where Tracer.install looks it up.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for span, targets in tracing.LAYERS.items():
+        for module_name, attr in targets:
+            owner = importlib.import_module(f"dualtriad.{module_name}")
+            if "." in attr:
+                cls_name, method = attr.split(".")
+                assert method in vars(getattr(owner, cls_name)), (span, module_name, attr)
+            else:
+                assert callable(getattr(owner, attr, None)), (span, module_name, attr)
