@@ -18,7 +18,7 @@ from .dynsys import convolve_fibonomial, family_step_matrix, fit_banded
 from .exact import Rational, Scaled, format_exact
 from .output import format_rows, write_document
 from .sequences import RootSequence
-from .triads import FAMILIES, Family, Restartable
+from .triads import FAMILIES, Family
 
 DEFAULT_ROW_CAP = 512
 
@@ -105,19 +105,18 @@ def _family_inputs(args: argparse.Namespace, levels: int) -> tuple[Family, Any, 
 
 
 def _emit(family: str, params: dict[str, str], make: Callable[[], Iterable[Sequence[Rational]]],
-          count: int, fmt: str) -> None:
-    # make() starts a pass over the count value rows (pretty makes two), and
-    # the first runs before anything is written: a stream's failed argument
+          fmt: str) -> None:
+    # make() starts a pass over the value rows (pretty makes two), and the
+    # first runs before anything is written: a stream's failed argument
     # check, like every precondition the caller checked, writes nothing.
-    rows = Restartable(lambda: format_rows(make()), count)
-    write_document(sys.stdout.write, fmt, family, params, rows)
+    write_document(sys.stdout.write, fmt, family, params, lambda: format_rows(make()))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows)
-    _emit(args.family, params, lambda: map(Scaled.values, family.scaled_rows(value, rows)), rows + 1,
-          args.format)
+    source = family.scaled_rows(value, rows)
+    _emit(args.family, params, lambda: map(Scaled.values, source), args.format)
     return 0
 
 
@@ -130,7 +129,7 @@ def cmd_dual(args: argparse.Namespace) -> int:
             f"family {args.family} has no banded dual recurrence; "
             "use the phi command for the step-matrix sequence"
         )
-    _emit(args.family, params, lambda: dual.phis(value, rows), rows + 1, args.format)
+    _emit(args.family, params, lambda: dual.phis(value, rows), args.format)
     return 0
 
 
@@ -157,7 +156,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if rows < 5:
         raise UsageError("fit needs --rows of at least 5")
     family, value, _ = _family_inputs(args, rows)
-    result = fit_banded(Restartable(lambda: family.scaled_rows(value, rows), rows + 1))
+    result = fit_banded(family.scaled_rows(value, rows))
     if result.fits:
         rec = result.recurrence
         print("fit: banded time-independent recurrence found")
@@ -176,14 +175,14 @@ def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows + 1)
     matrix = family_step_matrix(family, value, rows)
-    _emit(args.family, params, lambda: matrix.rows, rows + 1, args.format)
+    _emit(args.family, params, lambda: matrix.rows, args.format)
     return 0
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows)
-    _emit(args.family, params, lambda: family.phis(value, rows), rows + 1, args.format)
+    _emit(args.family, params, lambda: family.phis(value, rows), args.format)
     return 0
 
 
@@ -202,7 +201,7 @@ def cmd_convolve(args: argparse.Namespace) -> int:
     a = _parse_sequence(args.a, rows + 1, "--a")
     b = _parse_sequence(args.b, rows + 1, "--b")
     values = convolve_fibonomial(a, b, rows)
-    _emit("fibonomial", {"a": args.a, "b": args.b}, lambda: [values], 1, args.format)
+    _emit("fibonomial", {"a": args.a, "b": args.b}, lambda: [values], args.format)
     return 0
 
 

@@ -291,15 +291,12 @@ def _minimal_conflict(equations: Sequence[_Equation], tags: frozenset[int]) -> l
         column = _Column()
         return any(column.add(*by_tag[t]) is not None for t in subset)
 
-    changed = True
-    while changed:
-        changed = False
-        for t in list(current):
-            trial = [x for x in current if x != t]
-            if len(trial) >= 2 and inconsistent(trial):
-                current = trial
-                changed = True
-                break
+    # A superset of an inconsistent system is inconsistent, so a tag kept
+    # once stays needed as others go: one deletion pass leaves a minimal set.
+    for t in sorted(tags):
+        trial = [x for x in current if x != t]
+        if len(trial) >= 2 and inconsistent(trial):
+            current = trial
     return current
 
 

@@ -47,7 +47,7 @@ class OutputDocument(Record):
 
     def _render(self, fmt: str) -> str:
         parts: list[str] = []
-        write_document(parts.append, fmt, self.family, self.params, self.rows, self.report)
+        write_document(parts.append, fmt, self.family, self.params, self.rows.__iter__, self.report)
         return "".join(parts)
 
     def to_json(self) -> str:
@@ -115,19 +115,20 @@ def write_document(
     fmt: str,
     family: str,
     params: dict,
-    rows: Iterable[Sequence[str]],
+    make: Callable[[], Iterable[Sequence[str]]],
     report: Optional[dict] = None,
 ) -> None:
     """Write a document in fmt ("json", "csv" or "pretty") through write.
 
     Every format holds one row, and writes its line in pieces of at most
     _PIECE characters (an entry may overrun one), so a long row's line and
-    its encoded bytes never exist whole; a shorter row is one write.  csv
-    and json read the rows once.  pretty reads them twice, for the widest
-    row and then to centre each under it, so it raises TypeError for an
-    iterator: pass rows that each pass restarts (a list or a Restartable).
+    its encoded bytes never exist whole; a shorter row is one write.  make()
+    starts a pass over the rows, first before anything is written.  csv and
+    json make one pass; pretty makes two, for the widest row and then to
+    centre each under it.
     The json text is json.dumps(document, indent=2); every line ends in a newline.
     """
+    rows = make()
     if fmt == "csv":
         for row in rows:
             _write_row(write, "", ",", row, "\n")
@@ -147,11 +148,9 @@ def write_document(
         close = "]" if sep == "\n    " else "\n  ]"
         write(f'{close},\n  "report": {_nested(report)}\n}}\n')
     elif fmt == "pretty":
-        if isinstance(rows, Iterator):
-            raise TypeError("pretty reads its rows twice: pass a list or a Restartable, not an iterator")
         # An empty row counts -1, which centres as width 0 does.
         width = max((sum(map(len, row)) + len(row) - 1 for row in rows), default=0)
-        for row in rows:
+        for row in make():
             # " ".join(row).center(width).rstrip(): str.center's left pad (none on
             # a blank line), then the entries up to the last that is not blank.
             marg = width + 1 - sum(map(len, row)) - len(row)

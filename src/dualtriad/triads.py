@@ -24,6 +24,7 @@ and the first two read their phi off the structure of their inverse.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Collection, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
@@ -123,8 +124,8 @@ class Restartable(Generic[T]):
 
 
 # The rows 0..N of a triangle as verify_triad and fit_banded read them, each
-# proof in one pass: a sized iterable (a Triangle, its rows, a Restartable over
-# a Family's scaled_rows), whose rows are sequences of values or Scaled vectors.
+# proof in one pass: a sized iterable (a Triangle, its rows, a Family's
+# scaled_rows), whose rows are sequences of values or Scaled vectors.
 RowSource = Collection
 
 
@@ -306,21 +307,22 @@ class Family(Frozen):
     phi_rows: Optional[Callable[[Any, int], Iterator[tuple[Rational, ...]]]]
     _defaults = {"param": None, "recurrence": None, "rows": None, "phi_rows": None}
 
-    def scaled_rows(self, value: Any, rows: int) -> Iterator[Scaled]:
-        """Rows 0..rows as Scaled vectors, one at a time; value is the
-        family's parameter (None when it takes none).
+    def scaled_rows(self, value: Any, rows: int) -> Restartable[Scaled]:
+        """Rows 0..rows as Scaled vectors, made afresh on each pass; value is
+        the family's parameter (None when it takes none).
 
         A banded family's rows come from its recurrence; only the tests
         compare them with the closed forms in the sequences module, which no
         command reads.  The others read their row stream, whose widths
-        checked_rows checks.  The arguments are checked here, before the
-        first row, and only the previous row is held.
+        checked_rows checks.  The arguments are checked here, and a pass
+        holds only the previous row.
         """
         if rows < 0:
             raise ValueError("rows must be nonnegative")
         if self.recurrence is None:
-            return checked_rows(Restartable(lambda: map(Scaled, self.rows(rows)), rows + 1))
-        return scaled_banded_rows(self.recurrence(value, rows - 1), rows)
+            stream = Restartable(lambda: map(Scaled, self.rows(rows)), rows + 1)
+            return Restartable(partial(checked_rows, stream), rows + 1)
+        return Restartable(partial(scaled_banded_rows, self.recurrence(value, rows - 1), rows), rows + 1)
 
     def phis(self, value: Any, rows: int) -> Iterator[tuple[Rational, ...]]:
         """The coefficients of phi_0..phi_rows, one row per phi: the phi_rows
@@ -338,8 +340,10 @@ class Family(Frozen):
         """The TriadReport of rows 0..rows against the phi of the dual family,
         which must exist: verify_triad's certificate on the dual's recurrence,
         or the brute scan over the dual's phi stream when it has none."""
-        source = Restartable(lambda: self.scaled_rows(value, rows), rows + 1)
-        dual = FAMILIES[self.dual]
+        dual = FAMILIES.get(self.dual)
+        if dual is None:
+            raise ValueError("the family has no dual to verify against")
+        source = self.scaled_rows(value, rows)
         if dual.recurrence is not None:
             return verify_triad(source, None, dual.recurrence(value, rows - 1))
         return verify_triad(source, Restartable(lambda: map(Polynomial, dual.phis(value, rows)), rows + 1))

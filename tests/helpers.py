@@ -186,6 +186,20 @@ def brute_solve(matrix, rhs) -> list[Fraction]:
     return [aug[i][n] for i in range(n)]
 
 
+class Passes:
+    """A sized source that counts the passes made over the source it wraps."""
+
+    def __init__(self, source) -> None:
+        self.source, self.count = source, 0
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __iter__(self):
+        self.count += 1
+        return iter(self.source)
+
+
 def random_unipotent_rows(rng: random.Random, n_max: int, lo: int = -9, hi: int = 9):
     """Rows of a random unipotent integer triangle."""
     rows = []

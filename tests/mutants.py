@@ -1,8 +1,8 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
-elimination, pair scaling and weight assembly, of the phi streams that stand
-in for an inversion, of the family's row, phi, proof and step-matrix routes,
-of forward substitution, of the records' constructor and of the writer of
-every output format.
+elimination, minimal witness, pair scaling and weight assembly, of the phi
+streams that stand in for an inversion, of the family's row, phi, proof and
+step-matrix routes, of forward substitution, of the records' constructor and
+of the writer of every output format.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -39,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # pytest -x stops at the first failure, so the files that kill mutants
 # soonest run first: test_records takes a second, with test_dynsys it kills
-# 33 of the 50 mutants, test_output kills the writer's, and the hypothesis
+# 37 of the 55 mutants, test_output kills the writer's, and the hypothesis
 # classes of test_scaled come last.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
          "tests/test_scaled.py")
@@ -116,11 +116,13 @@ MUTANTS = [
     (TRIADS, "iter_dual_polynomials(self.recurrence(value, rows - 1), rows)",
      "iter_dual_polynomials(self.recurrence(value, rows - 1), rows - 1)",
      "Family.phis: the banded route yields one phi too few"),
-    (TRIADS, "scaled_banded_rows(self.recurrence(value, rows - 1), rows)",
-     "scaled_banded_rows(self.recurrence(value, rows - 2), rows)",
+    (TRIADS, "scaled_banded_rows, self.recurrence(value, rows - 1), rows)",
+     "scaled_banded_rows, self.recurrence(value, rows - 2), rows)",
      "Family.scaled_rows: the recurrence is tabulated one level short"),
     (TRIADS, "if dual.recurrence is not None:", "if False:",
      "Family.verify: a dual with a recurrence is scanned, not certified"),
+    (TRIADS, "dual = FAMILIES.get(self.dual)", 'dual = FAMILIES.get(self.dual, FAMILIES["pascal"])',
+     "Family.verify: a family with no dual is checked against pascal's phi, not refused"),
     (DYNSYS, "if family.recurrence is not None:", "if False:",
      "family_step_matrix: a family with a recurrence is solved for F, not read off it"),
     (DYNSYS, "_require_unipotent(family.phi_rows is not None)", "_require_unipotent(True)",
@@ -135,6 +137,8 @@ MUTANTS = [
      "forward_substitute: row i of L is taken as its own right-hand side"),
     (DYNSYS, "tags |= pt", "tags = tags",
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),
+    (DYNSYS, "for t in sorted(tags):", "for t in sorted(tags)[1:]:",
+     "_minimal_conflict: the witness keeps its first equation where it could drop it"),
     (DYNSYS, "row = [e // g * v for v in row]", "row = [v for v in row]",
      "fit_banded: row n is not scaled to the pair's common denominator"),
     (DYNSYS, "rhs = [d // g * v for v in nxt]", "rhs = [v for v in nxt]",
@@ -151,6 +155,8 @@ MUTANTS = [
      "Record.__init__: an unknown field is accepted"),
     (OUTPUT, "for row in rows), default=0)", "for row in list(rows)[:1]), default=0)",
      "write_document: pretty takes its width from the first row only"),
+    (OUTPUT, "rows = make()\n", "rows = (row for _ in [0] for row in make())\n",
+     "write_document: the first pass is made after the json header is written"),
     (OUTPUT, '_write_row(write, "", ",", row, "\\n")', '_write_row(write, "", ",", row, "")',
      "write_document: csv drops the line end"),
     (OUTPUT, "head, piece, size = sep, [],", 'head, piece, size = "", [],',

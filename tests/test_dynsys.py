@@ -44,6 +44,7 @@ from dualtriad.triads import (
 )
 
 from helpers import (
+    Passes,
     random_unipotent_triangle,
     reference_fit,
     triangle_times_step,
@@ -111,12 +112,13 @@ class TestSolveStepMatrix:
         # collects no Triangle of them.
         argv = ["solve-f", "--family", family, "--rows", "12"]
         expected = cli_output(argv)
-        calls = []
+        calls, sources = [], []
         scaled_rows = Family.scaled_rows
 
         def counting(self, *args):
             calls.append(args)
-            return scaled_rows(self, *args)
+            sources.append(Passes(scaled_rows(self, *args)))
+            return sources[-1]
 
         def refuse(*args, **kwargs):
             raise AssertionError("a collected triangle")
@@ -124,7 +126,7 @@ class TestSolveStepMatrix:
         monkeypatch.setattr(Family, "scaled_rows", counting)
         monkeypatch.setattr(dynsys, "Triangle", refuse)
         assert cli_output(argv) == expected
-        assert calls == [(None, 13)]
+        assert calls == [(None, 13)] and sources[0].count == 1
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -429,6 +431,42 @@ class TestFitBanded:
             tri = generate_named(family, 10)
             self.assert_witness_inconsistent(tri, fit_banded(tri))
 
+    def test_witness_drops_every_equation_it_can(self):
+        # u + s = 2 pivots on s, s = 1 then pins u, and s = 3 conflicts
+        # through both pivots, so the tags name all three equations; but
+        # s = 1 and s = 3 alone are inconsistent, so the witness drops the first.
+        equations = [(0, (1, 1, 0), 2), (1, (0, 1, 0), 1), (2, (0, 1, 0), 3)]
+        column = dynsys._Column()
+        assert [column.add(*eq) for eq in equations] == [None, None, {0, 1, 2}]
+        assert dynsys._minimal_conflict(equations, frozenset({0, 1, 2})) == [1, 2]
+
+    def test_witness_is_minimal_on_random_columns(self):
+        # Every witness is inconsistent, and dropping any one of its
+        # equations (while two are left) makes it consistent.
+        rng = random.Random(20261020)
+
+        def inconsistent(chosen):
+            column = dynsys._Column()
+            return any(column.add(*eq) is not None for eq in chosen)
+
+        conflicts = 0
+        while conflicts < 200:
+            column, equations = dynsys._Column(), []
+            for tag in range(rng.randint(2, 10)):
+                a = tuple(rng.choice((0, 0, 1, -1, rng.randint(-5, 5))) for _ in range(3))
+                equations.append((tag, a, rng.randint(-3, 3)))
+                tags = column.add(*equations[-1])
+                if tags is not None:
+                    break
+            else:
+                continue
+            conflicts += 1
+            witness = dynsys._minimal_conflict(equations, tags)
+            chosen = [eq for eq in equations if eq[0] in witness]
+            assert witness == sorted(witness) and inconsistent(chosen)
+            if len(chosen) > 2:
+                assert not any(inconsistent(chosen[:i] + chosen[i + 1:]) for i in range(len(chosen)))
+
     def test_round_trip_on_random_banded(self):
         rng = random.Random(20240815)
         for _ in range(15):
@@ -454,7 +492,7 @@ class TestFitBanded:
         for name, value in REGENERATION_CASES:
             for n_max in (5, 12, 40):
                 rows = Triangle(FAMILIES[name].scaled_rows(value, n_max)).rows
-                result = fit_banded(Restartable(lambda: FAMILIES[name].scaled_rows(value, n_max), n_max + 1))
+                result = fit_banded(FAMILIES[name].scaled_rows(value, n_max))
                 assert result.fits, (name, value, n_max)
                 regen = generate_from_banded(result.recurrence, n_max)
                 assert regen.rows == rows, (name, value, n_max)
@@ -525,7 +563,7 @@ class TestStreamedFit:
     def test_equals_column_at_a_time_route(self, name, q, roots, n_max):
         tri = generate_named(name, n_max, q=q, roots=roots)
         value = q if roots is None else roots
-        source = Restartable(lambda: FAMILIES[name].scaled_rows(value, n_max), n_max + 1)
+        source = FAMILIES[name].scaled_rows(value, n_max)
         streamed = _fit_outcome(fit_banded(source))
         assert streamed == reference_fit(tri)
         assert _fit_outcome(fit_banded(tri)) == streamed
@@ -593,15 +631,10 @@ class TestStreamedFit:
     ])
     def test_reads_its_source_once(self, name, value, fits):
         # A fit is proved by the pass that solves its columns, and a no-fit
-        # by its witness: neither restarts the rows (one call of make).
-        passes = []
-
-        def make():
-            passes.append(None)
-            return FAMILIES[name].scaled_rows(value, 12)
-
-        assert fit_banded(Restartable(make, 13)).fits == fits
-        assert len(passes) == 1
+        # by its witness: neither restarts the rows.
+        source = Passes(FAMILIES[name].scaled_rows(value, 12))
+        assert fit_banded(source).fits == fits
+        assert source.count == 1
 
     def test_preconditions_before_any_row_is_read(self):
         with pytest.raises(ValueError, match="rows 0..4"):

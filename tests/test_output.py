@@ -13,7 +13,7 @@ from dualtriad import output
 from dualtriad.exact import Polynomial
 from dualtriad.output import OutputDocument, format_exact, format_rows, parse_exact, write_document
 from dualtriad.sequences import RootSequence
-from dualtriad.triads import Restartable, generate_named, lah_from_roots
+from dualtriad.triads import generate_named, lah_from_roots
 
 
 def named_triangles():
@@ -200,7 +200,7 @@ class TestOneWriter:
     @pytest.mark.parametrize("fmt,extra", [("csv", 0), ("json", 2), ("pretty", 0)])
     def test_one_write_per_row(self, fmt, extra):
         writes = []
-        write_document(writes.append, fmt, "x", {}, [["1"], ["1", "1"], ["1", "2", "1"]])
+        write_document(writes.append, fmt, "x", {}, [["1"], ["1", "1"], ["1", "2", "1"]].__iter__)
         assert len(writes) == 3 + extra
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
@@ -214,7 +214,7 @@ class TestOneWriter:
         # the 200 KiB row, the first row's pretty pad is longer than _PIECE.
         rows = [["1"], row]
         writes = []
-        write_document(writes.append, fmt, "x", {}, rows)
+        write_document(writes.append, fmt, "x", {}, rows.__iter__)
         whole = {"family": "x", "params": {}, "rows": rows, "report": None}
         expected = {"csv": joined_csv(rows), "json": json.dumps(whole, indent=2) + "\n",
                     "pretty": joined_pretty(rows)}[fmt]
@@ -232,7 +232,7 @@ class TestOneWriter:
                 events.append(f"row {n}")
                 yield [str(n)]
 
-        write_document(lambda text: events.append("write"), fmt, "x", {}, rows())
+        write_document(lambda text: events.append("write"), fmt, "x", {}, rows)
         head = ["write"] if fmt == "json" else []
         tail = ["write"] if fmt == "json" else []
         assert events == head + ["row 0", "write", "row 1", "write", "row 2", "write"] + tail
@@ -247,22 +247,39 @@ class TestOneWriter:
                 events.append(f"row {n}")
                 yield [str(10**n)]
 
-        write_document(events.append, "pretty", "x", {}, Restartable(rows, 3))
+        write_document(events.append, "pretty", "x", {}, rows)
         assert events == ["row 0", "row 1", "row 2",
                           "row 0", " 1\n", "row 1", " 10\n", "row 2", "100\n"]
 
-    def test_pretty_refuses_an_iterator(self):
-        # A second pass over an iterator would read nothing: no row would
-        # print, where the caller meant every row to.
+    @pytest.mark.parametrize("fmt,passes", [("csv", 1), ("json", 1), ("pretty", 2)])
+    def test_each_pass_is_one_call_of_make(self, fmt, passes):
+        # make() is called once per pass, the first time before anything is
+        # written, and every pass reads every row.
+        events = []
+
+        def make():
+            events.append("make")
+            return iter([["1"], ["1", "1"]])
+
+        write_document(lambda text: events.append("write"), fmt, "x", {}, make)
+        assert events.count("make") == passes and events[0] == "make"
+        assert events.count("write") == 2 + 2 * (fmt == "json")
+
+    def test_json_stream_refused_by_its_make_writes_nothing(self):
+        # A stream that checks its arguments when it is made raises before
+        # the json header.
         writes = []
-        for rows in (iter([["1"], ["1", "1"]]), (row for row in [["1"]]), map(list, ["1"])):
-            with pytest.raises(TypeError):
-                write_document(writes.append, "pretty", "x", {}, rows)
+
+        def make():
+            raise ValueError("rows must be nonnegative")
+
+        with pytest.raises(ValueError, match="^rows must be nonnegative$"):
+            write_document(writes.append, "json", "x", {}, make)
         assert writes == []
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            write_document(print, "xml", "x", {}, [])
+            write_document(print, "xml", "x", {}, [].__iter__)
 
     # Last, so that a deterministic test above fails first and fast.
     @settings(max_examples=150, deadline=None)

@@ -75,10 +75,10 @@ def _code_objects(code):
 def test_triads_code_object_budget():
     # Every job compiles triads, the largest module, and its compile() peak
     # sets every job's import floor; that peak moves in steps with the count of
-    # code objects, which may fall but not rise (the standing limit is 69).
-    # From 3.12 on, comprehensions are inlined and count less.
+    # code objects, which may fall but not rise: the limit is the count on 3.11,
+    # lowered with it.  From 3.12 on, comprehensions are inlined and count less.
     path = Path(__file__).resolve().parent.parent / "src" / "dualtriad" / "triads.py"
-    assert _code_objects(compile(path.read_text(), str(path), "exec")) <= 63
+    assert _code_objects(compile(path.read_text(), str(path), "exec")) <= 62
 
 
 def test_traced_names_resolve():

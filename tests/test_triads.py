@@ -24,6 +24,7 @@ from dualtriad.sequences import (
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
+    Family,
     Restartable,
     Triangle,
     banded_for_family,
@@ -43,6 +44,7 @@ from helpers import (
     PUBLISHED_CATALAN_SHIFTED_ROWS,
     PUBLISHED_FIBONOMIAL_ROWS,
     PUBLISHED_Q2_ROWS,
+    Passes,
     brute_solve,
     eulerian_oracle,
     expand_product_oracle,
@@ -608,6 +610,47 @@ class TestVerifyCertificate:
             assert run(argv) == result, argv
 
 
+# A parameter value for each family that takes one.
+_FAMILY_VALUES = {"q-gaussian": Fraction(-2, 3), "lah": RootSequence.arithmetic(Fraction(1, 2), 1)}
+
+
+class TestFamilyScaledRows:
+    """Family.scaled_rows(value, N) is the sized source of rows 0..N that the
+    proofs and commands read: each pass makes the rows afresh."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_each_pass_makes_the_rows_once(self, monkeypatch, name):
+        # The row maker is the recurrence's row stream or the family's own,
+        # replaced by one that records its calls.
+        family, value, made = FAMILIES[name], _FAMILY_VALUES.get(name), []
+        if family.recurrence is None:
+            family = Family(dual=family.dual, route=family.route, phi_rows=family.phi_rows,
+                            rows=lambda n: made.append(n) or FAMILIES[name].rows(n))
+        else:
+            banded = triads.scaled_banded_rows
+            monkeypatch.setattr(triads, "scaled_banded_rows", lambda rec, n: made.append(n) or banded(rec, n))
+        with pytest.raises(ValueError, match="^rows must be nonnegative$"):
+            family.scaled_rows(value, -1)
+        assert made == []
+        for n_max in (0, 1, 9):
+            source = family.scaled_rows(value, n_max)
+            assert len(source) == n_max + 1 and made == [n_max]
+            first = list(source)
+            assert list(source) == first and made == [n_max] * 2
+            assert [len(row[0]) for row in first] == list(range(1, n_max + 2))
+            assert Triangle(first).rows == generate_named(name, n_max, **(
+                {} if family.param is None else {family.param: value})).rows
+            made.clear()
+
+    def test_rows_of_a_stream_are_checked_on_each_pass(self):
+        rows = [(1,), (1, 1), (1, 1)]
+        family = Family(dual=None, route=None, rows=lambda n: iter(rows[: n + 1]))
+        source = family.scaled_rows(None, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^row 2 has 2 entries, expected 3$"):
+                list(source)
+
+
 class CountedSource(Restartable):
     """A Restartable over fixed items that records how many items each pass
     read."""
@@ -699,17 +742,28 @@ class TestStreamedVerify:
     def test_family_verify_makes_its_rows_once(self, monkeypatch):
         # catalan-shifted's certificate fails at row 1, and the expansion
         # goes on from there in the same pass over the family's rows.
-        calls = []
+        calls, sources = [], []
         scaled_rows = triads.Family.scaled_rows
 
         def counting(self, *args):
             calls.append(args)
-            return scaled_rows(self, *args)
+            sources.append(Passes(scaled_rows(self, *args)))
+            return sources[-1]
 
         monkeypatch.setattr(triads.Family, "scaled_rows", counting)
         report = FAMILIES["catalan-shifted"].verify(None, 64)
         assert (report.holds, report.first_failure[0], report.method) == (False, 1, "brute")
-        assert calls == [(None, 64)]
+        assert calls == [(None, 64)] and sources[0].count == 1
+
+    def test_family_with_no_dual_refused(self):
+        # eulerian completes no triad: verify refuses it before a row is
+        # made, as phis refuses a family with no phi.
+        made = []
+        spied = Family(dual=None, route=None, rows=lambda n: made.append(n))
+        for family in (FAMILIES["eulerian"], spied):
+            with pytest.raises(ValueError, match="^the family has no dual to verify against$"):
+                family.verify(None, 6)
+        assert made == []
 
     def test_count_mismatch_rejected_before_reading(self):
         rows, polys = CountedSource(generate_named("pascal", 3).rows), CountedSource([Polynomial((1,))])
