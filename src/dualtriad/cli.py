@@ -136,11 +136,6 @@ def cmd_dual(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, _ = _family_inputs(args, rows)
-    if family.dual is None:  # a failed precondition of the family, not of the flags
-        raise ValueError(
-            f"family {args.family} admits no dual construction "
-            "(not unipotent and no banded recurrence)"
-        )
     report = family.verify(value, rows)
     print(f"route: {family.route}")
     if report.holds:

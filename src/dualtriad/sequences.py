@@ -119,13 +119,14 @@ def pascal_like_rows(
 
     left(n) and right(n) give row n's weights for k = 0..n+1; entries outside
     the triangle read as 0, so left(n)[0] and right(n)[n+1] multiply nothing.
-    Only the previous row is held.
+    Weights of any other length raise ValueError as row n + 1 is made, so
+    row n has n + 1 entries.  Only the previous row is held.
     """
     row: tuple[int, ...] = (1,)
     yield row
     for n in range(rows):
         # Entry k of (0, *row) is c(n, k-1) and of (*row, 0) is c(n, k).
-        row = tuple(a * u + b * v for a, u, b, v in zip(left(n), (0, *row), right(n), (*row, 0)))
+        row = tuple(a * u + b * v for a, u, b, v in zip(left(n), (0, *row), right(n), (*row, 0), strict=True))
         yield row
 
 

@@ -101,26 +101,24 @@ T = TypeVar("T")
 
 
 class Restartable(Generic[T]):
-    """A sized iterable that restarts an iterator for every pass.
+    """A sized iterable that makes a fresh iterator for every pass.
 
-    make() is called once here, so a stream that checks its arguments on
-    the call (as banded_rows and iter_dual_polynomials do) raises before
-    the first pass; each later pass calls make() afresh.  A pass holds only
-    what one iterator holds, and length is the number of items a pass
-    yields.
+    Each pass calls make() when it starts, so a stream that checks its
+    arguments on the call (as banded_rows and iter_dual_polynomials do)
+    raises there, before the pass reads an item.  A pass holds only what
+    one iterator holds, and length, which len() reads without a pass, is
+    the number of items a pass yields.
     """
 
     def __init__(self, make: Callable[[], Iterator[T]], length: int) -> None:
         self._make = make
-        self._first: Optional[Iterator[T]] = make()
         self._length = length
 
     def __len__(self) -> int:
         return self._length
 
     def __iter__(self) -> Iterator[T]:
-        first, self._first = self._first, None
-        return first if first is not None else self._make()
+        return self._make()
 
 
 # The rows 0..N of a triangle as verify_triad and fit_banded read them, each
@@ -131,10 +129,10 @@ RowSource = Collection
 
 def _levels(spec: LevelSpec, depth: int) -> tuple[Rational, ...]:
     if callable(spec):
-        return tuple(as_exact(spec(k)) for k in range(depth + 1))
+        return tuple(map(as_exact, map(spec, range(depth + 1))))
     if isinstance(spec, (int, Fraction)):
         return (as_exact(spec),) * (depth + 1)
-    vals = tuple(as_exact(v) for v in spec)
+    vals = tuple(map(as_exact, spec))
     if len(vals) < depth + 1:
         raise ValueError(f"level sequence covers {len(vals)} levels, need {depth + 1}")
     return vals[: depth + 1]
@@ -156,7 +154,7 @@ class BandedRecurrence(Frozen):
     def __init__(
         self, up: Iterable[Rational], stay: Iterable[Rational], down: Iterable[Rational]
     ) -> None:
-        super().__init__(*(tuple(as_exact(v) for v in w) for w in (up, stay, down)))
+        super().__init__(*(tuple(map(as_exact, w)) for w in (up, stay, down)))
         if not (len(self.up) == len(self.stay) == len(self.down)):
             raise ValueError("up, stay and down must cover the same levels")
 
@@ -283,13 +281,15 @@ _BANDED_ROUTE = "banded dual recurrence"
 class Family(Frozen):
     """How one named family is built, what it takes, and where its duals are.
 
-    recurrence maps (parameter value, depth) to the family's banded weights
-    for levels 0..depth, whose duals are its phi.  A family without one
-    yields its rows 0..N from rows(N), a stream of pascal_like_rows.
+    name is the family's key in FAMILIES.  recurrence maps (parameter
+    value, depth) to the family's banded weights for levels 0..depth, whose
+    duals are its phi.  A family without one yields its rows 0..N from
+    rows(N), a stream of pascal_like_rows, which fixes each row's width.
     phi_rows maps (parameter value, N) to the coefficients of phi_0..phi_N,
-    the rows of the inverse, read off its structure (None when the family
-    is not unipotent or its phi are the duals); scaled_rows and phis stream
-    either route.
+    the rows of the inverse, read off its structure; None when the family is
+    not unipotent, or when phis reads the duals of its recurrence (q-gaussian
+    has both, and its phi_rows streams those duals by Gauss's closed form).
+    scaled_rows and phis stream either route.
     param names the parameter the family needs (None, "q" or "roots").  dual
     names the family whose phi completes this one's triad; None when there
     is no dual.  route is the line verify prints.  The recurrences decide the
@@ -298,7 +298,8 @@ class Family(Frozen):
     and dynsys.family_step_matrix reads F off the family's or solves for it.
     """
 
-    __slots__ = ("dual", "route", "param", "recurrence", "rows", "phi_rows")
+    __slots__ = ("name", "dual", "route", "param", "recurrence", "rows", "phi_rows")
+    name: str
     dual: Optional[str]
     route: Optional[str]
     param: Optional[str]
@@ -313,15 +314,14 @@ class Family(Frozen):
 
         A banded family's rows come from its recurrence; only the tests
         compare them with the closed forms in the sequences module, which no
-        command reads.  The others read their row stream, whose widths
-        checked_rows checks.  The arguments are checked here, and a pass
-        holds only the previous row.
+        command reads.  The others read their row stream.  The row count is
+        checked and the recurrence tabulated here; each pass makes its
+        stream when it starts and holds only the previous row.
         """
         if rows < 0:
             raise ValueError("rows must be nonnegative")
         if self.recurrence is None:
-            stream = Restartable(lambda: map(Scaled, self.rows(rows)), rows + 1)
-            return Restartable(partial(checked_rows, stream), rows + 1)
+            return Restartable(lambda: map(Scaled, self.rows(rows)), rows + 1)
         return Restartable(partial(scaled_banded_rows, self.recurrence(value, rows - 1), rows), rows + 1)
 
     def phis(self, value: Any, rows: int) -> Iterator[tuple[Rational, ...]]:
@@ -339,42 +339,44 @@ class Family(Frozen):
     def verify(self, value: Any, rows: int) -> TriadReport:
         """The TriadReport of rows 0..rows against the phi of the dual family,
         which must exist: verify_triad's certificate on the dual's recurrence,
-        or the brute scan over the dual's phi stream when it has none."""
+        or the brute scan over the dual's phi stream when it has none.  A
+        family with no dual is refused before a row is made."""
         dual = FAMILIES.get(self.dual)
         if dual is None:
-            raise ValueError("the family has no dual to verify against")
+            raise ValueError(f"family {self.name} admits no dual construction "
+                             "(not unipotent and no banded recurrence)")
         source = self.scaled_rows(value, rows)
         if dual.recurrence is not None:
             return verify_triad(source, None, dual.recurrence(value, rows - 1))
         return verify_triad(source, Restartable(lambda: map(Polynomial, dual.phis(value, rows)), rows + 1))
 
 
-FAMILIES: dict[str, Family] = {
-    "pascal": Family(dual="pascal", route=_BANDED_ROUTE,
-                     recurrence=lambda _, depth: root_recurrence(RootSequence.constant(1), depth)),
-    "q-gaussian": Family(dual="q-gaussian", route=_BANDED_ROUTE, param="q",
-                         recurrence=lambda q, depth: root_recurrence(RootSequence.geometric(q), depth),
-                         phi_rows=q_binomial_inverse_rows),
+FAMILIES: dict[str, Family] = {family.name: family for family in (
+    Family("pascal", dual="pascal", route=_BANDED_ROUTE,
+           recurrence=lambda _, depth: root_recurrence(RootSequence.constant(1), depth)),
+    Family("q-gaussian", dual="q-gaussian", route=_BANDED_ROUTE, param="q",
+           recurrence=lambda q, depth: root_recurrence(RootSequence.geometric(q), depth),
+           phi_rows=q_binomial_inverse_rows),
     # Its recurrence is catalan-triad's moved up one level: nothing stays at
     # level 0 or drops back to it.  Checked against the Catalan polynomials on
     # purpose: the printed indexing does not complete the triad (see the
     # misprint ledger), so verify reports the exact failure instead of hiding it.
-    "catalan-shifted": Family(dual="catalan-triad", route=_BANDED_ROUTE + " (catalan polynomials)",
-                              recurrence=lambda _, depth: BandedRecurrence.tabulate(
-                                  1, (0,) + (2,) * depth, (0, 0) + (1,) * depth, depth)),
-    "catalan-triad": Family(dual="catalan-triad", route=_BANDED_ROUTE,
-                            recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
-    "fibonomial": Family(dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows,
-                         phi_rows=lambda _, rows: fibonomial_inverse_rows(rows)),
+    Family("catalan-shifted", dual="catalan-triad", route=_BANDED_ROUTE + " (catalan polynomials)",
+           recurrence=lambda _, depth: BandedRecurrence.tabulate(
+               1, (0,) + (2,) * depth, (0, 0) + (1,) * depth, depth)),
+    Family("catalan-triad", dual="catalan-triad", route=_BANDED_ROUTE,
+           recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
+    Family("fibonomial", dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows,
+           phi_rows=lambda _, rows: fibonomial_inverse_rows(rows)),
     # The lah triad with roots 0, -1, -2, ... with its sides swapped: its duals
     # x(x + 1)...(x + k - 1) have these rows as coefficients; its rows are the phi.
-    "stirling1": Family(dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows,
-                        phi_rows=lambda _, rows: banded_rows(
-                            root_recurrence(RootSequence.arithmetic(0, -1), rows - 1), rows)),
-    "eulerian": Family(dual=None, route=None, rows=eulerian_rows),
-    "lah": Family(dual="lah", route="persistent-root polynomials", param="roots",
-                  recurrence=root_recurrence),
-}
+    Family("stirling1", dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows,
+           phi_rows=lambda _, rows: banded_rows(
+               root_recurrence(RootSequence.arithmetic(0, -1), rows - 1), rows)),
+    Family("eulerian", dual=None, route=None, rows=eulerian_rows),
+    Family("lah", dual="lah", route="persistent-root polynomials", param="roots",
+           recurrence=root_recurrence),
+)}
 
 
 def _resolve(

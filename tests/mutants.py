@@ -10,7 +10,7 @@ and tests/ to one temporary directory per worker, min(os.cpu_count(), 4) of
 them, applies each entry alone to a free copy and runs
 
     python -m pytest -x -q tests/test_records.py tests/test_dynsys.py tests/test_output.py \
-        tests/test_triads.py tests/test_scaled.py
+        tests/test_triads.py tests/test_scaled.py tests/test_sequences.py
 
 there, one pytest process per worker at a time.  The tests must pass on an
 unchanged copy and fail on every mutant.  The verdicts are printed in the
@@ -39,10 +39,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # pytest -x stops at the first failure, so the files that kill mutants
 # soonest run first: test_records takes a second, with test_dynsys it kills
-# 37 of the 55 mutants, test_output kills the writer's, and the hypothesis
-# classes of test_scaled come last.
+# most mutants, test_output kills the writer's, the hypothesis classes of
+# test_scaled come next, and test_sequences, which only the row kernel's
+# mutant reaches, comes last.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
-         "tests/test_scaled.py")
+         "tests/test_scaled.py", "tests/test_sequences.py")
 TRIADS = "src/dualtriad/triads.py"
 EXACT = "src/dualtriad/exact.py"
 SEQUENCES = "src/dualtriad/sequences.py"
@@ -87,6 +88,10 @@ MUTANTS = [
      "checked_rows: a short row passes"),
     (TRIADS, "if n + 1 != len(rows):", "if n + 1 > len(rows):",
      "checked_rows: a pass that reads too few rows passes"),
+    (TRIADS, "        self._make = make\n", "        self._make = (lambda first: lambda: first)(make())\n",
+     "Restartable: one iterator, made when it is built, serves every pass"),
+    (SEQUENCES, "(*row, 0), strict=True))", "(*row, 0)))",
+     "pascal_like_rows: weights of the wrong length are cut to the row, not refused"),
     (TRIADS, "(v if s == 1 else s * v) if v else v", "v",
      "banded_step: the stay weight is dropped"),
     (TRIADS, "out[k + 1] += v if u == 1 else u * v", "out[k + 1] += v",

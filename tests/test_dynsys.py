@@ -792,7 +792,7 @@ def test_negative_row_count_refused_first(name):
     # calls its recurrence, row stream or phi stream: each is replaced by one
     # that records its call.
     family, made = FAMILIES[name], []
-    spied = Family(dual=family.dual, route=family.route, param=family.param, **{
+    spied = Family(name, dual=family.dual, route=family.route, param=family.param, **{
         field: (lambda *args, field=field: made.append(field)) if getattr(family, field) else None
         for field in ("recurrence", "rows", "phi_rows")
     })

@@ -31,8 +31,8 @@ def _make_records():
             "TriadReport(verified_up_to=4, holds=True, first_failure=None, method='brute')",
         ),
         "Family": (
-            lambda: Family(dual="pascal", route="banded dual recurrence"),
-            "Family(dual='pascal', route='banded dual recurrence', param=None, "
+            lambda: Family("pascal", dual="pascal", route="banded dual recurrence"),
+            "Family(name='pascal', dual='pascal', route='banded dual recurrence', param=None, "
             "recurrence=None, rows=None, phi_rows=None)",
         ),
         "RootSequence": (
@@ -157,7 +157,7 @@ def test_defaults():
     assert FitResult(None).column is None and FitResult(None).witness == ()
     assert not FitResult(None).fits
     assert MisprintEntry("a", "b", "c", "d").note == ""
-    assert Family(dual=None, route=None).param is None
+    assert Family("x", dual=None, route=None).param is None
     assert OutputDocument("x").rows == [] and OutputDocument("x").report is None
 
 

@@ -263,6 +263,18 @@ class TestPascalLikeRows:
         got = pascal_like_rows(20, lambda n: (1,) * (n + 2), lambda n: (1,) * (n + 2))
         assert list(got) == [tuple(binomial(n, k) for k in range(n + 1)) for n in range(21)]
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_weights_of_the_wrong_length_are_refused_at_their_row(self, side, extra):
+        # Row 3 is made from row 2 with weights one entry short or long: rows
+        # 0..2 come out, and making row 3 raises.
+        ones = lambda n: (1,) * (n + 2)
+        wrong = lambda n: (1,) * (n + 2 + (extra if n == 2 else 0))
+        rows = pascal_like_rows(5, wrong, ones) if side == "left" else pascal_like_rows(5, ones, wrong)
+        assert [next(rows) for _ in range(3)] == [(1,), (1, 1), (1, 2, 1)]
+        with pytest.raises(ValueError, match="^zip"):
+            next(rows)
+
 
 class TestRootSequence:
     def test_constant(self):

@@ -614,6 +614,28 @@ class TestVerifyCertificate:
 _FAMILY_VALUES = {"q-gaussian": Fraction(-2, 3), "lah": RootSequence.arithmetic(Fraction(1, 2), 1)}
 
 
+class TestRestartable:
+    """A Restartable makes one iterator per pass, when the pass starts, and
+    holds none between passes."""
+
+    def test_each_pass_calls_make_once(self):
+        made = []
+        source = Restartable(lambda: made.append(None) or iter(range(4)), 4)
+        assert made == [] and len(source) == 4 and made == []
+        passes = [list(source) for _ in range(3)]
+        assert passes == [[0, 1, 2, 3]] * 3 and len(made) == 3
+
+    def test_a_failed_make_raises_at_each_pass(self):
+        def make():
+            raise ValueError("refused")
+
+        source = Restartable(make, 3)
+        assert len(source) == 3
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^refused$"):
+                iter(source)
+
+
 class TestFamilyScaledRows:
     """Family.scaled_rows(value, N) is the sized source of rows 0..N that the
     proofs and commands read: each pass makes the rows afresh."""
@@ -624,7 +646,7 @@ class TestFamilyScaledRows:
         # replaced by one that records its calls.
         family, value, made = FAMILIES[name], _FAMILY_VALUES.get(name), []
         if family.recurrence is None:
-            family = Family(dual=family.dual, route=family.route, phi_rows=family.phi_rows,
+            family = Family(name, dual=family.dual, route=family.route, phi_rows=family.phi_rows,
                             rows=lambda n: made.append(n) or FAMILIES[name].rows(n))
         else:
             banded = triads.scaled_banded_rows
@@ -634,21 +656,37 @@ class TestFamilyScaledRows:
         assert made == []
         for n_max in (0, 1, 9):
             source = family.scaled_rows(value, n_max)
-            assert len(source) == n_max + 1 and made == [n_max]
+            assert len(source) == n_max + 1 and made == []
             first = list(source)
+            assert made == [n_max]
             assert list(source) == first and made == [n_max] * 2
             assert [len(row[0]) for row in first] == list(range(1, n_max + 2))
             assert Triangle(first).rows == generate_named(name, n_max, **(
                 {} if family.param is None else {family.param: value})).rows
             made.clear()
 
-    def test_rows_of_a_stream_are_checked_on_each_pass(self):
-        rows = [(1,), (1, 1), (1, 1)]
-        family = Family(dual=None, route=None, rows=lambda n: iter(rows[: n + 1]))
-        source = family.scaled_rows(None, 2)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="^row 2 has 2 entries, expected 3$"):
-                list(source)
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "fibonomial", "--rows", "9"],
+        ["verify", "--family", "stirling1", "--rows", "9"],
+        ["fit", "--family", "fibonomial", "--rows", "9"],
+        ["fit", "--family", "stirling1", "--rows", "9"],
+        ["fit", "--family", "eulerian", "--rows", "9"],
+    ], ids="-".join)
+    def test_a_command_checks_each_row_once(self, monkeypatch, argv):
+        # Every pass through checked_rows, in triads (verify_triad) or in
+        # dynsys (fit_banded), is counted row by row.
+        reads, checked = [], triads.checked_rows
+
+        def spy(rows):
+            for n, row in enumerate(checked(rows)):
+                reads.append(n)
+                yield row
+
+        monkeypatch.setattr(triads, "checked_rows", spy)
+        monkeypatch.setattr(dynsys, "checked_rows", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert reads == list(range(10))
 
 
 class CountedSource(Restartable):
@@ -757,11 +795,14 @@ class TestStreamedVerify:
 
     def test_family_with_no_dual_refused(self):
         # eulerian completes no triad: verify refuses it before a row is
-        # made, as phis refuses a family with no phi.
+        # made, as phis refuses a family with no phi, in the words the CLI
+        # prints.
         made = []
-        spied = Family(dual=None, route=None, rows=lambda n: made.append(n))
+        spied = Family("spied", dual=None, route=None, rows=lambda n: made.append(n))
         for family in (FAMILIES["eulerian"], spied):
-            with pytest.raises(ValueError, match="^the family has no dual to verify against$"):
+            with pytest.raises(ValueError, match=(
+                    f"^family {family.name} admits no dual construction "
+                    r"\(not unipotent and no banded recurrence\)$")):
                 family.verify(None, 6)
         assert made == []
 
