@@ -7,6 +7,11 @@ This package generates the classical triangle families exactly (an int for
 every integral value, a Fraction only for a true rational), constructs and
 verifies their triads symbolically, and decides algorithmically whether a
 triangle admits banded time-independent update weights at all.
+
+A command loads cli, exact, sequences, triads, dynsys and output.  Only a
+verify that expands rows (the brute scan, or a failed certificate) loads
+polynomial; no command loads reference, the collecting builders, closed
+forms and dense solves that the tests check the streams against.
 """
 
 import importlib
@@ -17,33 +22,44 @@ __version__ = "0.1.0"
 # submodule is imported on its first use (PEP 562), so a command pays only
 # for the modules it runs.
 _EXPORTS = {
-    "exact": ("Polynomial", "X", "as_exact", "exact_div", "format_exact",
-              "linear_combination", "parse_exact", "solve_unit_lower"),
-    "sequences": ("RootSequence", "binomial", "catalan_entry", "eulerian", "fibonacci",
-                  "fibonomial", "q_binomial", "q_factorial", "q_int", "stirling_first"),
-    "triads": ("BandedRecurrence", "Triangle", "TriadReport", "banded_for_family",
-               "catalan_shifted_from_triad", "catalan_triad_from_shifted", "dual_polynomials",
-               "expand_in_basis", "generate_from_banded", "generate_named", "lah_from_roots",
-               "persistent_root_polys", "verify_triad"),
-    "dynsys": ("FitResult", "StepMatrix", "convolve_fibonomial", "evolve", "fit_banded",
-               "invert_unipotent", "phi_from_step_matrix", "solve_step_matrix"),
-    "misprints": ("LEDGER", "MisprintEntry", "format_ledger"),
-    "output": ("OutputDocument",),
+    "exact": "as_exact exact_div format_exact",
+    "polynomial": "Polynomial X linear_combination",
+    "sequences": "RootSequence fibonacci",
+    "triads": "BandedRecurrence TriadReport verify_triad",
+    "dynsys": "FitResult StepMatrix convolve_fibonomial fit_banded",
+    "misprints": "LEDGER MisprintEntry format_ledger",
+    "reference": "OutputDocument Triangle banded_for_family binomial catalan_entry catalan_shifted_from_triad "
+                 "catalan_triad_from_shifted dual_polynomials eulerian evolve expand_in_basis fibonomial "
+                 "generate_from_banded generate_named invert_unipotent lah_from_roots parse_exact "
+                 "persistent_root_polys phi_from_step_matrix q_binomial q_factorial q_int solve_step_matrix "
+                 "solve_unit_lower stirling_first",
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "output"}
 
-__all__ = sorted(_OWNER)
+__all__ = sorted(" ".join(_EXPORTS.values()).split())
+
+
+def _forward(module: str, **moved: str):
+    """A module __getattr__ (PEP 562) that serves each name listed, space
+    separated, in moved[submodule] from that submodule, imported on first
+    use.  The modules whose names moved, and this package, are served so."""
+    home = {name: target for target, names in moved.items() for name in names.split()}
+
+    def __getattr__(name: str) -> object:
+        if name not in home:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f"{__name__}.{home[name]}"), name)
+
+    return __getattr__
+
+
+_public = _forward(__name__, **_EXPORTS)
 
 
 def __getattr__(name: str) -> object:
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    module = _OWNER.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
+    value = globals()[name] = _public(name)
     return value
 
 

@@ -6,10 +6,11 @@ C F^n = E^n C.  For a unipotent triangle F = C^{-1} E C is unique, lower
 Hessenberg with a unit superdiagonal, and found by forward substitution.
 Its eigen-style recursion x*phi = F*phi yields the phi whose coefficient
 rows are the rows of C^{-1}, which one inversion also gives: the basis in
-which x^n expands with the triangle's own rows.  Both dense routes are the
-oracle of the phi streams of triads.FAMILIES, which read C^{-1} off each
-family's structure.  family_step_matrix decides solve-f's route: a banded
-recurrence with unit up weights is its F, and the others are solved row by row.
+which x^n expands with the triangle's own rows.  Both dense routes, in
+reference, are the oracle of the phi streams of triads.FAMILIES, which read
+C^{-1} off each family's structure.  family_step_matrix decides solve-f's
+route: a banded recurrence with unit up weights is its F, and the others are
+solved row by row.
 
 This module also decides, exactly, whether a triangle admits banded
 time-independent update weights at all (fit_banded), and carries the weighted
@@ -20,20 +21,15 @@ from __future__ import annotations
 
 from itertools import pairwise
 from math import gcd
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence
 
+from . import _forward
 from ._record import Frozen
-from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, forward_substitute
+from .exact import Rational, Scaled, as_exact, exact_div, forward_substitute
 from .sequences import fibonomial_rows
-from .triads import (
-    BandedRecurrence,
-    Family,
-    RowSource,
-    Triangle,
-    _check_levels,
-    banded_step,
-    checked_rows,
-)
+from .triads import BandedRecurrence, Family, RowSource, _check_levels, checked_rows
+
+__getattr__ = _forward(__name__, reference="solve_step_matrix phi_from_step_matrix invert_unipotent evolve")
 
 
 class StepMatrix(Frozen):
@@ -63,18 +59,6 @@ class StepMatrix(Frozen):
 def _require_unipotent(unipotent: bool) -> None:
     if not unipotent:
         raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
-
-
-def solve_step_matrix(tri: Triangle) -> StepMatrix:
-    """Solve C F = (row shift of C) by forward substitution.
-
-    A unipotent triangle with rows 0..N yields F rows 0..N-1, and row n of
-    C F is row n + 1 of C by construction.
-    """
-    _require_unipotent(tri.is_unipotent())
-    if tri.max_row < 1:
-        raise ValueError("need at least rows 0..1 to solve for a step matrix")
-    return StepMatrix(forward_substitute(pairwise(tri.rows)))
 
 
 def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
@@ -109,97 +93,6 @@ def family_step_matrix(family: Family, value: Any, rows: int) -> StepMatrix:
         return banded_step_matrix(family.recurrence(value, rows), rows)
     _require_unipotent(family.phi_rows is not None)
     return StepMatrix(forward_substitute(pairwise(map(Scaled.values, family.scaled_rows(value, rows + 1)))))
-
-
-def phi_from_step_matrix(
-    sm: StepMatrix, count: Optional[int] = None
-) -> list[Polynomial]:
-    """Solve x*phi_n = sum_l F[n][l]*phi_l upward from phi_0 = 1.
-
-    Needs a unit superdiagonal so phi_{n+1} isolates; each phi_n comes out
-    monic of degree n.  Returns phi_0..phi_count (count defaults to the
-    number of available rows).
-    """
-    if count is None:
-        count = sm.row_count
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count > sm.row_count:
-        raise ValueError(f"{count} polynomials need {count} rows, have {sm.row_count}")
-    phis = [Polynomial((1,))]
-    for n in range(count):
-        row = sm.rows[n]
-        if row[n + 1] != 1:
-            raise ValueError(f"non-unit superdiagonal at row {n}: {row[n + 1]}")
-        # Coefficients of x*phi_n - sum_l F[n][l]*phi_l, in one pass each.
-        nxt = [0, *phis[n].coeffs]
-        for l in range(n + 1):
-            f = row[l]
-            if f:
-                for j, c in enumerate(phis[l].coeffs):
-                    nxt[j] -= f * c
-        phis.append(Polynomial(nxt))
-    return phis
-
-
-def invert_unipotent(tri: Triangle) -> Triangle:
-    """Exact inverse of a unipotent triangle; row n holds the coefficients of
-    the degree-n basis polynomial dual to the triangle's expansion."""
-    _require_unipotent(tri.is_unipotent())
-    units = [(0,) * n + (1,) for n in range(tri.max_row + 1)]
-    inv = forward_substitute(zip(tri.rows, units))
-    family = f"{tri.family}-inverse" if tri.family else "inverse"
-    return Triangle(tuple(inv), family=family, params=tri.params)
-
-
-def evolve(
-    state: Sequence[Rational],
-    transition: Union[BandedRecurrence, StepMatrix],
-    steps: int,
-) -> tuple[Rational, ...]:
-    """Apply a transition matrix to a row vector a given number of times.
-
-    The vector's length is the truncation window.  Each step can widen the
-    support by one index, so the window must hold the initial support plus
-    one slot per step; anything narrower would silently drop mass and is
-    refused instead.
-    """
-    vec = [as_exact(v) for v in state]
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if steps == 0:
-        return tuple(vec)
-    support = max((j + 1 for j, v in enumerate(vec) if v), default=0)
-    if len(vec) < support + steps:
-        raise ValueError(
-            f"window too narrow: width {len(vec)} cannot hold {support} initial "
-            f"entries plus {steps} steps without truncation"
-        )
-    reach = support + steps - 1  # largest level index that can be touched
-    if isinstance(transition, BandedRecurrence):
-        if transition.depth < reach:
-            raise ValueError(
-                f"transition tabulated to level {transition.depth}, evolution reaches level {reach}"
-            )
-        for _ in range(steps):
-            vec = banded_step(transition, vec, len(vec))
-        return tuple(map(as_exact, vec))
-    if isinstance(transition, StepMatrix):
-        if transition.row_count < reach:
-            raise ValueError(
-                f"step matrix has {transition.row_count} rows, evolution reaches level {reach}"
-            )
-        for _ in range(steps):
-            nxt: list[Rational] = [0] * len(vec)
-            for j, v in enumerate(vec):
-                if not v:
-                    continue
-                for l, f in enumerate(transition.rows[j]):
-                    if f:
-                        nxt[l] += v * f
-            vec = nxt
-        return tuple(map(as_exact, vec))
-    raise TypeError(f"cannot evolve with {type(transition).__name__}")
 
 
 class FitResult(Frozen):

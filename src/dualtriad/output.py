@@ -7,93 +7,19 @@ centered display only and is not meant to be parsed.
 
 write_document is the one writer of every format.  It holds one row at a
 time, so a caller that streams rows from a recurrence never holds the whole
-document, and writes a long row's line in pieces.
+document, and writes a long row's line in pieces.  The collected document,
+OutputDocument, and parse_exact live in reference and are served from here.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ._record import Record
-from .exact import Rational, format_exact, parse_exact
+from . import _forward
+from .exact import Rational, format_exact
 
+__getattr__ = _forward(__name__, reference="OutputDocument parse_exact")
 _PIECE = 1 << 16  # the most characters of a row's line in one write (see write_document)
-
-
-class OutputDocument(Record):
-    """One emitted result: a family tag, parameters, rows of exact strings,
-    and an optional verification or fit summary."""
-
-    __slots__ = ("family", "params", "rows", "report")
-    family: str
-    params: dict[str, str]
-    rows: list[list[str]]
-    report: Optional[dict]
-    _defaults = {"params": dict, "rows": list, "report": None}
-
-    @classmethod
-    def from_values(
-        cls,
-        family: str,
-        params: dict[str, str],
-        value_rows: Iterable[Sequence[Rational]],
-        report: Optional[dict] = None,
-    ) -> "OutputDocument":
-        rows = list(format_rows(value_rows))
-        return cls(family=family, params=dict(params), rows=rows, report=report)
-
-    def value_rows(self) -> list[list[Rational]]:
-        return [[parse_exact(s) for s in row] for row in self.rows]
-
-    def _render(self, fmt: str) -> str:
-        parts: list[str] = []
-        write_document(parts.append, fmt, self.family, self.params, self.rows.__iter__, self.report)
-        return "".join(parts)
-
-    def to_json(self) -> str:
-        """json.dumps of the document with indent=2 (no final newline)."""
-        return self._render("json")[:-1]
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputDocument":
-        import json
-
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("document must be a JSON object")
-        family = doc.get("family")
-        params = doc.get("params")
-        rows = doc.get("rows")
-        report = doc.get("report")
-        if (
-            not isinstance(family, str)
-            or not isinstance(params, dict)
-            or not isinstance(rows, list)
-            or not all(
-                isinstance(r, list) and all(isinstance(s, str) for s in r)
-                for r in rows
-            )
-            or not (report is None or isinstance(report, dict))
-        ):
-            raise ValueError("malformed document")
-        return cls(family=family, params=dict(params), rows=rows, report=report)
-
-    def to_csv(self) -> str:
-        """One row per line, comma-separated, no padding for missing upper
-        entries."""
-        return self._render("csv")
-
-    @classmethod
-    def rows_from_csv(cls, text: str) -> list[list[Rational]]:
-        return [
-            [parse_exact(item) for item in line.split(",")]
-            for line in text.splitlines()
-            if line
-        ]
-
-    def to_pretty(self) -> str:
-        """Rows centered under each other, like a printed triangle."""
-        return self._render("pretty")
 
 
 def format_rows(value_rows: Iterable[Sequence[Rational]]) -> Iterator[list[str]]:

@@ -1,24 +1,24 @@
-"""Scalar combinatorial sequences, and the rows of the Pascal-like
+"""Fibonacci numbers, root sequences, and the rows of the Pascal-like
 triangles whose weights depend on the row index.
 
-The scalar functions return exact values: an int when the value is integral,
-a Fraction otherwise.  Out-of-range indices give 0 rather than an error so
-that recurrences can run without boundary branches.  fibonomial, q_binomial
-and catalan_entry are closed forms; stirling_first and eulerian read a row
-of pascal_like_rows, which builds the fibonomial, stirling1 and eulerian
-triangles from one row recurrence, and the numerators of the inverse of the
+pascal_like_rows builds the fibonomial, stirling1 and eulerian triangles
+from one row recurrence, and the numerators of the inverse of the
 q-binomial triangle, which q_binomial_inverse_rows puts over their known
-denominators.
+denominators.  The closed forms the tests check these rows against
+(binomial, q_binomial, fibonomial, catalan_entry, stirling_first, ...) live
+in reference, and each is still served from here.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from typing import Callable, Iterator, Sequence
 
+from . import _forward
 from ._record import Frozen
-from .exact import Rational, as_exact, coprime_fraction, exact_div
+from .exact import Rational, as_exact, coprime_fraction
+
+__getattr__ = _forward(__name__, reference="binomial q_int q_factorial q_binomial fibonomial "
+                                           "catalan_entry stirling_first eulerian")
 
 
 def fibonacci(n: int) -> int:
@@ -31,86 +31,6 @@ def fibonacci(n: int) -> int:
     return a
 
 
-def binomial(n: int, k: int) -> int:
-    """Ordinary binomial coefficient; 0 outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def q_int(n: int, q: Rational) -> Rational:
-    """The q-integer (1 - q^n)/(1 - q) = 1 + q + ... + q^(n-1); n at q = 1."""
-    qf = as_exact(q)
-    if qf == 0:
-        raise ValueError("q must be nonzero")
-    if n < 0:
-        raise ValueError("q-integer index must be nonnegative")
-    if qf == 1:
-        return n
-    return exact_div(1 - qf**n, 1 - qf)
-
-
-def q_factorial(n: int, q: Rational) -> Rational:
-    """Product of the q-integers 1..n; empty product 1 for n = 0."""
-    result = 1
-    for m in range(1, n + 1):
-        result *= q_int(m, q)
-    return as_exact(result)
-
-
-def q_binomial(n: int, k: int, q: Rational) -> Rational:
-    """Gaussian binomial: falling q-factorial of length k over the q-factorial
-    of k.  Returns 0 outside 0 <= k <= n and 1 at k = 0.
-
-    Over the rationals a denominator q-integer can vanish only at q = -1,
-    where this factored form is undefined; that case raises.  After step j
-    the running product is the Gaussian binomial of n - k + j over j, so it
-    stays an int for integer q.
-    """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    result = 1
-    for j in range(1, k + 1):
-        den = q_int(j, q)
-        if den == 0:
-            raise ValueError(
-                f"q-integer {j} vanishes at q = {as_exact(q)}; the "
-                "factorial form of the coefficient is undefined there"
-            )
-        result = exact_div(result * q_int(n - k + j, q), den)
-    return result
-
-
-def fibonomial(n: int, k: int) -> int:
-    """F_n!/(F_k! F_{n-k}!) built from Fibonacci factorials; always an integer.
-
-    0 outside 0 <= k <= n.
-    """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    result = 1
-    for j in range(1, k + 1):
-        result = exact_div(result * fibonacci(n - k + j), fibonacci(j))
-    if not isinstance(result, int):  # pragma: no cover - integrality is a theorem
-        raise ArithmeticError(f"fibonomial({n}, {k}) evaluated non-integral")
-    return result
-
-
-def catalan_entry(n: int, k: int) -> int:
-    """Ballot-style closed form binom(2n, n-k) * k / n for rows n >= 1.
-
-    0 for k <= 0 or k > n.  Entry (n, 1) is the n-th Catalan number.
-    """
-    if n < 1:
-        raise ValueError("closed-form rows start at n = 1")
-    if k <= 0 or k > n:
-        return 0
-    value = exact_div(math.comb(2 * n, n - k) * k, n)
-    if not isinstance(value, int):  # pragma: no cover - integrality is a theorem
-        raise ArithmeticError(f"catalan_entry({n}, {k}) evaluated non-integral")
-    return value
-
-
 def pascal_like_rows(
     rows: int, left: Callable[[int], Sequence[int]], right: Callable[[int], Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
@@ -119,14 +39,19 @@ def pascal_like_rows(
 
     left(n) and right(n) give row n's weights for k = 0..n+1; entries outside
     the triangle read as 0, so left(n)[0] and right(n)[n+1] multiply nothing.
-    Weights of any other length raise ValueError as row n + 1 is made, so
-    row n has n + 1 entries.  Only the previous row is held.
+    Weights of any other length raise ValueError, naming row n and the
+    side, as row n + 1 is made, so row n has n + 1 entries.  Only the
+    previous row is held.
     """
     row: tuple[int, ...] = (1,)
     yield row
     for n in range(rows):
+        lefts, rights = left(n), right(n)
+        for side, weights in ("left", lefts), ("right", rights):
+            if len(weights) != n + 2:
+                raise ValueError(f"row {n}: {len(weights)} {side} weights, expected {n + 2}")
         # Entry k of (0, *row) is c(n, k-1) and of (*row, 0) is c(n, k).
-        row = tuple(a * u + b * v for a, u, b, v in zip(left(n), (0, *row), right(n), (*row, 0), strict=True))
+        row = tuple(a * u + b * v for a, u, b, v in zip(lefts, (0, *row), rights, (*row, 0)))
         yield row
 
 
@@ -195,22 +120,6 @@ def eulerian_rows(rows: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..rows of the Eulerian numbers: left weight n+1-k, right weight
     k+1."""
     return pascal_like_rows(rows, lambda n: range(n + 1, -1, -1), lambda n: range(1, n + 3))
-
-
-def stirling_first(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind: entry k of row n of
-    stirling_first_rows.  0 outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return deque(stirling_first_rows(n), maxlen=1)[0][k]
-
-
-def eulerian(n: int, k: int) -> int:
-    """Eulerian number, the permutations of {1..n} with exactly k descents:
-    entry k of row n of eulerian_rows.  0 outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return deque(eulerian_rows(n), maxlen=1)[0][k]
 
 
 class RootSequence(Frozen):

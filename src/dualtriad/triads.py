@@ -13,12 +13,11 @@ A persistent-root (generalized Lah) triangle is the banded case up = 1,
 stay[k] = r_{k+1}, down = 0; Pascal (every root 1) and the q-gaussian family
 (roots 1, q, q^2, ...) are root families of that kind.
 
-This module builds triangles (from weights, from named families, from root
-sequences), builds the polynomial side, converts between the two Catalan
-triangle conventions, and checks the expansion identity symbolically.  Every
-named family is declared once, in FAMILIES; fibonomial, stirling1 and
-eulerian, whose weights depend on n, come from sequences.pascal_like_rows,
-and the first two read their phi off the structure of their inverse.
+This module streams a family's rows and its phi as coefficient rows, and
+proves the expansion identity.  Every named family is declared once, in
+FAMILIES; fibonomial, stirling1 and eulerian, whose weights depend on n,
+come from sequences.pascal_like_rows, and the first two read their phi off
+the structure of their inverse.  The collecting builders are in reference.
 """
 
 from __future__ import annotations
@@ -26,57 +25,24 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, itemgetter
-from typing import Any, Callable, Collection, Generic, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from operator import itemgetter
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Generic, Iterable, Iterator, Optional, Sequence,
+                    TypeVar, Union)
 
+from . import _forward
 from ._record import Frozen
-from .exact import Polynomial, Rational, Scaled, as_exact, exact_div, format_exact, linear_combination
+from .exact import Rational, Scaled, as_exact, exact_div
 from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fibonomial_rows,
                         q_binomial_inverse_rows, stirling_first_rows)
 
+if TYPE_CHECKING:
+    from .polynomial import Polynomial
+
+__getattr__ = _forward(__name__, reference="Triangle generate_named generate_from_banded lah_from_roots "
+                       "dual_polynomials persistent_root_polys banded_for_family _resolve expand_in_basis "
+                       "catalan_triad_from_shifted catalan_shifted_from_triad")
+
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
-
-
-class Triangle(Frozen):
-    """Lower-triangular array of exact entries plus family metadata.
-
-    rows[n] holds entries k = 0..n; anything outside the triangle reads as 0
-    through entry().
-    """
-
-    __slots__ = ("rows", "family", "params")
-    rows: tuple[tuple[Rational, ...], ...]
-    family: str
-    params: tuple[tuple[str, str], ...]
-
-    def __init__(
-        self,
-        rows: Iterable[Union[Sequence[Rational], Scaled]],
-        family: str = "",
-        params: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        super().__init__(tuple(map(Scaled.values, checked_rows(tuple(rows)))), family, params)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[tuple[Rational, ...]]:
-        return iter(self.rows)
-
-    @property
-    def max_row(self) -> int:
-        return len(self.rows) - 1
-
-    def entry(self, n: int, k: int) -> Rational:
-        if 0 <= n < len(self.rows) and 0 <= k <= n:
-            return self.rows[n][k]
-        return 0
-
-    def is_unipotent(self) -> bool:
-        return all(row[n] == 1 for n, row in enumerate(self.rows))
-
-    def params_dict(self) -> dict[str, str]:
-        return dict(self.params)
 
 
 def checked_rows(rows: RowSource) -> Iterator[Scaled]:
@@ -265,16 +231,6 @@ def banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ..
     return map(Scaled.values, scaled_banded_rows(rec, rows))
 
 
-def generate_from_banded(
-    rec: BandedRecurrence,
-    rows: int,
-    family: str = "banded",
-    params: tuple[tuple[str, str], ...] = (),
-) -> Triangle:
-    """The triangle of banded_rows(rec, rows)."""
-    return Triangle(rows=scaled_banded_rows(rec, rows), family=family, params=params)
-
-
 _BANDED_ROUTE = "banded dual recurrence"
 
 
@@ -334,7 +290,7 @@ class Family(Frozen):
             return self.phi_rows(value, rows)
         if self.recurrence is None:
             raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
-        return map(attrgetter("coeffs"), iter_dual_polynomials(self.recurrence(value, rows - 1), rows))
+        return iter_dual_polynomials(self.recurrence(value, rows - 1), rows)
 
     def verify(self, value: Any, rows: int) -> TriadReport:
         """The TriadReport of rows 0..rows against the phi of the dual family,
@@ -348,6 +304,8 @@ class Family(Frozen):
         source = self.scaled_rows(value, rows)
         if dual.recurrence is not None:
             return verify_triad(source, None, dual.recurrence(value, rows - 1))
+        from .polynomial import Polynomial
+
         return verify_triad(source, Restartable(lambda: map(Polynomial, dual.phis(value, rows)), rows + 1))
 
 
@@ -379,76 +337,16 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
 )}
 
 
-def _resolve(
-    family: str, q: Optional[Rational], roots: Optional[RootSequence]
-) -> tuple[str, Family, Any]:
-    name = family.strip().lower().replace("_", "-")
-    entry = FAMILIES.get(name)
-    if entry is None:
-        raise ValueError(f"unknown family {family!r}")
-    given = {"q": q, "roots": roots}
-    for param, supplied in given.items():
-        if supplied is not None and param != entry.param:
-            raise ValueError(f"family {name!r} does not take the parameter {param}")
-    value = given.get(entry.param)
-    if entry.param is not None and value is None:
-        raise ValueError(f"family {name!r} needs the parameter {entry.param}")
-    return name, entry, value
-
-
-def banded_for_family(
-    family: str,
-    depth: int,
-    q: Optional[Rational] = None,
-    roots: Optional[RootSequence] = None,
-) -> BandedRecurrence:
-    """The banded time-independent recurrence of a named family.
-
-    The root families (pascal, q-gaussian, lah) and both Catalan triangles
-    have one; fibonomial, stirling1 and eulerian provably do not (their
-    update weights depend on the row index).
-    """
-    name, entry, value = _resolve(family, q, roots)
-    if entry.recurrence is None:
-        raise ValueError(f"family {name!r} has no banded time-independent recurrence")
-    return entry.recurrence(value, depth)
-
-
-def generate_named(
-    family: str,
-    rows: int,
-    q: Optional[Rational] = None,
-    roots: Optional[RootSequence] = None,
-) -> Triangle:
-    """The triangle of FAMILIES[family].scaled_rows, the name and parameters checked."""
-    # scaled_rows checks the row count before q is formatted; _resolve lets
-    # only a family that takes q receive one.
-    name, entry, value = _resolve(family, q, roots)
-    stream = entry.scaled_rows(value, rows)
-    params = () if q is None else (("q", format_exact(q)),)
-    return Triangle(stream, family=name, params=params)
-
-
-def lah_from_roots(
-    roots: RootSequence, rows: int, params: tuple[tuple[str, str], ...] = ()
-) -> Triangle:
-    """Connection constants of the persistent-root basis with the given roots.
-
-    Rows satisfy c[n+1][k] = c[n][k-1] + r_{k+1} * c[n][k] from the seed 1 at
-    (0, 0); the result is unipotent.
-    """
-    return generate_from_banded(root_recurrence(roots, rows - 1), rows, family="lah", params=params)
-
-
 def _dual_step(
     rec: BandedRecurrence, k: int, cur: Sequence[Rational], prev: Sequence[Rational]
-) -> list[Rational]:
+) -> tuple[Rational, ...]:
     """Coefficients of phi_{k+1} from those of phi_k (cur) and phi_{k-1}
     (prev), of any lengths: the one step of the dual recurrence,
 
         phi_{k+1} = (x*phi_k - stay[k]*phi_k - down[k]*phi_{k-1}) / up[k].
 
-    up[k] must be nonzero; every coefficient made is reduced.
+    up[k] must be nonzero; every coefficient made is reduced, an int when
+    integral.
     """
     up, stay, down = rec.up[k], rec.stay[k], rec.down[k]
     out = [0, *cur]
@@ -459,12 +357,13 @@ def _dual_step(
         out.extend([0] * (len(prev) - len(out)))
         for j, c in enumerate(prev):
             out[j] -= down * c
-    return out if up == 1 else [exact_div(t, up) for t in out]
+    return tuple(map(as_exact, out)) if up == 1 else tuple([exact_div(t, up) for t in out])
 
 
-def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynomial]:
+def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[tuple[Rational, ...]]:
     """Solve the polynomial recurrence dual to a banded recurrence, yielding
-    phi_0..phi_count one at a time and holding only phi_{k-1} and phi_k.
+    the coefficients of phi_0..phi_count, ascending in the power of x, one
+    at a time and holding only phi_{k-1} and phi_k.
 
     x*phi_k = down[k]*phi_{k-1} + stay[k]*phi_k + up[k]*phi_{k+1}, with
     phi_0 = 1 and phi_{-1} = 0.  Each up[k] must be nonzero to isolate
@@ -477,28 +376,14 @@ def iter_dual_polynomials(rec: BandedRecurrence, count: int) -> Iterator[Polynom
         if rec.up[k] == 0:
             raise ValueError(f"dual recurrence not solvable at level {k}: up weight is 0")
 
-    def duals() -> Iterator[Polynomial]:
-        prev, phi = (), Polynomial((1,))
+    def duals() -> Iterator[tuple[Rational, ...]]:
+        prev, phi = (), (1,)
         yield phi
         for k in range(count):
-            prev, phi = phi.coeffs, Polynomial(_dual_step(rec, k, phi.coeffs, prev))
+            prev, phi = phi, _dual_step(rec, k, phi, prev)
             yield phi
 
     return duals()
-
-
-def dual_polynomials(rec: BandedRecurrence, count: int) -> list[Polynomial]:
-    """The polynomials of iter_dual_polynomials(rec, count), phi_0..phi_count."""
-    return list(iter_dual_polynomials(rec, count))
-
-
-def persistent_root_polys(roots: RootSequence, count: int) -> list[Polynomial]:
-    """Monic phi_k(x) = (x - r_1)(x - r_2)...(x - r_k) for k = 0..count.
-
-    Each polynomial keeps all roots of its predecessor, hence the name; they
-    are the duals of root_recurrence(roots).
-    """
-    return dual_polynomials(root_recurrence(roots, count - 1), count)
 
 
 def verify_triad(
@@ -528,6 +413,7 @@ def verify_triad(
     the checks showed the given phis equal.  The expansion holds the phis
     read so far and stops at the first failing row, whose index and exact
     residual polynomial the report carries as a concrete counterexample.
+    Only the expansion loads the polynomial module.
     """
     top = len(rows) - 1
     if phis is None:
@@ -547,14 +433,16 @@ def verify_triad(
         steps = scaled_banded_rows(rec, max(top, 0))
         duals = iter_dual_polynomials(rec, top) if phis else None  # none to make when top is -1
         for start, (row, phi) in enumerate(pairs):
-            if row != next(steps) or (phi is not None and phi != next(duals)):
+            if row != next(steps) or (phi is not None and phi.coeffs != next(duals)):
                 pairs = chain([(row, phi)], pairs)
                 break
         else:
             return TriadReport(top, True, None, "certificate")
+    from .polynomial import Polynomial, linear_combination
+
     seen: list[Polynomial] = []
     if phis is None or start:
-        duals = iter_dual_polynomials(rec, top)
+        duals = map(Polynomial, iter_dual_polynomials(rec, top))
         seen = list(islice(duals, start))
         if phis is None:
             pairs = zip(map(itemgetter(0), pairs), duals)
@@ -564,50 +452,3 @@ def verify_triad(
         if residual:
             return TriadReport(top, False, (n, residual))
     return TriadReport(top, True, None)
-
-
-def expand_in_basis(p: Polynomial, phis: Sequence[Polynomial]) -> list[Rational]:
-    """Coefficients a_k with p = sum a_k phi_k, by back-substitution.
-
-    Requires deg phi_k = k for every k up to deg p (graded basis); the
-    returned list has deg p + 1 entries, empty for the zero polynomial.
-    """
-    deg = p.degree
-    if deg < 0:
-        return []
-    if len(phis) < deg + 1:
-        raise ValueError(f"basis covers {len(phis)} levels, need {deg + 1}")
-    for k in range(deg + 1):
-        if phis[k].degree != k:
-            raise ValueError(f"basis polynomial {k} must have degree {k}")
-    coeffs: list[Rational] = [0] * (deg + 1)
-    rest = p
-    for k in range(deg, -1, -1):
-        c = exact_div(rest.coefficient(k), phis[k].leading)
-        coeffs[k] = c
-        if c:
-            rest = rest - c * phis[k]
-    if rest:  # pragma: no cover - eliminated degree by degree
-        raise ArithmeticError("back-substitution left a nonzero remainder")
-    return coeffs
-
-
-def catalan_triad_from_shifted(tri: Triangle) -> Triangle:
-    """Drop the zero column and the seed row of the shifted Catalan triangle.
-
-    Entry (n, k) of the result is entry (n+1, k+1) of the input; the result
-    is the triangle whose rows complete the triad with the Catalan
-    polynomials.
-    """
-    if tri.max_row < 1:
-        raise ValueError("need at least rows 0..1 to unshift")
-    return Triangle(tuple(row[1:] for row in tri.rows[1:]), family="catalan-triad")
-
-
-def catalan_shifted_from_triad(tri: Triangle) -> Triangle:
-    """Inverse of catalan_triad_from_shifted: prepend the zero column and the
-    bare seed row."""
-    rows = [(1,)]
-    for n in range(tri.max_row + 1):
-        rows.append((0,) + tri.rows[n])
-    return Triangle(tuple(rows), family="catalan-shifted")

@@ -1,8 +1,8 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
 elimination, minimal witness, pair scaling and weight assembly, of the phi
 streams that stand in for an inversion, of the family's row, phi, proof and
-step-matrix routes, of forward substitution, of the records' constructor and
-of the writer of every output format.
+step-matrix routes, of forward substitution, of the records' constructor, of
+the writer of every output format and of what a command loads.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -10,7 +10,7 @@ and tests/ to one temporary directory per worker, min(os.cpu_count(), 4) of
 them, applies each entry alone to a free copy and runs
 
     python -m pytest -x -q tests/test_records.py tests/test_dynsys.py tests/test_output.py \
-        tests/test_triads.py tests/test_scaled.py tests/test_sequences.py
+        tests/test_triads.py tests/test_scaled.py tests/test_sequences.py tests/test_loads.py
 
 there, one pytest process per worker at a time.  The tests must pass on an
 unchanged copy and fail on every mutant.  The verdicts are printed in the
@@ -40,16 +40,18 @@ ROOT = Path(__file__).resolve().parent.parent
 # pytest -x stops at the first failure, so the files that kill mutants
 # soonest run first: test_records takes a second, with test_dynsys it kills
 # most mutants, test_output kills the writer's, the hypothesis classes of
-# test_scaled come next, and test_sequences, which only the row kernel's
-# mutant reaches, comes last.
+# test_scaled come next, then test_sequences, which only the row kernel's
+# mutant reaches, and last test_loads, whose fresh processes only the
+# mutant that makes a command load the reference routes reaches.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
-         "tests/test_scaled.py", "tests/test_sequences.py")
+         "tests/test_scaled.py", "tests/test_sequences.py", "tests/test_loads.py")
 TRIADS = "src/dualtriad/triads.py"
 EXACT = "src/dualtriad/exact.py"
 SEQUENCES = "src/dualtriad/sequences.py"
 DYNSYS = "src/dualtriad/dynsys.py"
 OUTPUT = "src/dualtriad/output.py"
 RECORD = "src/dualtriad/_record.py"
+CLI = "src/dualtriad/cli.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
@@ -57,7 +59,7 @@ MUTANTS = [
      "verify_triad: row 0 is not compared with the seed 1"),
     (TRIADS, "if row != next(steps) or", "if (row != next(steps) and not start) or",
      "verify_triad: rows after row 0 are not compared with the row step"),
-    (TRIADS, "phi is not None and phi != next(duals))", "phi is not None and next(duals) is None)",
+    (TRIADS, "phi is not None and phi.coeffs != next(duals))", "phi is not None and next(duals) is None)",
      "verify_triad: the given phis are not compared with the duals of rec"),
     (TRIADS, "chain([(row, phi)], pairs)", "chain([], pairs)",
      "verify_triad: the expansion after a failed certificate drops the failing row"),
@@ -90,7 +92,7 @@ MUTANTS = [
      "checked_rows: a pass that reads too few rows passes"),
     (TRIADS, "        self._make = make\n", "        self._make = (lambda first: lambda: first)(make())\n",
      "Restartable: one iterator, made when it is built, serves every pass"),
-    (SEQUENCES, "(*row, 0), strict=True))", "(*row, 0)))",
+    (SEQUENCES, "if len(weights) != n + 2:", "if False:",
      "pascal_like_rows: weights of the wrong length are cut to the row, not refused"),
     (TRIADS, "(v if s == 1 else s * v) if v else v", "v",
      "banded_step: the stay weight is dropped"),
@@ -170,6 +172,13 @@ MUTANTS = [
      "_write_row: the tail is written after every piece"),
     (OUTPUT, "marg // 2 + (marg & width & 1)", "marg // 2",
      "write_document: pretty's left pad is not str.center's on an odd width"),
+    # At the top of triads or dynsys an import of reference fails as a cycle
+    # (reference reads names from both), which every test sees; cli imports
+    # it after them.
+    (CLI, "from .triads import FAMILIES, Family\n", "from .triads import FAMILIES, Family\nfrom . import reference\n",
+     "cli: importing the module loads the reference routes on every command"),
+    (TRIADS, "        from .polynomial import Polynomial\n", "        from .reference import Polynomial\n",
+     "Family.verify: the brute scan loads the reference routes"),
 ]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualtriad import dynsys, triads
+from dualtriad import dynsys, reference, triads
 from dualtriad.cli import DEFAULT_ROW_CAP, main, parse_roots
 from dualtriad.dynsys import convolve_fibonomial, phi_from_step_matrix, solve_step_matrix
 from dualtriad.output import OutputDocument, format_rows, parse_exact
@@ -400,7 +400,7 @@ class TestPhiRoutes:
         def refuse(*args):
             raise AssertionError("a second lookup of the family")
 
-        monkeypatch.setattr(triads, "_resolve", refuse)
+        monkeypatch.setattr(reference, "_resolve", refuse)
         for argv, result in zip(runs, expected):
             assert run_cli(argv) == result, argv
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualtriad import dynsys
+from dualtriad import dynsys, reference
 from dualtriad.cli import main
 from dualtriad.dynsys import (
     banded_step_matrix,
@@ -124,7 +124,7 @@ class TestSolveStepMatrix:
             raise AssertionError("a collected triangle")
 
         monkeypatch.setattr(Family, "scaled_rows", counting)
-        monkeypatch.setattr(dynsys, "Triangle", refuse)
+        monkeypatch.setattr(reference, "Triangle", refuse)
         assert cli_output(argv) == expected
         assert calls == [(None, 13)] and sources[0].count == 1
 

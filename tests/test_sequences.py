@@ -272,7 +272,19 @@ class TestPascalLikeRows:
         wrong = lambda n: (1,) * (n + 2 + (extra if n == 2 else 0))
         rows = pascal_like_rows(5, wrong, ones) if side == "left" else pascal_like_rows(5, ones, wrong)
         assert [next(rows) for _ in range(3)] == [(1,), (1, 1), (1, 2, 1)]
-        with pytest.raises(ValueError, match="^zip"):
+        with pytest.raises(ValueError, match=f"^row 2: {4 + extra} {side} weights, expected 4$"):
+            next(rows)
+
+    @pytest.mark.parametrize("left,right,message", [
+        (lambda n: range(n + 1), lambda n: range(n + 2), "row 0: 1 left weights, expected 2"),
+        (lambda n: range(n + 2), lambda n: range(n + 3), "row 0: 3 right weights, expected 2"),
+        # Both sides wrong: the left side is named.
+        (lambda n: (), lambda n: (), "row 0: 0 left weights, expected 2"),
+    ], ids=["left-short", "right-long", "both-empty"])
+    def test_wrong_weights_name_the_row_the_side_and_the_lengths(self, left, right, message):
+        rows = pascal_like_rows(3, left, right)
+        assert next(rows) == (1,)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             next(rows)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtriad import cli, dynsys, triads
+from dualtriad import cli, dynsys, polynomial, reference, triads
 from dualtriad.dynsys import fit_banded, phi_from_step_matrix, solve_step_matrix
 from dualtriad.exact import Polynomial, X, as_exact, linear_combination
 from dualtriad.sequences import (
@@ -252,7 +252,7 @@ GAUSS_QS = [1, -1, 2, -3, 10, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), F
 
 def _old_q_gaussian_phis(q, rows):
     """q-gaussian's phi as the duals of its recurrence, each coefficient reduced."""
-    return [p.coeffs for p in triads.iter_dual_polynomials(banded_for_family("q-gaussian", rows - 1, q=q), rows)]
+    return list(triads.iter_dual_polynomials(banded_for_family("q-gaussian", rows - 1, q=q), rows))
 
 
 class TestGaussInverse:
@@ -491,7 +491,7 @@ class TestVerifyCertificate:
             calls.append(len(args[1]))
             return linear_combination(*args)
 
-        monkeypatch.setattr(triads, "linear_combination", counting)
+        monkeypatch.setattr(polynomial, "linear_combination", counting)
         report = verify_triad(Triangle(rows), rec=banded_for_family(name, n - 1, q=q))
         assert (report.holds, report.first_failure[0], report.method) == (False, n // 2, "brute")
         assert calls == [n // 2 + 1]
@@ -597,12 +597,12 @@ class TestVerifyCertificate:
         def refuse(*args):
             raise AssertionError("the other route")
 
-        monkeypatch.setattr(dynsys, "solve_step_matrix", refuse)
+        monkeypatch.setattr(reference, "solve_step_matrix", refuse)
         if FAMILIES[family].recurrence is not None:
             monkeypatch.setattr(dynsys, "forward_substitute", refuse)
             monkeypatch.setattr(triads.Family, "phis", refuse)
             if family != "catalan-shifted":
-                monkeypatch.setattr(triads, "linear_combination", refuse)
+                monkeypatch.setattr(polynomial, "linear_combination", refuse)
         else:
             monkeypatch.setattr(dynsys, "banded_step_matrix", refuse)
             monkeypatch.setattr(triads, "iter_dual_polynomials", refuse)
