@@ -42,7 +42,7 @@ __all__ = sorted(" ".join(_EXPORTS.values()).split())
 def _forward(module: str, **moved: str):
     """A module __getattr__ (PEP 562) that serves each name listed, space
     separated, in moved[submodule] from that submodule, imported on first
-    use.  The modules whose names moved, and this package, are served so."""
+    use.  This package is served so, as are the moved names the tracer reads."""
     home = {name: target for target, names in moved.items() for name in names.split()}
 
     def __getattr__(name: str) -> object:

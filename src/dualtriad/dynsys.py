@@ -27,9 +27,10 @@ from . import _forward
 from ._record import Frozen
 from .exact import Rational, Scaled, as_exact, exact_div, forward_substitute
 from .sequences import fibonomial_rows
-from .triads import BandedRecurrence, Family, RowSource, _check_levels, checked_rows
+from .triads import _NOT_UNIPOTENT, BandedRecurrence, Family, RowSource, _check_levels, checked_rows
 
-__getattr__ = _forward(__name__, reference="solve_step_matrix phi_from_step_matrix invert_unipotent evolve")
+# Only perfbench/tracing.py reads these names here; they go once it wraps each at its home.
+__getattr__ = _forward(__name__, reference="solve_step_matrix phi_from_step_matrix")
 
 
 class StepMatrix(Frozen):
@@ -58,7 +59,7 @@ class StepMatrix(Frozen):
 
 def _require_unipotent(unipotent: bool) -> None:
     if not unipotent:
-        raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
+        raise ValueError(_NOT_UNIPOTENT)
 
 
 def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:

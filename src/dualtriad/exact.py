@@ -18,8 +18,7 @@ banded fit) run on that form in native int arithmetic and reduce once per
 vector, in the Scaled constructor, instead of once per operation; an integer
 vector has denominator 1 and is never reduced.  Scaled.values gives reduced
 scalars back where a value leaves those proofs.  Polynomials live in
-polynomial, parsing and the unit-lower solve in reference; each name is
-also served from here.
+polynomial, parsing and the unit-lower solve in reference.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from typing import Iterable, Sequence, Union
 from . import _forward
 
 Rational = Union[int, Fraction]
-__getattr__ = _forward(__name__, polynomial="Polynomial X linear_combination",
-                       reference="parse_exact solve_unit_lower _parse_digits _EXACT_RE")
+# Only perfbench/tracing.py reads these names here; they go once it wraps each at its home.
+__getattr__ = _forward(__name__, polynomial="Polynomial linear_combination")
 
 
 def as_exact(value: Rational) -> Rational:

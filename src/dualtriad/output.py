@@ -8,7 +8,7 @@ centered display only and is not meant to be parsed.
 write_document is the one writer of every format.  It holds one row at a
 time, so a caller that streams rows from a recurrence never holds the whole
 document, and writes a long row's line in pieces.  The collected document,
-OutputDocument, and parse_exact live in reference and are served from here.
+OutputDocument, and parse_exact live in reference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import _forward
 from .exact import Rational, format_exact
 
-__getattr__ = _forward(__name__, reference="OutputDocument parse_exact")
+# Only perfbench/tracing.py reads these names here; they go once it wraps each at its home.
+__getattr__ = _forward(__name__, reference="OutputDocument")
 _PIECE = 1 << 16  # the most characters of a row's line in one write (see write_document)
 
 

@@ -2,7 +2,7 @@
 its builders, collected duals, basis expansion, Catalan conversions, dense
 step-matrix solve, phi and inversion, evolution, closed-form sequences,
 parsing and OutputDocument.  The tests check the commands' streams against
-them; each is still served from the module it came from."""
+them."""
 
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ class Triangle(Frozen):
 
 def generate_from_banded(rec: BandedRecurrence, rows: int, family: str = "banded",
                          params: tuple[tuple[str, str], ...] = ()) -> Triangle:
-    """The triangle of banded_rows(rec, rows)."""
+    """The triangle of scaled_banded_rows(rec, rows)."""
     return Triangle(rows=scaled_banded_rows(rec, rows), family=family, params=params)
 
 

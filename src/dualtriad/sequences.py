@@ -6,7 +6,7 @@ from one row recurrence, and the numerators of the inverse of the
 q-binomial triangle, which q_binomial_inverse_rows puts over their known
 denominators.  The closed forms the tests check these rows against
 (binomial, q_binomial, fibonomial, catalan_entry, stirling_first, ...) live
-in reference, and each is still served from here.
+in reference.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import _forward
 from ._record import Frozen
 from .exact import Rational, as_exact, coprime_fraction
 
+# Only perfbench/tracing.py reads these names here; they go once it wraps each at its home.
 __getattr__ = _forward(__name__, reference="binomial q_int q_factorial q_binomial fibonomial "
                                            "catalan_entry stirling_first eulerian")
 

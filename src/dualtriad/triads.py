@@ -38,9 +38,9 @@ from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fi
 if TYPE_CHECKING:
     from .polynomial import Polynomial
 
-__getattr__ = _forward(__name__, reference="Triangle generate_named generate_from_banded lah_from_roots "
-                       "dual_polynomials persistent_root_polys banded_for_family _resolve expand_in_basis "
-                       "catalan_triad_from_shifted catalan_shifted_from_triad")
+# Only perfbench/tracing.py reads these names here; they go once it wraps each at its home.
+__getattr__ = _forward(__name__, reference="generate_named generate_from_banded lah_from_roots "
+                       "dual_polynomials persistent_root_polys")
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
 
@@ -70,7 +70,7 @@ class Restartable(Generic[T]):
     """A sized iterable that makes a fresh iterator for every pass.
 
     Each pass calls make() when it starts, so a stream that checks its
-    arguments on the call (as banded_rows and iter_dual_polynomials do)
+    arguments on the call (as scaled_banded_rows and iter_dual_polynomials do)
     raises there, before the pass reads an item.  A pass holds only what
     one iterator holds, and length, which len() reads without a pass, is
     the number of items a pass yields.
@@ -226,12 +226,8 @@ def scaled_banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[Scaled]:
                       initial=Scaled((1,)))
 
 
-def banded_rows(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
-    """The rows of scaled_banded_rows(rec, rows) as values."""
-    return map(Scaled.values, scaled_banded_rows(rec, rows))
-
-
 _BANDED_ROUTE = "banded dual recurrence"
+_NOT_UNIPOTENT = "step matrix requires a unipotent triangle (unit diagonal)"
 
 
 class Family(Frozen):
@@ -289,7 +285,7 @@ class Family(Frozen):
         if self.phi_rows is not None:
             return self.phi_rows(value, rows)
         if self.recurrence is None:
-            raise ValueError("step matrix requires a unipotent triangle (unit diagonal)")
+            raise ValueError(_NOT_UNIPOTENT)
         return iter_dual_polynomials(self.recurrence(value, rows - 1), rows)
 
     def verify(self, value: Any, rows: int) -> TriadReport:
@@ -329,8 +325,8 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
     # The lah triad with roots 0, -1, -2, ... with its sides swapped: its duals
     # x(x + 1)...(x + k - 1) have these rows as coefficients; its rows are the phi.
     Family("stirling1", dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows,
-           phi_rows=lambda _, rows: banded_rows(
-               root_recurrence(RootSequence.arithmetic(0, -1), rows - 1), rows)),
+           phi_rows=lambda _, rows: map(Scaled.values, scaled_banded_rows(
+               root_recurrence(RootSequence.arithmetic(0, -1), rows - 1), rows))),
     Family("eulerian", dual=None, route=None, rows=eulerian_rows),
     Family("lah", dual="lah", route="persistent-root polynomials", param="roots",
            recurrence=root_recurrence),

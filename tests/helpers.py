@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from dualtriad.triads import Triangle
+from dualtriad.reference import Triangle
 
 
 # Published triangle rows as printed in circulation.  The row-6 middle

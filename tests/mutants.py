@@ -2,15 +2,18 @@
 elimination, minimal witness, pair scaling and weight assembly, of the phi
 streams that stand in for an inversion, of the family's row, phi, proof and
 step-matrix routes, of forward substitution, of the records' constructor, of
-the writer of every output format and of what a command loads.
+the writer of every output format, of what a command loads and of the names
+a module serves through its __getattr__.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
-and tests/ to one temporary directory per worker, min(os.cpu_count(), 4) of
-them, applies each entry alone to a free copy and runs
+tests/ and perfbench/ (whose tracer test_package reads) to one temporary
+directory per worker, min(os.cpu_count(), 4) of them, applies each entry
+alone to a free copy and runs
 
     python -m pytest -x -q tests/test_records.py tests/test_dynsys.py tests/test_output.py \
-        tests/test_triads.py tests/test_scaled.py tests/test_sequences.py tests/test_loads.py
+        tests/test_triads.py tests/test_scaled.py tests/test_sequences.py tests/test_loads.py \
+        tests/test_package.py
 
 there, one pytest process per worker at a time.  The tests must pass on an
 unchanged copy and fail on every mutant.  The verdicts are printed in the
@@ -41,10 +44,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # soonest run first: test_records takes a second, with test_dynsys it kills
 # most mutants, test_output kills the writer's, the hypothesis classes of
 # test_scaled come next, then test_sequences, which only the row kernel's
-# mutant reaches, and last test_loads, whose fresh processes only the
-# mutant that makes a command load the reference routes reaches.
+# mutant reaches, then test_loads, whose fresh processes only the mutant
+# that makes a command load the reference routes reaches, and last
+# test_package, which only the mutant that forwards a name reaches.
 TESTS = ("tests/test_records.py", "tests/test_dynsys.py", "tests/test_output.py", "tests/test_triads.py",
-         "tests/test_scaled.py", "tests/test_sequences.py", "tests/test_loads.py")
+         "tests/test_scaled.py", "tests/test_sequences.py", "tests/test_loads.py", "tests/test_package.py")
 TRIADS = "src/dualtriad/triads.py"
 EXACT = "src/dualtriad/exact.py"
 SEQUENCES = "src/dualtriad/sequences.py"
@@ -179,6 +183,9 @@ MUTANTS = [
      "cli: importing the module loads the reference routes on every command"),
     (TRIADS, "        from .polynomial import Polynomial\n", "        from .reference import Polynomial\n",
      "Family.verify: the brute scan loads the reference routes"),
+    (DYNSYS, 'reference="solve_step_matrix phi_from_step_matrix")',
+     'reference="solve_step_matrix phi_from_step_matrix evolve")',
+     "dynsys: the module serves evolve, which the benchmark's tracer does not read there"),
 ]
 
 
@@ -210,7 +217,7 @@ def main() -> int:
         copies: queue.Queue[Path] = queue.Queue()
         for worker in range(workers):
             copy = Path(tmp, str(worker))
-            for part in ("src", "tests"):
+            for part in ("src", "tests", "perfbench"):
                 shutil.copytree(ROOT / part, copy / part, ignore=ignore)
             copies.put(copy)
         if not run_tests(Path(tmp, "0")):

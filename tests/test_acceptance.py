@@ -9,27 +9,28 @@ import contextlib
 import random
 from fractions import Fraction
 
-from dualtriad.dynsys import (
-    fit_banded,
-    invert_unipotent,
-    phi_from_step_matrix,
-    solve_step_matrix,
-)
-from dualtriad.exact import X
+from dualtriad.dynsys import fit_banded
 from dualtriad.misprints import (
     COMPUTED_FIBONOMIAL_STEP_ROW_6,
     LEDGER,
     PUBLISHED_FIBONOMIAL_STEP_ROWS,
 )
-from dualtriad.sequences import RootSequence, catalan_entry, fibonomial, q_binomial
-from dualtriad.triads import (
+from dualtriad.polynomial import X
+from dualtriad.reference import (
     banded_for_family,
+    catalan_entry,
     dual_polynomials,
+    fibonomial,
     generate_named,
+    invert_unipotent,
     lah_from_roots,
     persistent_root_polys,
-    verify_triad,
+    phi_from_step_matrix,
+    q_binomial,
+    solve_step_matrix,
 )
+from dualtriad.sequences import RootSequence
+from dualtriad.triads import verify_triad
 
 from helpers import (
     PUBLISHED_CATALAN_SHIFTED_ROWS,
@@ -246,7 +247,7 @@ def test_criterion_9_cli_contract():
     with criterion(9, "CLI golden outputs byte-exact; JSON/CSV round-trip; exit codes per contract"):
         from pathlib import Path
 
-        from dualtriad.output import OutputDocument
+        from dualtriad.reference import OutputDocument
         from test_cli import GOLDEN_CASES, run_cli
 
         golden_dir = Path(__file__).parent / "golden"

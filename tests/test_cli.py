@@ -17,10 +17,17 @@ from hypothesis import strategies as st
 
 from dualtriad import dynsys, reference, triads
 from dualtriad.cli import DEFAULT_ROW_CAP, main, parse_roots
-from dualtriad.dynsys import convolve_fibonomial, phi_from_step_matrix, solve_step_matrix
-from dualtriad.output import OutputDocument, format_rows, parse_exact
-from dualtriad.sequences import RootSequence, q_binomial
-from dualtriad.triads import generate_named
+from dualtriad.dynsys import convolve_fibonomial
+from dualtriad.output import format_rows
+from dualtriad.reference import (
+    OutputDocument,
+    generate_named,
+    parse_exact,
+    phi_from_step_matrix,
+    q_binomial,
+    solve_step_matrix,
+)
+from dualtriad.sequences import RootSequence
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -10,36 +10,40 @@ import pytest
 from dualtriad import dynsys, reference
 from dualtriad.cli import main
 from dualtriad.dynsys import (
-    banded_step_matrix,
     FitResult,
     StepMatrix,
+    banded_step_matrix,
     convolve_fibonomial,
-    evolve,
     family_step_matrix,
     fit_banded,
-    invert_unipotent,
-    phi_from_step_matrix,
-    solve_step_matrix,
 )
-from dualtriad.exact import X
 from dualtriad.misprints import (
     COMPUTED_FIBONOMIAL_STEP_ROW_6,
     PUBLISHED_FIBONOMIAL_STEP_ROWS,
 )
-from dualtriad.sequences import RootSequence, binomial, fibonomial
+from dualtriad.polynomial import X
+from dualtriad.reference import (
+    Triangle,
+    banded_for_family,
+    binomial,
+    dual_polynomials,
+    evolve,
+    fibonomial,
+    generate_from_banded,
+    generate_named,
+    invert_unipotent,
+    lah_from_roots,
+    phi_from_step_matrix,
+    solve_step_matrix,
+)
+from dualtriad.sequences import RootSequence
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
     Family,
     Restartable,
-    Triangle,
-    banded_for_family,
-    banded_rows,
-    dual_polynomials,
-    generate_from_banded,
-    generate_named,
     iter_dual_polynomials,
-    lah_from_roots,
+    scaled_banded_rows,
     verify_triad,
 )
 
@@ -715,7 +719,7 @@ _UP2_ZERO = BandedRecurrence.tabulate(lambda k: 1 if k != 2 else 0, 1, 0, 5)
     (lambda: BandedRecurrence((1,), (1, 1), (0,)), ValueError,
      "up, stay and down must cover the same levels"),
     (lambda: BandedRecurrence.tabulate(1, 1, 0, -2), ValueError, "depth must be at least -1"),
-    (lambda: banded_rows(_PASCAL_DEPTH_3, -1), ValueError, "rows must be nonnegative"),
+    (lambda: scaled_banded_rows(_PASCAL_DEPTH_3, -1), ValueError, "rows must be nonnegative"),
     (lambda: iter_dual_polynomials(_PASCAL_DEPTH_3, -1), ValueError, "count must be nonnegative"),
     (lambda: iter_dual_polynomials(_PASCAL_DEPTH_3, 5), ValueError,
      "recurrence tabulated to level 3; 5 polynomials need level 4"),
@@ -753,8 +757,8 @@ _UP2_ZERO = BandedRecurrence.tabulate(lambda k: 1 if k != 2 else 0, 1, 0, 5)
         )
         for pass_, read in (("empty-pass", 0), ("short-pass", 2), ("long-pass", 4))
     ),
-    pytest.param(lambda: banded_rows(_PASCAL_DEPTH_3, 6), ValueError,
-                 "recurrence tabulated to level 3; 6 rows need level 5", id="banded_rows-depth"),
+    pytest.param(lambda: scaled_banded_rows(_PASCAL_DEPTH_3, 6), ValueError,
+                 "recurrence tabulated to level 3; 6 rows need level 5", id="scaled_banded_rows-depth"),
     pytest.param(lambda: banded_step_matrix(_PASCAL_DEPTH_3, 4), ValueError,
                  "recurrence tabulated to level 3; 5 rows need level 4",
                  id="banded_step_matrix-depth"),

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtriad.exact import Polynomial, X, linear_combination, solve_unit_lower
+from dualtriad.polynomial import Polynomial, X, linear_combination
+from dualtriad.reference import solve_unit_lower
 
 from helpers import brute_solve, expand_product_oracle, random_unipotent_rows
 import random

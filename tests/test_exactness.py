@@ -10,26 +10,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from dualtriad.dynsys import (
-    convolve_fibonomial,
-    evolve,
-    fit_banded,
-    invert_unipotent,
-    phi_from_step_matrix,
-    solve_step_matrix,
-)
-from dualtriad.exact import Polynomial, X, solve_unit_lower
-from dualtriad.sequences import RootSequence, q_binomial, q_factorial, q_int
-from dualtriad.triads import (
-    FAMILIES,
-    BandedRecurrence,
+from dualtriad.dynsys import convolve_fibonomial, fit_banded
+from dualtriad.polynomial import Polynomial, X
+from dualtriad.reference import (
     banded_for_family,
     dual_polynomials,
+    evolve,
     expand_in_basis,
     generate_from_banded,
     generate_named,
-    verify_triad,
+    invert_unipotent,
+    phi_from_step_matrix,
+    q_binomial,
+    q_factorial,
+    q_int,
+    solve_step_matrix,
+    solve_unit_lower,
 )
+from dualtriad.sequences import RootSequence
+from dualtriad.triads import FAMILIES, BandedRecurrence, verify_triad
 
 from helpers import (
     brute_solve,

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualtriad import output
-from dualtriad.exact import Polynomial
-from dualtriad.output import OutputDocument, format_exact, format_rows, parse_exact, write_document
+from dualtriad.output import format_exact, format_rows, write_document
+from dualtriad.polynomial import Polynomial
+from dualtriad.reference import OutputDocument, generate_named, lah_from_roots, parse_exact
 from dualtriad.sequences import RootSequence
-from dualtriad.triads import generate_named, lah_from_roots
 
 
 def named_triangles():

@@ -1,7 +1,8 @@
 """The package namespace: `import dualtriad` imports no submodule, and every
-public name and submodule is served on first use; the names that moved to
-polynomial and reference, still served from their old modules; the compile
-budget of triads; and the names the benchmark's tracer wraps."""
+public name and submodule is served on first use; the moved names a module
+still serves, exactly those the benchmark's tracer reads there; the guard
+against patching a served name; the compile budget of triads; and the names
+the benchmark's tracer wraps."""
 
 import importlib.util
 import subprocess
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SUBMODULES = ("cli", "dynsys", "exact", "misprints", "output", "sequences", "triads")
+SUBMODULES = ("cli", "dynsys", "exact", "misprints", "output", "polynomial", "reference", "sequences", "triads")
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 CHECKS = {
     # Every public name is the object its defining module holds: the module
@@ -73,44 +75,56 @@ def _code_objects(code):
     return 1 + sum(_code_objects(c) for c in code.co_consts if isinstance(c, type(code)))
 
 
-# Each name that left a module for the module that now defines it, as the
-# old module still serves it.
-MOVED = {
-    "exact": {"polynomial": "Polynomial X linear_combination",
-              "reference": "parse_exact solve_unit_lower _parse_digits _EXACT_RE"},
-    "sequences": {"reference": "binomial q_int q_factorial q_binomial fibonomial catalan_entry "
-                               "stirling_first eulerian"},
-    "triads": {"reference": "Triangle generate_named generate_from_banded lah_from_roots dual_polynomials "
-                            "persistent_root_polys banded_for_family _resolve expand_in_basis "
-                            "catalan_triad_from_shifted catalan_shifted_from_triad"},
-    "dynsys": {"reference": "solve_step_matrix phi_from_step_matrix invert_unipotent evolve"},
-    "output": {"reference": "OutputDocument parse_exact"},
-}
+def _traced_names() -> dict[str, set[str]]:
+    """The names perfbench/tracing.py's LAYERS reads from each module: a
+    dotted attribute reads its class."""
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names: dict[str, set[str]] = {}
+    for targets in tracing.LAYERS.values():
+        for module_name, attr in targets:
+            names.setdefault(module_name, set()).add(attr.split(".")[0])
+    return names
 
 
-@pytest.mark.parametrize("old", sorted(MOVED))
+@pytest.mark.parametrize("old", SUBMODULES)
 def test_a_moved_name_is_the_same_object_from_its_old_module(old):
-    # In a fresh process: a monkeypatch of an old module's name, undone,
-    # leaves the name in that module's namespace.
-    code = f"OLD, HOMES = {old!r}, {MOVED[old]!r}\n" + """
-import importlib
+    # In a fresh process: the names a module serves but does not define are
+    # exactly the ones the tracer reads there and that moved, each the object
+    # its defining module holds; reading one leaves no copy in the module.
+    code = f"OLD, SUBMODULES, TRACED = {old!r}, {SUBMODULES!r}, {sorted(_traced_names().get(old, ()))!r}\n" + """
+import importlib, sys
 module = importlib.import_module("dualtriad." + OLD)
-for new, names in HOMES.items():
-    home = importlib.import_module("dualtriad." + new)
-    for name in names.split():
-        assert name not in vars(module) and name in vars(home), (new, name)
-        assert getattr(module, name) is vars(home)[name], (new, name)
+names = {n for m in SUBMODULES for n in vars(importlib.import_module("dualtriad." + m)) if not n.startswith("__")}
+served = {n for n in names if n not in vars(module) and hasattr(module, n)}
+assert served == {n for n in TRACED if n not in vars(module)}, served
+for name in served:
+    obj = getattr(module, name)
+    assert obj.__module__ != module.__name__ and vars(sys.modules[obj.__module__])[name] is obj, name
+assert not served & set(vars(module)), served & set(vars(module))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("old", sorted(MOVED))
+@pytest.mark.parametrize("old", SUBMODULES)
 def test_an_unknown_name_of_a_forwarding_module_is_refused(old):
     module = importlib.import_module(f"dualtriad.{old}")
     with pytest.raises(AttributeError, match=f"^module 'dualtriad.{old}' has no attribute 'no_such_name'$"):
         module.no_such_name
     assert not hasattr(module, "no_such_name")
+
+
+def test_a_patch_of_a_served_name_is_refused(monkeypatch):
+    # No code reads generate_named from triads, so a patch there would check
+    # nothing (tests/conftest.py); verify_triad is defined there.
+    from dualtriad import triads
+
+    with pytest.raises(AttributeError, match="patch it in dualtriad.reference$"):
+        monkeypatch.setattr(triads, "generate_named", None)
+    monkeypatch.setattr(triads, "verify_triad", None)
+    assert triads.verify_triad is None
 
 
 def test_triads_code_object_budget():
@@ -119,7 +133,7 @@ def test_triads_code_object_budget():
     # code objects, which may fall but not rise: the limit is the count on 3.11,
     # lowered with it.  From 3.12 on, comprehensions are inlined and count less.
     path = Path(__file__).resolve().parent.parent / "src" / "dualtriad" / "triads.py"
-    assert _code_objects(compile(path.read_text(), str(path), "exec")) <= 40
+    assert _code_objects(compile(path.read_text(), str(path), "exec")) <= 39
 
 
 def test_traced_names_resolve():

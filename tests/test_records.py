@@ -9,9 +9,9 @@ import pytest
 
 from dualtriad.dynsys import FitResult, StepMatrix
 from dualtriad.misprints import MisprintEntry
-from dualtriad.output import OutputDocument
+from dualtriad.reference import OutputDocument, Triangle
 from dualtriad.sequences import RootSequence
-from dualtriad.triads import BandedRecurrence, Family, Triangle, TriadReport
+from dualtriad.triads import BandedRecurrence, Family, TriadReport
 
 
 def _make_records():

@@ -16,15 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualtriad.dynsys import fit_banded
-from dualtriad.exact import Polynomial, Scaled, as_exact
-from dualtriad.triads import (
-    FAMILIES,
-    BandedRecurrence,
-    Restartable,
+from dualtriad.exact import Scaled, as_exact
+from dualtriad.polynomial import Polynomial
+from dualtriad.reference import (
     Triangle,
     banded_for_family,
     dual_polynomials,
     generate_from_banded,
+)
+from dualtriad.triads import (
+    FAMILIES,
+    BandedRecurrence,
+    Restartable,
     scaled_banded_rows,
     verify_triad,
 )

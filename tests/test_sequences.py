@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualtriad.sequences import (
-    RootSequence,
+from dualtriad.reference import (
     binomial,
     catalan_entry,
     eulerian,
-    eulerian_rows,
-    fibonacci,
     fibonomial,
-    fibonomial_rows,
-    pascal_like_rows,
     q_binomial,
     q_factorial,
     q_int,
     stirling_first,
+)
+from dualtriad.sequences import (
+    RootSequence,
+    eulerian_rows,
+    fibonacci,
+    fibonomial_rows,
+    pascal_like_rows,
     stirling_first_rows,
 )
 

@@ -11,31 +11,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualtriad import cli, dynsys, polynomial, reference, triads
-from dualtriad.dynsys import fit_banded, phi_from_step_matrix, solve_step_matrix
-from dualtriad.exact import Polynomial, X, as_exact, linear_combination
-from dualtriad.sequences import (
-    RootSequence,
+from dualtriad.dynsys import fit_banded
+from dualtriad.exact import as_exact
+from dualtriad.polynomial import Polynomial, X, linear_combination
+from dualtriad.reference import (
+    Triangle,
+    banded_for_family,
     binomial,
     catalan_entry,
+    catalan_shifted_from_triad,
+    catalan_triad_from_shifted,
+    dual_polynomials,
+    expand_in_basis,
     fibonomial,
+    generate_from_banded,
+    generate_named,
+    lah_from_roots,
+    persistent_root_polys,
+    phi_from_step_matrix,
     q_binomial,
-    q_binomial_inverse_rows,
+    solve_step_matrix,
 )
+from dualtriad.sequences import RootSequence, q_binomial_inverse_rows
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
     Family,
     Restartable,
-    Triangle,
-    banded_for_family,
-    catalan_shifted_from_triad,
-    catalan_triad_from_shifted,
-    dual_polynomials,
-    expand_in_basis,
-    generate_from_banded,
-    generate_named,
-    lah_from_roots,
-    persistent_root_polys,
     root_recurrence,
     verify_triad,
 )
