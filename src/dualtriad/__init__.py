@@ -8,10 +8,11 @@ every integral value, a Fraction only for a true rational), constructs and
 verifies their triads symbolically, and decides algorithmically whether a
 triangle admits banded time-independent update weights at all.
 
-A command loads cli, exact, sequences, triads, dynsys and output.  Only a
-verify that expands rows (the brute scan, or a failed certificate) loads
-polynomial; no command loads reference, the collecting builders, closed
-forms and dense solves that the tests check the streams against.
+A command loads cli, exact, sequences, triads, dynsys and output.  Every
+verify proves its triad in O(N^2), and only a failing one expands rows, to
+report the first failing row, and loads polynomial; no command loads
+reference, the collecting builders, closed forms and dense solves that the
+tests check the streams against.
 """
 
 import importlib

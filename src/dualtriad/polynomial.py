@@ -1,12 +1,15 @@
-"""Dense polynomials over the rationals: the arithmetic of verify's row
-expansion (the brute scan, or a failed certificate), which alone loads it."""
+"""Dense polynomials over the rationals, and the row expansion of
+verify_triad's brute scan, first_residual.  A command expands rows, and
+loads this module, only when its verify fails, to report the first failing
+row."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Optional, Sequence
 
-from .exact import Rational, as_exact, exact_div, format_exact
+from .exact import Rational, Scaled, as_exact, exact_div, format_exact
 
 
 class Polynomial:
@@ -178,3 +181,25 @@ def linear_combination(coeffs: Sequence[Rational], polys: Sequence[Polynomial]) 
         for j, pj in enumerate(p.coeffs):
             acc[j] += cf * pj
     return Polynomial(acc)
+
+
+def first_residual(
+    pairs: Iterable[tuple[Scaled, Optional[Polynomial]]], start: int, duals: Iterable[Sequence[Rational]]
+) -> Optional[tuple[int, Polynomial]]:
+    """Expand rows start, start + 1, ... in their phis, one pass, and return
+    the first row n whose residual sum_k c[n][k] * phi_k - x^n is not zero,
+    as (n, residual); None when every row holds.
+
+    pairs yields (row n as a Scaled vector, phi_n or None) from row start on.
+    duals yields the coefficients of phi_0, phi_1, ...: phi_0..phi_{start-1}
+    are read from it, and so is every phi_n that pairs leaves None.  The
+    phis read so far are held.
+    """
+    duals = map(Polynomial, duals)
+    seen = list(islice(duals, start))
+    for n, (row, phi) in enumerate(pairs, start):
+        seen.append(next(duals) if phi is None else phi)
+        residual = linear_combination(row.values(), seen) - Polynomial.monomial(n)
+        if residual:
+            return n, residual
+    return None

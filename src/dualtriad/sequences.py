@@ -11,11 +11,11 @@ in reference.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _forward
 from ._record import Frozen
-from .exact import Rational, as_exact, coprime_fraction
+from .exact import Rational, Scaled, as_exact, coprime_fraction
 
 # Only perfbench/tracing.py reads these names here; they go once it wraps each at its home.
 __getattr__ = _forward(__name__, reference="binomial q_int q_factorial q_binomial fibonomial "
@@ -109,6 +109,55 @@ def fibonomial_inverse_rows(rows: int) -> Iterator[tuple[int, ...]]:
     for n, row in enumerate(fibonomial_rows(rows)):
         w.append(-sum(c * v for c, v in zip(row, w)) if n else 1)
         yield tuple(w[n - k] * c for k, c in enumerate(row))
+
+
+def fibonomial_proof(rows: Iterable[Scaled], phis: Iterable[Sequence[Rational]], count: int) -> bool:
+    """Whether rows 0..count, Scaled vectors of widths 1..count + 1, are the
+    fibonomial triangle C and phis the rows of C^-1, in O(N^2) exact
+    multiplications.
+
+    Row n is C's when its entries are integers with c[n][0] = 1 and
+    c[n][k] * F_k = c[n][k-1] * F_{n-k+1} for k = 1..n, the closed form
+    F_n...F_{n-k+1} / (F_1...F_k).  For such coefficients C^-1 = w o C, whose
+    entry (n, k) is w_{n-k} * C[n][k], exactly when the w_n = phi_n[0] satisfy
+    sum_{k<=n} C[n][k] * w_k = [n = 0]: [n k][k m] = [n m][n-m k-m] gives
+    sum_k C[n][k] * w_{k-m} * C[k][m] = C[n][m] * sum_i C[n-m][i] * w_i.  So
+    phi_n must be row n of w o C.  The streams are read in lockstep and must
+    be equally long.
+    """
+    fibs = [fibonacci(i) for i in range(count + 2)]
+    w: list[Rational] = []
+    for n, ((row, den), phi) in enumerate(zip(rows, phis, strict=True)):
+        if den != 1 or row[0] != 1:
+            return False
+        for k in range(1, n + 1):
+            if row[k] * fibs[k] != row[k - 1] * fibs[n - k + 1]:
+                return False
+        w.append(phi[0])
+        if sum(c * v for c, v in zip(row, w)) != (n == 0):
+            return False
+        if tuple(phi) != tuple([w[n - k] * c for k, c in enumerate(row)]):
+            return False
+    return True
+
+
+def stirling_first_proof(rows: Iterable[Scaled], phis: Iterable[Sequence[Rational]],
+                         duals: Iterable[tuple[int, ...]], lah_rows: Iterable[Scaled]) -> bool:
+    """Whether rows are the stirling1 triangle S and phis its phi, given the
+    duals and the rows L of the lah triad with roots 0, -1, -2, ..., each made
+    by that triad's recurrence; O(N^2) exact comparisons.
+
+    The banded certificate proves x^n = sum_k L[n][k] * dual_k(x) for the
+    lah triad, so L times the triangle of the duals' coefficients is I.  Row
+    n must be dual n's coefficients, x(x + 1)...(x + n - 1), and phi_n row n
+    of L.  Then L S = I, so S L = I for these unit lower triangles, which is
+    x^n = sum_k S[n][k] * phi_k(x).  The streams are read in lockstep and
+    must be equally long.
+    """
+    for row, phi, dual, lah in zip(rows, phis, duals, lah_rows, strict=True):
+        if row != (dual, 1) or lah != (tuple(phi), 1):
+            return False
+    return True
 
 
 def stirling_first_rows(rows: int) -> Iterator[tuple[int, ...]]:

@@ -24,16 +24,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, repeat
 from typing import (TYPE_CHECKING, Any, Callable, Collection, Generic, Iterable, Iterator, Optional, Sequence,
                     TypeVar, Union)
 
 from . import _forward
 from ._record import Frozen
 from .exact import Rational, Scaled, as_exact, exact_div
-from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fibonomial_rows,
-                        q_binomial_inverse_rows, stirling_first_rows)
+from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fibonomial_proof, fibonomial_rows,
+                        q_binomial_inverse_rows, stirling_first_proof, stirling_first_rows)
 
 if TYPE_CHECKING:
     from .polynomial import Polynomial
@@ -244,13 +243,17 @@ class Family(Frozen):
     scaled_rows and phis stream either route.
     param names the parameter the family needs (None, "q" or "roots").  dual
     names the family whose phi completes this one's triad; None when there
-    is no dual.  route is the line verify prints.  The recurrences decide the
-    routes, so that no command branches on them: verify proves the triad by
-    the certificate on the dual's or by the brute scan over the dual's phi,
-    and dynsys.family_step_matrix reads F off the family's or solves for it.
+    is no dual.  route is the line verify prints.  proof(rows, phis, N),
+    for a family whose dual has no recurrence, says in O(N^2) whether the
+    Scaled rows 0..N and the dual's phi_0..phi_N, read in lockstep, complete
+    the triad (sequences.fibonomial_proof and stirling_first_proof).  The
+    recurrences decide the routes, so that no command branches on them:
+    verify proves the triad by the certificate on the dual's or by the
+    family's proof, and only a failing verify expands rows;
+    dynsys.family_step_matrix reads F off the family's or solves for it.
     """
 
-    __slots__ = ("name", "dual", "route", "param", "recurrence", "rows", "phi_rows")
+    __slots__ = ("name", "dual", "route", "param", "recurrence", "rows", "phi_rows", "proof")
     name: str
     dual: Optional[str]
     route: Optional[str]
@@ -258,7 +261,8 @@ class Family(Frozen):
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]]
     rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]]
     phi_rows: Optional[Callable[[Any, int], Iterator[tuple[Rational, ...]]]]
-    _defaults = {"param": None, "recurrence": None, "rows": None, "phi_rows": None}
+    proof: Optional[Callable[..., bool]]
+    _defaults = {"param": None, "recurrence": None, "rows": None, "phi_rows": None, "proof": None}
 
     def scaled_rows(self, value: Any, rows: int) -> Restartable[Scaled]:
         """Rows 0..rows as Scaled vectors, made afresh on each pass; value is
@@ -291,7 +295,9 @@ class Family(Frozen):
     def verify(self, value: Any, rows: int) -> TriadReport:
         """The TriadReport of rows 0..rows against the phi of the dual family,
         which must exist: verify_triad's certificate on the dual's recurrence,
-        or the brute scan over the dual's phi stream when it has none.  A
+        or else the family's own proof over one pass of its rows and of the
+        dual's phi stream.  Only when that proof fails does verify_triad's
+        brute scan expand the rows, to report the first failing one.  A
         family with no dual is refused before a row is made."""
         dual = FAMILIES.get(self.dual)
         if dual is None:
@@ -300,11 +306,14 @@ class Family(Frozen):
         source = self.scaled_rows(value, rows)
         if dual.recurrence is not None:
             return verify_triad(source, None, dual.recurrence(value, rows - 1))
+        if self.proof(checked_rows(source), dual.phis(value, rows), rows):
+            return TriadReport(rows, True, None, "certificate")
         from .polynomial import Polynomial
 
-        return verify_triad(source, Restartable(lambda: map(Polynomial, dual.phis(value, rows)), rows + 1))
+        return verify_triad(source, list(map(Polynomial, dual.phis(value, rows))))
 
 
+_LAH_FROM_ZERO = partial(root_recurrence, RootSequence.arithmetic(0, -1))
 FAMILIES: dict[str, Family] = {family.name: family for family in (
     Family("pascal", dual="pascal", route=_BANDED_ROUTE,
            recurrence=lambda _, depth: root_recurrence(RootSequence.constant(1), depth)),
@@ -321,12 +330,14 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
     Family("catalan-triad", dual="catalan-triad", route=_BANDED_ROUTE,
            recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
     Family("fibonomial", dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows,
-           phi_rows=lambda _, rows: fibonomial_inverse_rows(rows)),
+           phi_rows=lambda _, rows: fibonomial_inverse_rows(rows), proof=fibonomial_proof),
     # The lah triad with roots 0, -1, -2, ... with its sides swapped: its duals
     # x(x + 1)...(x + k - 1) have these rows as coefficients; its rows are the phi.
     Family("stirling1", dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows,
-           phi_rows=lambda _, rows: map(Scaled.values, scaled_banded_rows(
-               root_recurrence(RootSequence.arithmetic(0, -1), rows - 1), rows))),
+           phi_rows=lambda _, rows: map(Scaled.values, scaled_banded_rows(_LAH_FROM_ZERO(rows - 1), rows)),
+           proof=lambda rows, phis, n: stirling_first_proof(
+               rows, phis, iter_dual_polynomials(_LAH_FROM_ZERO(n - 1), n),
+               scaled_banded_rows(_LAH_FROM_ZERO(n - 1), n))),
     Family("eulerian", dual=None, route=None, rows=eulerian_rows),
     Family("lah", dual="lah", route="persistent-root polynomials", param="roots",
            recurrence=root_recurrence),
@@ -402,14 +413,13 @@ def verify_triad(
     the phis, if given, are those duals, then every row holds.  Without phis
     no dual is made.  The row checks run on Scaled vectors, so rational
     families pay one gcd per row rather than per operation.  Without rec,
-    or with one that cannot certify, the pass expands every row (O(N^3)) in
-    the phis, or in iter_dual_polynomials(rec, N) without them; if a check
-    fails at row n, the same pass expands from row n on, with
-    phi_0..phi_{n-1} made afresh by iter_dual_polynomials(rec, N), which
-    the checks showed the given phis equal.  The expansion holds the phis
-    read so far and stops at the first failing row, whose index and exact
-    residual polynomial the report carries as a concrete counterexample.
-    Only the expansion loads the polynomial module.
+    or with one that cannot certify, the pass expands every row (O(N^3),
+    polynomial.first_residual) in the phis, or in rec's duals without them;
+    if a check fails at row n, the pass expands from row n on, with
+    phi_0..phi_{n-1} taken from rec's duals, which the checks showed the
+    given phis equal.  The report carries the first failing row's index and
+    exact residual.  Only the expansion loads polynomial, and no passing
+    verify command expands a row.
     """
     top = len(rows) - 1
     if phis is None:
@@ -434,17 +444,7 @@ def verify_triad(
                 break
         else:
             return TriadReport(top, True, None, "certificate")
-    from .polynomial import Polynomial, linear_combination
+    from .polynomial import first_residual
 
-    seen: list[Polynomial] = []
-    if phis is None or start:
-        duals = map(Polynomial, iter_dual_polynomials(rec, top))
-        seen = list(islice(duals, start))
-        if phis is None:
-            pairs = zip(map(itemgetter(0), pairs), duals)
-    for n, (row, phi) in enumerate(pairs, start):
-        seen.append(phi)
-        residual = linear_combination(row.values(), seen) - Polynomial.monomial(n)
-        if residual:
-            return TriadReport(top, False, (n, residual))
-    return TriadReport(top, True, None)
+    failure = first_residual(pairs, start, iter_dual_polynomials(rec, top) if phis is None or start else ())
+    return TriadReport(top, failure is None, failure)

@@ -18,8 +18,12 @@ seed to the next, so that a drift of the machine falls on both alike.  The
 file holds the environment, and per workload the median and quartiles of
 total_s, setup_s and peak_rss_mb on each side, the IQR of the parent's runs,
 in how many pairs the change read lower, and the failed and attempted job
-counts.  It prints one line per run as it goes.  pytest does not collect
-this file.
+counts.  It also names the job that set each run's peak_rss_mb: run.py takes
+the peak as the largest, over the jobs, of a job's median max_rss_kib over
+its passes, and writes each pass's max_rss_kib to
+.perfbench/W-seedS-trace0.json in the tree; peak_rss_jobs counts, per side,
+the runs whose peak each job set.  It prints one line per run as it goes.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 METRICS = ("total_s", "setup_s", "peak_rss_mb")
@@ -49,7 +54,20 @@ def run(tree: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    outcome = json.loads(done.stdout.splitlines()[-1])
+    outcome["peak_job"] = peak_job(tree / ".perfbench" / f"{workload}-seed{seed}-trace0.json")
+    return outcome
+
+
+def peak_job(records: Path) -> str:
+    """The argv, joined by spaces, of the job that set a run's peak_rss_mb:
+    the largest median max_rss_kib over a job's passes, as run.py's
+    end_to_end takes it; of tied jobs, the first in the job list."""
+    passes: dict[int, list[dict]] = {}
+    for record in json.loads(records.read_text())["jobs"]:
+        passes.setdefault(record["job"], []).append(record)
+    medians = {job: statistics.median(r["max_rss_kib"] or 0 for r in passes[job]) for job in sorted(passes)}
+    return " ".join(passes[max(medians, key=medians.get)][0]["argv"])
 
 
 def summary(values: list[float]) -> dict:
@@ -97,7 +115,8 @@ def main() -> int:
                 outcome = run(trees[side], workload, seed)
                 runs[side].append(outcome)
                 values = " ".join(f"{m} {outcome['metrics'][m]['value']:.4f}" for m in METRICS)
-                print(f"{workload} seed {seed} {side}: {values} failed {outcome['failed']}", flush=True)
+                print(f"{workload} seed {seed} {side}: {values} failed {outcome['failed']} "
+                      f"peak set by {outcome['peak_job']}", flush=True)
         entry: dict = {"seeds": args.seeds, "pairs": len(args.seeds)}
         for metric in METRICS:
             sides = {side: [o["metrics"][metric]["value"] for o in runs[side]] for side in runs}
@@ -112,6 +131,8 @@ def main() -> int:
             entry[f"{side}_failed"] = sum(o["failed"] for o in runs[side])
             entry[f"{side}_attempted"] = sum(o["attempted"] for o in runs[side])
             entry[f"{side}_correct"] = all(o["correct"] for o in runs[side])
+        entry["peak_rss_jobs"] = {side: dict(Counter(o["peak_job"] for o in runs[side]).most_common())
+                                  for side in runs}
         result["workloads"][workload] = entry
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -56,6 +56,7 @@ DYNSYS = "src/dualtriad/dynsys.py"
 OUTPUT = "src/dualtriad/output.py"
 RECORD = "src/dualtriad/_record.py"
 CLI = "src/dualtriad/cli.py"
+POLYNOMIAL = "src/dualtriad/polynomial.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
@@ -67,12 +68,12 @@ MUTANTS = [
      "verify_triad: the given phis are not compared with the duals of rec"),
     (TRIADS, "chain([(row, phi)], pairs)", "chain([], pairs)",
      "verify_triad: the expansion after a failed certificate drops the failing row"),
-    (TRIADS, "islice(duals, start)", "islice(duals, start - 1)",
-     "verify_triad: the expansion holds one dual too few before the failing row"),
-    (TRIADS, "if phis is None or start:", "if phis is None:",
+    (POLYNOMIAL, "islice(duals, start)", "islice(duals, start - 1)",
+     "first_residual: the expansion holds one dual too few before the failing row"),
+    (TRIADS, "if phis is None or start else ()", "if phis is None else ()",
      "verify_triad: the given phis' prefix is not taken from rec's duals"),
-    (TRIADS, "enumerate(pairs, start)", "enumerate(pairs, start + 1)",
-     "verify_triad: the expansion's row index is one row late"),
+    (POLYNOMIAL, "enumerate(pairs, start)", "enumerate(pairs, start + 1)",
+     "first_residual: the expansion's row index is one row late"),
     (TRIADS, "rec.depth >= top - 1 and ", "",
      "verify_triad: no check that rec tabulates the levels the duals read"),
     (TRIADS, "rec.depth >= top - 1 and ", "rec.depth >= top and ",
@@ -132,6 +133,22 @@ MUTANTS = [
      "Family.scaled_rows: the recurrence is tabulated one level short"),
     (TRIADS, "if dual.recurrence is not None:", "if False:",
      "Family.verify: a dual with a recurrence is scanned, not certified"),
+    (SEQUENCES, "if row != (dual, 1) or ", "if ",
+     "stirling_first_proof: the rows are not compared with the lah duals"),
+    (SEQUENCES, " or lah != (tuple(phi), 1):", ":",
+     "stirling_first_proof: the phis are not compared with the lah rows"),
+    (SEQUENCES, "if row[k] * fibs[k] != row[k - 1] * fibs[n - k + 1]:", "if False:",
+     "fibonomial_proof: the column ratios of a row are not checked"),
+    (SEQUENCES, "if sum(c * v for c, v in zip(row, w)) != (n == 0):", "if False:",
+     "fibonomial_proof: the sums that define w are not checked"),
+    (SEQUENCES, "if tuple(phi) != tuple([w[n - k] * c for k, c in enumerate(row)]):", "if False:",
+     "fibonomial_proof: phi is not compared with w o C"),
+    (TRIADS, "if self.proof(checked_rows(source), dual.phis(value, rows), rows):",
+     "if self.proof(checked_rows(source), dual.phis(value, rows), rows) or True:",
+     "Family.verify: a failed proof passes"),
+    (TRIADS, "return verify_triad(source, list(map(Polynomial, dual.phis(value, rows))))",
+     "return TriadReport(rows, False, None)",
+     "Family.verify: a failed proof is reported without the brute scan's failing row"),
     (TRIADS, "dual = FAMILIES.get(self.dual)", 'dual = FAMILIES.get(self.dual, FAMILIES["pascal"])',
      "Family.verify: a family with no dual is checked against pascal's phi, not refused"),
     (DYNSYS, "if family.recurrence is not None:", "if False:",
@@ -181,8 +198,9 @@ MUTANTS = [
     # it after them.
     (CLI, "from .triads import FAMILIES, Family\n", "from .triads import FAMILIES, Family\nfrom . import reference\n",
      "cli: importing the module loads the reference routes on every command"),
-    (TRIADS, "        from .polynomial import Polynomial\n", "        from .reference import Polynomial\n",
-     "Family.verify: the brute scan loads the reference routes"),
+    (TRIADS, "    from .polynomial import first_residual\n",
+     "    from .reference import Polynomial\n    from .polynomial import first_residual\n",
+     "verify_triad: the expansion loads the reference routes"),
     (DYNSYS, 'reference="solve_step_matrix phi_from_step_matrix")',
      'reference="solve_step_matrix phi_from_step_matrix evolve")',
      "dynsys: the module serves evolve, which the benchmark's tracer does not read there"),

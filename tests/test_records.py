@@ -33,7 +33,7 @@ def _make_records():
         "Family": (
             lambda: Family("pascal", dual="pascal", route="banded dual recurrence"),
             "Family(name='pascal', dual='pascal', route='banded dual recurrence', param=None, "
-            "recurrence=None, rows=None, phi_rows=None)",
+            "recurrence=None, rows=None, phi_rows=None, proof=None)",
         ),
         "RootSequence": (
             lambda: RootSequence.geometric(2),

@@ -38,6 +38,7 @@ from dualtriad.triads import (
     BandedRecurrence,
     Family,
     Restartable,
+    TriadReport,
     root_recurrence,
     verify_triad,
 )
@@ -546,26 +547,65 @@ class TestVerifyCertificate:
         ("catalan-triad", [], "certificate"),
         ("lah", ["--roots", "1/2,3/2,..."], "certificate"),
         ("catalan-shifted", [], "brute"),
-        ("fibonomial", [], "brute"),
-        ("stirling1", [], "brute"),
+        ("fibonomial", [], "certificate"),
+        ("stirling1", [], "certificate"),
     ])
     def test_cli_verify_route_method(self, monkeypatch, family, extra, method):
-        reports = []
+        # One Family.verify per run.  A family whose dual has a recurrence
+        # calls verify_triad once; fibonomial and stirling1 pass by their own
+        # proof and call it not at all.  Each route reads the rows once,
+        # through checked_rows; catalan-shifted's pass stops at its failing
+        # row 1.
+        reports, triad_reports, reads = [], [], []
+        family_verify, checked = triads.Family.verify, triads.checked_rows
 
         def recording(*args):
-            reports.append(verify_triad(*args))
+            reports.append(family_verify(*args))
             return reports[-1]
 
-        monkeypatch.setattr(triads, "verify_triad", recording)
+        def triad_recording(*args):
+            triad_reports.append(verify_triad(*args))
+            return triad_reports[-1]
+
+        def spy(rows):
+            for n, row in enumerate(checked(rows)):
+                reads.append(n)
+                yield row
+
+        monkeypatch.setattr(triads.Family, "verify", recording)
+        monkeypatch.setattr(triads, "verify_triad", triad_recording)
+        monkeypatch.setattr(triads, "checked_rows", spy)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = cli.main(["verify", "--family", family, "--rows", "12"] + extra)
         assert [r.method for r in reports] == [method]
+        assert triad_reports == ([] if FAMILIES[family].proof else reports)
         if family == "catalan-shifted":
             assert code == 1
             assert out.getvalue().splitlines()[1] == "fails at n=1; residual = -2"
+            assert reads == [0, 1]
         else:
             assert code == 0
+            assert reads == list(range(13))
+
+    def test_no_passing_verify_expands_a_row(self, monkeypatch):
+        # With the expansion refused, verify passes on every family with a
+        # dual whose triad holds; catalan-shifted's fails, so it expands.
+        def refuse(*args):
+            raise AssertionError("expanded a row")
+
+        monkeypatch.setattr(polynomial, "linear_combination", refuse)
+        with_dual = [name for name, family in FAMILIES.items() if family.dual is not None]
+        assert len(with_dual) == 7
+        for name in with_dual:
+            argv = ["verify", "--family", name, "--rows", "24"] + {
+                "q-gaussian": ["--q=-2/3"], "lah": ["--roots", "1/2,3/2,..."]}.get(name, [])
+            with contextlib.redirect_stdout(io.StringIO()):
+                if name == "catalan-shifted":
+                    with pytest.raises(AssertionError, match="^expanded a row$"):
+                        cli.main(argv)
+                else:
+                    assert cli.main(argv) == 0, name
 
     @pytest.mark.parametrize("family,extra", [
         ("pascal", []),
@@ -580,10 +620,10 @@ class TestVerifyCertificate:
     def test_cli_takes_the_family_routes(self, monkeypatch, family, extra):
         # verify and solve-f take the routes their Family decides: on a family
         # with a recurrence the certificate and the read-off F, which need no
-        # phi stream, no expansion and no dense solve; on the others the brute
-        # scan over the dual's phi and the dense solve of streamed row pairs,
-        # which need neither the certificate nor a banded F.  No command
-        # calls solve_step_matrix, which collects a triangle first.
+        # phi stream, no expansion and no dense solve; on the others the
+        # family's proof over the dual's phi and the dense solve of streamed
+        # row pairs, which need no banded F.  No command calls
+        # solve_step_matrix, which collects a triangle first.
         # catalan-shifted's certificate fails, so its report expands row 1.
         runs = [[command, "--family", family, "--rows", rows, *extra]
                 for command in ("verify", "solve-f") for rows in ("0", "1", "6")]
@@ -606,10 +646,86 @@ class TestVerifyCertificate:
             if family != "catalan-shifted":
                 monkeypatch.setattr(polynomial, "linear_combination", refuse)
         else:
+            # verify passes fibonomial and stirling1 by their own proofs,
+            # with no expansion; stirling1's reads the duals of the lah
+            # recurrence whose rows are its phi.
             monkeypatch.setattr(dynsys, "banded_step_matrix", refuse)
-            monkeypatch.setattr(triads, "iter_dual_polynomials", refuse)
+            monkeypatch.setattr(polynomial, "linear_combination", refuse)
+            if family != "stirling1":
+                monkeypatch.setattr(triads, "iter_dual_polynomials", refuse)
         for argv, result in zip(runs, expected):
             assert run(argv) == result, argv
+
+
+class TestFamilyProofs:
+    """The O(N^2) proofs of fibonomial and stirling1, the families whose dual
+    has no banded recurrence, give the brute scan's verdict on their rows and
+    phi with one entry changed, and Family.verify reports a failed proof by
+    the brute scan."""
+
+    PROVED = ("fibonomial", "stirling1")
+
+    @staticmethod
+    def _inputs(name, n_max):
+        family = FAMILIES[name]
+        return [list(r) for r in family.rows(n_max)], [list(p) for p in family.phis(None, n_max)]
+
+    @staticmethod
+    def _verdicts(name, rows, phis):
+        proved = FAMILIES[name].proof(triads.checked_rows(rows), iter(phis), len(rows) - 1)
+        return proved, verify_triad(rows, [Polynomial(p) for p in phis]).holds
+
+    @staticmethod
+    def _changed(table, n, k, delta):
+        out = [list(r) for r in table]
+        out[n][k] += delta
+        return out
+
+    @pytest.mark.parametrize("name", PROVED)
+    def test_every_single_entry_change_fails_both(self, name):
+        # Every entry of rows 0..9 and of phi_0..phi_9, by an integer and by
+        # a fraction: among them fibonomial's entry (4, 2), which only the
+        # ratio check sees (w_2 = 0 hides it from the sums), and phi_9[0],
+        # which only the last row's w sum sees.
+        rows, phis = self._inputs(name, 9)
+        assert self._verdicts(name, rows, phis) == (True, True)
+        for n in range(10):
+            for k in range(n + 1):
+                for delta in (1, Fraction(-1, 2)):
+                    assert self._verdicts(name, self._changed(rows, n, k, delta), phis) == (False, False), (n, k)
+                    assert self._verdicts(name, rows, self._changed(phis, n, k, delta)) == (False, False), (n, k)
+
+    @pytest.mark.parametrize("name", PROVED)
+    def test_random_changes_up_to_64_rows_fail_both(self, name):
+        rng = random.Random(name)
+        for n_max in (0, 1, 2, 33, 64):
+            rows, phis = self._inputs(name, n_max)
+            assert self._verdicts(name, rows, phis) == (True, True)
+            for _ in range(6):
+                n = rng.randint(0, n_max)
+                k = rng.randint(0, n)
+                delta = rng.choice((1, -3, Fraction(1, 2), Fraction(-2, 3)))
+                if rng.random() < 0.5:
+                    verdicts = self._verdicts(name, self._changed(rows, n, k, delta), phis)
+                else:
+                    verdicts = self._verdicts(name, rows, self._changed(phis, n, k, delta))
+                assert verdicts == (False, False), (n_max, n, k, delta)
+
+    @pytest.mark.parametrize("name", PROVED)
+    @pytest.mark.parametrize("n,k", [(0, 0), (5, 3), (12, 12)])
+    def test_a_failed_proof_reports_the_brute_scan(self, name, n, k):
+        # A Family with the registered one's proof and dual, over rows with
+        # one entry changed: verify reports what the brute scan over those
+        # rows and the dual's phi reports.
+        rows, phis = self._inputs(name, 12)
+        changed = self._changed(rows, n, k, 1)
+        registered = FAMILIES[name]
+        family = Family(name, dual=name, route=registered.route, proof=registered.proof,
+                        rows=lambda n_max: map(tuple, changed[: n_max + 1]))
+        report = family.verify(None, 12)
+        assert report == verify_triad(changed, [Polynomial(p) for p in phis])
+        assert (report.holds, report.first_failure[0], report.method) == (False, n, "brute")
+        assert registered.verify(None, 12) == TriadReport(12, True, None, "certificate")
 
 
 # A parameter value for each family that takes one.
@@ -675,8 +791,9 @@ class TestFamilyScaledRows:
         ["fit", "--family", "eulerian", "--rows", "9"],
     ], ids="-".join)
     def test_a_command_checks_each_row_once(self, monkeypatch, argv):
-        # Every pass through checked_rows, in triads (verify_triad) or in
-        # dynsys (fit_banded), is counted row by row.
+        # Every pass through checked_rows, in triads (verify_triad, or the
+        # pass Family.verify gives a family's proof) or in dynsys
+        # (fit_banded), is counted row by row.
         reads, checked = [], triads.checked_rows
 
         def spy(rows):
