@@ -169,8 +169,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_solve_f(args: argparse.Namespace) -> int:
     rows = _checked_rows(args)
     family, value, params = _family_inputs(args, rows + 1)
-    matrix = family_step_matrix(family, value, rows)
-    _emit(args.family, params, lambda: matrix.rows, args.format)
+    _emit(args.family, params, lambda: family_step_matrix(family, value, rows), args.format)
     return 0
 
 

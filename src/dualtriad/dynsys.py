@@ -2,15 +2,12 @@
 
 Reading triangle rows as states of a walk, the row shift E (which maps row n
 to row n+1) factors through a single matrix F with C F = E C, so that
-C F^n = E^n C.  For a unipotent triangle F = C^{-1} E C is unique, lower
-Hessenberg with a unit superdiagonal, and found by forward substitution.
-Its eigen-style recursion x*phi = F*phi yields the phi whose coefficient
-rows are the rows of C^{-1}, which one inversion also gives: the basis in
-which x^n expands with the triangle's own rows.  Both dense routes, in
-reference, are the oracle of the phi streams of triads.FAMILIES, which read
-C^{-1} off each family's structure.  family_step_matrix decides solve-f's
-route: a banded recurrence with unit up weights is its F, and the others are
-solved row by row.
+C F^n = E^n C.  For a unipotent triangle F = C^{-1} E C is unique and lower
+Hessenberg with a unit superdiagonal.  Its eigen-style recursion
+x*phi = F*phi yields the phi whose coefficient rows are the rows of C^{-1}:
+the basis in which x^n expands with the triangle's own rows.
+family_step_matrix streams F off each family's structure, as Family.phis
+streams phi; the dense solves in reference are the oracle of both.
 
 This module also decides, exactly, whether a triangle admits banded
 time-independent update weights at all (fit_banded), and carries the weighted
@@ -19,13 +16,12 @@ convolution built from fibonomial coefficients.
 
 from __future__ import annotations
 
-from itertools import pairwise
 from math import gcd
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from . import _forward
 from ._record import Frozen
-from .exact import Rational, Scaled, as_exact, exact_div, forward_substitute
+from .exact import Rational, Scaled, as_exact, exact_div
 from .sequences import fibonomial_rows
 from .triads import _NOT_UNIPOTENT, BandedRecurrence, Family, RowSource, _check_levels, checked_rows
 
@@ -62,38 +58,32 @@ def _require_unipotent(unipotent: bool) -> None:
         raise ValueError(_NOT_UNIPOTENT)
 
 
-def banded_step_matrix(rec: BandedRecurrence, rows: int) -> StepMatrix:
-    """Rows 0..rows of the tridiagonal step matrix of rec: row n holds
-    down[n], stay[n] and up[n] in columns n-1, n and n+1.
+def banded_step_matrix(rec: BandedRecurrence, rows: int) -> Iterator[tuple[Rational, ...]]:
+    """Rows 0..rows of the tridiagonal step matrix of rec, one at a time: row
+    n holds down[n], stay[n] and up[n] in columns n-1, n and n+1.  The
+    arguments are checked here, before the first row.
 
     With unit up weights this is the F of rec's triangle, because F is unique
     for a unipotent triangle: solve_step_matrix finds the same rows in O(N^3)
     where this reads them off in O(N^2).
     """
     _check_levels(rec, "rows", rows, rows + 1, "rows")
-    out = []
-    for n in range(rows + 1):
-        row: list[Rational] = [0] * (n + 2)
-        if n:
-            row[n - 1] = rec.down[n]
-        row[n], row[n + 1] = rec.stay[n], rec.up[n]
-        out.append(row)
-    return StepMatrix(out)
+    return ((0,) * (n - 1) + (rec.down[n], rec.stay[n], rec.up[n]) if n else (rec.stay[0], rec.up[0])
+            for n in range(rows + 1))
 
 
-def family_step_matrix(family: Family, value: Any, rows: int) -> StepMatrix:
-    """Rows 0..rows of a family's F (value is its parameter): a family with a
-    recurrence has up weights 1, so banded_step_matrix reads F off it.  One
-    with no phi_rows is not unipotent and is refused before its first row;
-    the others' rows have a unit diagonal by construction (pascal_like_rows).
-    They solve F_n = C_{n+1} - sum_{k<n} C[n][k] F_k in one pass over rows
-    0..rows + 1, holding F and two rows of C (forward_substitute)."""
+def family_step_matrix(family: Family, value: Any, rows: int) -> Iterator[tuple[Rational, ...]]:
+    """Rows 0..rows of a family's F (value is its parameter), one at a time,
+    each made from the family's structure in O(N^2): a family with a
+    recurrence has up weights 1, so banded_step_matrix reads F off it, and
+    the others stream their step_rows.  A family with neither is not
+    unipotent; it is refused here, before its first row, as is rows < 0."""
     if rows < 0:
         raise ValueError("rows must be nonnegative")
     if family.recurrence is not None:
         return banded_step_matrix(family.recurrence(value, rows), rows)
-    _require_unipotent(family.phi_rows is not None)
-    return StepMatrix(forward_substitute(pairwise(map(Scaled.values, family.scaled_rows(value, rows + 1)))))
+    _require_unipotent(family.step_rows is not None)
+    return family.step_rows(rows)
 
 
 class FitResult(Frozen):

@@ -1,4 +1,4 @@
-"""Exact scalars, their decimal strings and forward substitution.
+"""Exact scalars and their decimal strings.
 
 A scalar is an int when integral, a Fraction otherwise: both are arbitrary
 precision, Fraction keeps every value in lowest terms with a positive
@@ -18,14 +18,14 @@ banded fit) run on that form in native int arithmetic and reduce once per
 vector, in the Scaled constructor, instead of once per operation; an integer
 vector has denominator 1 and is never reduced.  Scaled.values gives reduced
 scalars back where a value leaves those proofs.  Polynomials live in
-polynomial, parsing and the unit-lower solve in reference.
+polynomial, parsing and the dense solves in reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from . import _forward
 
@@ -146,24 +146,3 @@ def format_exact(value: Rational) -> str:
     if type(v) is int:
         return _int_str(v)
     return f"{_int_str(v.numerator)}/{_int_str(v.denominator)}"
-
-
-def forward_substitute(
-    pairs: Iterable[tuple[Sequence[Rational], Sequence[Rational]]]
-) -> list[tuple[Rational, ...]]:
-    """Rows Y with L Y = R for a unit lower-triangular L, by forward substitution.
-
-    pairs yields (row i of L, row i of R), read once; row i of Y is row i of R
-    minus L[i][j] * Y[j] summed over j < i.  L's diagonal is taken to be 1 and
-    never read, nor is anything above it; no Y[j] may be wider than R's row i.
-    """
-    out: list[tuple[Rational, ...]] = []
-    for i, (row, rhs) in enumerate(pairs):
-        acc = list(rhs)
-        for j in range(i):
-            c = row[j]
-            if c:
-                for k, v in enumerate(out[j]):
-                    acc[k] -= c * v
-        out.append(tuple(acc))
-    return out

@@ -1,8 +1,8 @@
 """The reference routes, which no command runs: the collected Triangle and
-its builders, collected duals, basis expansion, Catalan conversions, dense
-step-matrix solve, phi and inversion, evolution, closed-form sequences,
-parsing and OutputDocument.  The tests check the commands' streams against
-them."""
+its builders, collected duals, basis expansion, Catalan conversions, forward
+substitution and the dense step-matrix solve, phi and inversion on it,
+evolution, closed-form sequences, parsing and OutputDocument.  The tests
+check the commands' streams against them."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import Frozen, Record
 from .dynsys import StepMatrix, _require_unipotent
-from .exact import _CHUNK, _CHUNK_DIGITS, Rational, Scaled, as_exact, exact_div, format_exact, forward_substitute
+from .exact import _CHUNK, _CHUNK_DIGITS, Rational, Scaled, as_exact, exact_div, format_exact
 from .output import format_rows, write_document
 from .polynomial import Polynomial
 from .sequences import RootSequence, eulerian_rows, fibonacci, stirling_first_rows
@@ -174,6 +174,27 @@ def catalan_shifted_from_triad(tri: Triangle) -> Triangle:
     """Inverse of catalan_triad_from_shifted: prepend the zero column and the
     bare seed row."""
     return Triangle(((1,), *((0, *row) for row in tri.rows)), family="catalan-shifted")
+
+
+def forward_substitute(
+    pairs: Iterable[tuple[Sequence[Rational], Sequence[Rational]]]
+) -> list[tuple[Rational, ...]]:
+    """Rows Y with L Y = R for a unit lower-triangular L, by forward substitution.
+
+    pairs yields (row i of L, row i of R), read once; row i of Y is row i of R
+    minus L[i][j] * Y[j] summed over j < i.  L's diagonal is taken to be 1 and
+    never read, nor is anything above it; no Y[j] may be wider than R's row i.
+    """
+    out: list[tuple[Rational, ...]] = []
+    for i, (row, rhs) in enumerate(pairs):
+        acc = list(rhs)
+        for j in range(i):
+            c = row[j]
+            if c:
+                for k, v in enumerate(out[j]):
+                    acc[k] -= c * v
+        out.append(tuple(acc))
+    return out
 
 
 def solve_step_matrix(tri: Triangle) -> StepMatrix:

@@ -111,6 +111,20 @@ def fibonomial_inverse_rows(rows: int) -> Iterator[tuple[int, ...]]:
         yield tuple(w[n - k] * c for k, c in enumerate(row))
 
 
+def fibonomial_step_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of the fibonomial F (C F = E C): F[n][l] = C[n][l-1] *
+    g_{n-l+1}, plus F_{n+1} at l = n, where g_m = sum_i phi_m[i] * F_{i-1}
+    on fibonomial_inverse_rows and F_{-1} = 1, from C[j+1][l] = F_{j-l} *
+    C[j][l-1] + F_{l+1} * C[j][l] and [n j][j l-1] = [n l-1][n-l+1 j-l+1]."""
+    fibs = [fibonacci(i) for i in range(rows + 2)]
+    shifted, g = (1, *fibs), []
+    for n, (row, phi) in enumerate(zip(fibonomial_rows(rows), fibonomial_inverse_rows(rows))):
+        g.append(sum(c * f for c, f in zip(phi, shifted)))
+        step = [0, *[c * g[n - k] for k, c in enumerate(row)]]
+        step[n] += fibs[n + 1]
+        yield tuple(step)
+
+
 def fibonomial_proof(rows: Iterable[Scaled], phis: Iterable[Sequence[Rational]], count: int) -> bool:
     """Whether rows 0..count, Scaled vectors of widths 1..count + 1, are the
     fibonomial triangle C and phis the rows of C^-1, in O(N^2) exact
@@ -164,6 +178,13 @@ def stirling_first_rows(rows: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..rows of the unsigned Stirling numbers of the first kind:
     left weight 1, right weight n."""
     return pascal_like_rows(rows, lambda n: (1,) * (n + 2), lambda n: (n,) * (n + 2))
+
+
+def stirling_first_step_rows(rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..rows of the stirling1 F with C F = E C: F[n][l] = binom(n, l-1),
+    Pascal's rows moved one column right, the production matrix of the
+    exponential Riordan array [1, -ln(1-x)] (Deutsch, Ferrari and Rinaldi, 2005)."""
+    return ((0, *row) for row in pascal_like_rows(rows, lambda n: (1,) * (n + 2), lambda n: (1,) * (n + 2)))
 
 
 def eulerian_rows(rows: int) -> Iterator[tuple[int, ...]]:

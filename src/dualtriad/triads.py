@@ -16,8 +16,8 @@ stay[k] = r_{k+1}, down = 0; Pascal (every root 1) and the q-gaussian family
 This module streams a family's rows and its phi as coefficient rows, and
 proves the expansion identity.  Every named family is declared once, in
 FAMILIES; fibonomial, stirling1 and eulerian, whose weights depend on n,
-come from sequences.pascal_like_rows, and the first two read their phi off
-the structure of their inverse.  The collecting builders are in reference.
+come from sequences.pascal_like_rows, and the first two read their phi and
+F off their structure.  The collecting builders are in reference.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from . import _forward
 from ._record import Frozen
 from .exact import Rational, Scaled, as_exact, exact_div
 from .sequences import (RootSequence, eulerian_rows, fibonomial_inverse_rows, fibonomial_proof, fibonomial_rows,
-                        q_binomial_inverse_rows, stirling_first_proof, stirling_first_rows)
+                        fibonomial_step_rows, q_binomial_inverse_rows, stirling_first_proof, stirling_first_rows,
+                        stirling_first_step_rows)
 
 if TYPE_CHECKING:
     from .polynomial import Polynomial
@@ -42,6 +43,7 @@ __getattr__ = _forward(__name__, reference="generate_named generate_from_banded 
                        "dual_polynomials persistent_root_polys")
 
 LevelSpec = Union[Rational, Callable[[int], Rational], Sequence[Rational]]
+RowStream = Callable[[int], Iterator[tuple[int, ...]]]
 
 
 def checked_rows(rows: RowSource) -> Iterator[Scaled]:
@@ -232,37 +234,39 @@ _NOT_UNIPOTENT = "step matrix requires a unipotent triangle (unit diagonal)"
 class Family(Frozen):
     """How one named family is built, what it takes, and where its duals are.
 
-    name is the family's key in FAMILIES.  recurrence maps (parameter
-    value, depth) to the family's banded weights for levels 0..depth, whose
-    duals are its phi.  A family without one yields its rows 0..N from
-    rows(N), a stream of pascal_like_rows, which fixes each row's width.
+    name is the family's key in FAMILIES; any other field is None unless
+    given.  recurrence maps (parameter value, depth) to the family's banded
+    weights for levels 0..depth, whose duals are its phi.  A family without
+    one yields its rows 0..N from rows(N), a stream of pascal_like_rows,
+    which fixes each row's width, and if unipotent its F from step_rows(N).
     phi_rows maps (parameter value, N) to the coefficients of phi_0..phi_N,
-    the rows of the inverse, read off its structure; None when the family is
-    not unipotent, or when phis reads the duals of its recurrence (q-gaussian
-    has both, and its phi_rows streams those duals by Gauss's closed form).
-    scaled_rows and phis stream either route.
-    param names the parameter the family needs (None, "q" or "roots").  dual
-    names the family whose phi completes this one's triad; None when there
-    is no dual.  route is the line verify prints.  proof(rows, phis, N),
-    for a family whose dual has no recurrence, says in O(N^2) whether the
-    Scaled rows 0..N and the dual's phi_0..phi_N, read in lockstep, complete
-    the triad (sequences.fibonomial_proof and stirling_first_proof).  The
-    recurrences decide the routes, so that no command branches on them:
-    verify proves the triad by the certificate on the dual's or by the
-    family's proof, and only a failing verify expands rows;
-    dynsys.family_step_matrix reads F off the family's or solves for it.
+    the rows of the inverse; None when the family is not unipotent, or when
+    phis reads the duals of its recurrence (q-gaussian has both, and its
+    phi_rows streams those duals by Gauss's closed form).  Both read its
+    structure; scaled_rows and phis stream either route.  param names the
+    parameter the family needs ("q" or "roots").  dual names the family
+    whose phi completes this one's triad, and route is the line verify
+    prints.  proof(rows, phis, N), for a family whose dual has no
+    recurrence, says in O(N^2) whether the Scaled rows 0..N and the dual's
+    phi_0..phi_N, read in lockstep, complete the triad
+    (sequences.fibonomial_proof and stirling_first_proof).  The recurrences
+    decide the routes, so that no command branches on them: verify proves
+    the triad by the certificate on the dual's or by the family's proof, and
+    only a failing verify expands rows; dynsys.family_step_matrix streams F
+    off the recurrence or step_rows.
     """
 
-    __slots__ = ("name", "dual", "route", "param", "recurrence", "rows", "phi_rows", "proof")
+    __slots__ = tuple("name dual route param recurrence rows phi_rows step_rows proof".split())
     name: str
     dual: Optional[str]
     route: Optional[str]
     param: Optional[str]
     recurrence: Optional[Callable[[Any, int], BandedRecurrence]]
-    rows: Optional[Callable[[int], Iterator[tuple[int, ...]]]]
+    rows: Optional[RowStream]
     phi_rows: Optional[Callable[[Any, int], Iterator[tuple[Rational, ...]]]]
+    step_rows: Optional[RowStream]
     proof: Optional[Callable[..., bool]]
-    _defaults = {"param": None, "recurrence": None, "rows": None, "phi_rows": None, "proof": None}
+    _defaults = dict.fromkeys(__slots__[1:])
 
     def scaled_rows(self, value: Any, rows: int) -> Restartable[Scaled]:
         """Rows 0..rows as Scaled vectors, made afresh on each pass; value is
@@ -330,15 +334,16 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
     Family("catalan-triad", dual="catalan-triad", route=_BANDED_ROUTE,
            recurrence=lambda _, depth: BandedRecurrence.tabulate(1, 2, 1, depth)),
     Family("fibonomial", dual="fibonomial", route="step-matrix polynomials", rows=fibonomial_rows,
-           phi_rows=lambda _, rows: fibonomial_inverse_rows(rows), proof=fibonomial_proof),
+           phi_rows=lambda _, rows: fibonomial_inverse_rows(rows), step_rows=fibonomial_step_rows,
+           proof=fibonomial_proof),
     # The lah triad with roots 0, -1, -2, ... with its sides swapped: its duals
     # x(x + 1)...(x + k - 1) have these rows as coefficients; its rows are the phi.
     Family("stirling1", dual="stirling1", route="step-matrix polynomials", rows=stirling_first_rows,
            phi_rows=lambda _, rows: map(Scaled.values, scaled_banded_rows(_LAH_FROM_ZERO(rows - 1), rows)),
-           proof=lambda rows, phis, n: stirling_first_proof(
+           step_rows=stirling_first_step_rows, proof=lambda rows, phis, n: stirling_first_proof(
                rows, phis, iter_dual_polynomials(_LAH_FROM_ZERO(n - 1), n),
                scaled_banded_rows(_LAH_FROM_ZERO(n - 1), n))),
-    Family("eulerian", dual=None, route=None, rows=eulerian_rows),
+    Family("eulerian", rows=eulerian_rows),
     Family("lah", dual="lah", route="persistent-root polynomials", param="roots",
            recurrence=root_recurrence),
 )}

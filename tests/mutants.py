@@ -1,9 +1,9 @@
 """Mutation check of the checks that prove a triad row by row, of fit's
 elimination, minimal witness, pair scaling and weight assembly, of the phi
 streams that stand in for an inversion, of the family's row, phi, proof and
-step-matrix routes, of forward substitution, of the records' constructor, of
-the writer of every output format, of what a command loads and of the names
-a module serves through its __getattr__.
+step-matrix routes and the closed forms of F, of forward substitution, of the
+records' constructor, of the writer of every output format, of what a command
+loads and of the names a module serves through its __getattr__.
 
 Each entry of MUTANTS names a file, a text that occurs in it once, the text
 that replaces it and what the replacement breaks.  The script copies src/
@@ -57,6 +57,7 @@ OUTPUT = "src/dualtriad/output.py"
 RECORD = "src/dualtriad/_record.py"
 CLI = "src/dualtriad/cli.py"
 POLYNOMIAL = "src/dualtriad/polynomial.py"
+REFERENCE = "src/dualtriad/reference.py"
 
 # (file, old text, new text, what the new text breaks)
 MUTANTS = [
@@ -152,16 +153,29 @@ MUTANTS = [
     (TRIADS, "dual = FAMILIES.get(self.dual)", 'dual = FAMILIES.get(self.dual, FAMILIES["pascal"])',
      "Family.verify: a family with no dual is checked against pascal's phi, not refused"),
     (DYNSYS, "if family.recurrence is not None:", "if False:",
-     "family_step_matrix: a family with a recurrence is solved for F, not read off it"),
-    (DYNSYS, "_require_unipotent(family.phi_rows is not None)", "_require_unipotent(True)",
-     "family_step_matrix: a family that is not unipotent makes its rows before it is refused"),
+     "family_step_matrix: a family with a recurrence is refused, not read off it"),
+    (DYNSYS, "_require_unipotent(family.step_rows is not None)", "_require_unipotent(True)",
+     "family_step_matrix: a family with no F is not refused as not unipotent"),
+    (DYNSYS, "    _require_unipotent(family.step_rows is not None)\n    return family.step_rows(rows)",
+     "    return (row for _ in [0] for row in _require_unipotent(family.step_rows is not None)"
+     " or family.step_rows(rows))",
+     "family_step_matrix: the refusal waits for the first row, after json's header is written"),
+    (DYNSYS, "(rec.down[n], rec.stay[n], rec.up[n])", "(0, rec.stay[n], rec.up[n])",
+     "banded_step_matrix: the down weight is dropped"),
+    (SEQUENCES, "zip(phi, shifted)", "zip(phi, fibs)",
+     "fibonomial_step_rows: g sums phi against F_i, not F_{i-1}"),
+    (SEQUENCES, "step = [0, *[c * g[n - k] for k, c in enumerate(row)]]",
+     "step = [*[c * g[n - k] for k, c in enumerate(row)], 0]",
+     "fibonomial_step_rows: C[n][l-1] * g_{n-l+1} lands in column l - 1, not l"),
+    (SEQUENCES, "step[n] += fibs[n + 1]", "step[n] += fibs[n]",
+     "fibonomial_step_rows: the diagonal adds F_n, not F_{n+1}"),
+    (SEQUENCES, "((0, *row) for row in pascal_like_rows", "((*row, 0) for row in pascal_like_rows",
+     "stirling_first_step_rows: Pascal's rows lose their leading 0 and are not moved one column right"),
     (TRIADS, 'if rows < 0:\n            raise ValueError("count', 'if rows < -1:\n            raise ValueError("count',
      "Family.phis: rows -1 reaches the family's phi stream"),
     (DYNSYS, 'if rows < 0:\n        raise ValueError("rows', 'if rows < -1:\n        raise ValueError("rows',
      "family_step_matrix: rows -1 reaches the family's route"),
-    (DYNSYS, "family.scaled_rows(value, rows + 1)", "family.scaled_rows(value, rows)",
-     "family_step_matrix: the dense route reads one row of C too few"),
-    (EXACT, "acc = list(rhs)", "acc = list(row)",
+    (REFERENCE, "acc = list(rhs)", "acc = list(row)",
      "forward_substitute: row i of L is taken as its own right-hand side"),
     (DYNSYS, "tags |= pt", "tags = tags",
      "_Column.add: a reduced equation does not carry the tags of the pivots it used"),

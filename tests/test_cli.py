@@ -354,8 +354,8 @@ class TestPhiRoutes:
     @pytest.mark.parametrize("family,q,roots", ROUTE_FAMILIES)
     def test_solve_f_equals_dense_solve(self, family, q, roots):
         # Banded families print their recurrence as F, and fibonomial and
-        # stirling1 forward-substitute a stream of row pairs; the dense solve
-        # of C F = (shift of C) on the collected triangle is the oracle.
+        # stirling1 stream their closed forms of F; the dense solve of
+        # C F = (shift of C) on the collected triangle is the oracle.
         rows = 64 if family in ("fibonomial", "stirling1") else 12
         argv = ["solve-f", "--family", family, "--rows", str(rows)]
         argv += [f"--q={q}"] if q else []
@@ -378,18 +378,20 @@ class TestPhiRoutes:
         oracle = phi_from_step_matrix(solve_step_matrix(tri))
         assert OutputDocument.rows_from_csv(out) == [list(p.coeffs) for p in oracle]
 
-    @pytest.mark.parametrize("command", ["phi", "verify"])
+    @pytest.mark.parametrize("command", ["phi", "verify", "solve-f"])
     @pytest.mark.parametrize("family", ["fibonomial", "stirling1"])
     def test_no_command_inverts_a_triangle(self, monkeypatch, command, family):
         # invert_unipotent and solve_step_matrix both forward-substitute;
-        # phi and verify read these families' phi from their structure.
+        # phi and verify read these families' phi from their structure, and
+        # solve-f streams their F, building no StepMatrix.
         runs = [["--rows", rows] for rows in ("0", "1", "6", "24")]
         expected = [run_cli([command, "--family", family] + argv) for argv in runs]
 
         def refuse(*args):
-            raise AssertionError("forward substitution")
+            raise AssertionError("forward substitution or a collected step matrix")
 
-        monkeypatch.setattr(dynsys, "forward_substitute", refuse)
+        monkeypatch.setattr(reference, "forward_substitute", refuse)
+        monkeypatch.setattr(dynsys, "StepMatrix", refuse)
         for argv, (code, out, err) in zip(runs, expected):
             assert (code, err) == (0, "")
             assert run_cli([command, "--family", family] + argv) == (code, out, err)

@@ -19,6 +19,7 @@ from dualtriad.dynsys import (
 )
 from dualtriad.misprints import (
     COMPUTED_FIBONOMIAL_STEP_ROW_6,
+    LEDGER,
     PUBLISHED_FIBONOMIAL_STEP_ROWS,
 )
 from dualtriad.polynomial import X
@@ -36,7 +37,7 @@ from dualtriad.reference import (
     phi_from_step_matrix,
     solve_step_matrix,
 )
-from dualtriad.sequences import RootSequence
+from dualtriad.sequences import RootSequence, fibonomial_inverse_rows
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
@@ -103,34 +104,74 @@ class TestSolveStepMatrix:
 
     def test_family_not_unipotent_refused_before_its_rows(self, monkeypatch):
         # eulerian has no inverse, so solve-f refuses it without making the
-        # N + 2 rows whose diagonal would show it.
+        # N + 2 rows whose diagonal would show it, and before any format
+        # writes a byte (json writes its header before its first row).
         calls = []
         monkeypatch.setattr(Family, "scaled_rows", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=r"^step matrix requires a unipotent triangle \(unit diagonal\)$"):
             family_step_matrix(FAMILIES["eulerian"], None, 512)
         assert calls == []
+        for fmt in ("csv", "json", "pretty"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["solve-f", "--family", "eulerian", "--rows", "3", "--format", fmt])
+            assert (code, out.getvalue(), err.getvalue()) == (
+                1, "", "error: step matrix requires a unipotent triangle (unit diagonal)\n"), fmt
+        assert calls == []
 
     @pytest.mark.parametrize("family", ["fibonomial", "stirling1"])
     def test_solve_f_streams_its_rows_once(self, monkeypatch, family):
-        # The dense route reads rows 0..N+1 in one pass, as row pairs, and
-        # collects no Triangle of them.
+        # solve-f makes each row of F from the family's step_rows after the
+        # row before it is written, in one pass; it makes no pass over the
+        # family's rows and collects no Triangle or StepMatrix.
         argv = ["solve-f", "--family", family, "--rows", "12"]
         expected = cli_output(argv)
-        calls, sources = [], []
-        scaled_rows = Family.scaled_rows
+        registered, events = FAMILIES[family], []
 
-        def counting(self, *args):
-            calls.append(args)
-            sources.append(Passes(scaled_rows(self, *args)))
-            return sources[-1]
+        def step_rows(rows):
+            events.append(("pass", rows))
+            for row in registered.step_rows(rows):
+                events.append("row")
+                yield row
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                events.append("write")
+                return super().write(text)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a collected triangle")
+            raise AssertionError("a pass over the rows, or a collected triangle or step matrix")
 
-        monkeypatch.setattr(Family, "scaled_rows", counting)
+        fields = {field: getattr(registered, field) for field in Family.__slots__}
+        monkeypatch.setitem(FAMILIES, family, Family(**{**fields, "step_rows": step_rows}))
+        monkeypatch.setattr(Family, "scaled_rows", refuse)
         monkeypatch.setattr(reference, "Triangle", refuse)
-        assert cli_output(argv) == expected
-        assert calls == [(None, 13)] and sources[0].count == 1
+        monkeypatch.setattr(dynsys, "StepMatrix", refuse)
+        out = Recorder()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == expected
+        assert events == [("pass", 12)] + ["row", "write"] * 13
+
+    @pytest.mark.parametrize("family", ["fibonomial", "stirling1"])
+    def test_closed_form_f_equals_dense_solve(self, family):
+        # F's rows 0..N depend only on C's rows 0..N + 1, so one dense solve
+        # on rows 0..41 is the oracle of every N <= 40.
+        dense = solve_step_matrix(generate_named(family, 41)).rows
+        for rows in range(41):
+            assert tuple(FAMILIES[family].step_rows(rows)) == dense[: rows + 1], rows
+
+    def test_fibonomial_f_reads_g_off_phi(self):
+        # F[n][1] = C[n][0] * g_n = g_n, plus F_2 = 1 at n = 1, and
+        # g_m = sum_i phi_m[i] * F_{i-1} with F_{-1} = 1.  g_3 = 0 makes the
+        # ledger's F[6][4] = C[6][3] * g_3 zero.
+        rows = list(FAMILIES["fibonomial"].step_rows(9))
+        g = [row[1] - (n == 1) for n, row in enumerate(rows)]
+        assert g == [1, -1, 1, 0, -2, 2, 36, -240, -3572, 125072]
+        fibs = (1, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34)  # F_{-1}..F_9
+        assert g == [sum(c * f for c, f in zip(phi, fibs)) for phi in fibonomial_inverse_rows(9)]
+        entry = next(entry for entry in LEDGER if entry.ident == "fibonomial-step-row6-col4")
+        assert rows[6][4] == int(entry.computed) == 0
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
@@ -150,8 +191,8 @@ class TestSolveStepMatrix:
         for rows in range(13):
             rec = banded_for_family(name, rows, q=q, roots=roots)
             tri = generate_named(name, rows + 1, q=q, roots=roots)
-            assert banded_step_matrix(rec, rows) == solve_step_matrix(tri)
-            assert family_step_matrix(FAMILIES[name], q or roots, rows) == solve_step_matrix(tri)
+            assert StepMatrix(banded_step_matrix(rec, rows)) == solve_step_matrix(tri)
+            assert StepMatrix(family_step_matrix(FAMILIES[name], q or roots, rows)) == solve_step_matrix(tri)
 
     def test_banded_step_matrix_needs_the_levels(self):
         with pytest.raises(ValueError, match="need level 4"):
@@ -763,7 +804,8 @@ _UP2_ZERO = BandedRecurrence.tabulate(lambda k: 1 if k != 2 else 0, 1, 0, 5)
                  "recurrence tabulated to level 3; 5 rows need level 4",
                  id="banded_step_matrix-depth"),
     # Support 1 plus 3 steps reaches level 3, as on the recurrence itself.
-    pytest.param(lambda: evolve((1, 0, 0, 0), banded_step_matrix(BandedRecurrence.tabulate(1, 1, 0, 1), 1), 3),
+    pytest.param(lambda: evolve((1, 0, 0, 0),
+                                StepMatrix(banded_step_matrix(BandedRecurrence.tabulate(1, 1, 0, 1), 1)), 3),
                  ValueError, "step matrix has 2 rows, evolution reaches level 3",
                  id="evolve-step-matrix-reach"),
     # The rows follow a recurrence whose duals do not exist (up[2] = 0) or
@@ -798,7 +840,7 @@ def test_negative_row_count_refused_first(name):
     family, made = FAMILIES[name], []
     spied = Family(name, dual=family.dual, route=family.route, param=family.param, **{
         field: (lambda *args, field=field: made.append(field)) if getattr(family, field) else None
-        for field in ("recurrence", "rows", "phi_rows")
+        for field in ("recurrence", "rows", "phi_rows", "step_rows")
     })
     value = _FAMILY_VALUES.get(name)
     with pytest.raises(ValueError, match="^count must be nonnegative$"):

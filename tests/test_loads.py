@@ -28,6 +28,7 @@ STREAMS = [
     ["fit", "--family", "q-gaussian", "--q=-2/3", "--rows", "8"],
     ["fit", "--family", "stirling1", "--rows", "8"],
     ["solve-f", "--family", "fibonomial", "--rows", "8"],
+    ["solve-f", "--family", "stirling1", "--rows", "8"],
     ["solve-f", "--family", "catalan-triad", "--rows", "8"],
     ["phi", "--family", "stirling1", "--rows", "8"],
     ["phi", "--family", "pascal", "--rows", "8"],

@@ -620,10 +620,10 @@ class TestVerifyCertificate:
     def test_cli_takes_the_family_routes(self, monkeypatch, family, extra):
         # verify and solve-f take the routes their Family decides: on a family
         # with a recurrence the certificate and the read-off F, which need no
-        # phi stream, no expansion and no dense solve; on the others the
-        # family's proof over the dual's phi and the dense solve of streamed
-        # row pairs, which need no banded F.  No command calls
-        # solve_step_matrix, which collects a triangle first.
+        # phi stream and no expansion; on the others the family's proof over
+        # the dual's phi and the streamed F of step_rows, which need no banded
+        # F.  No command forward-substitutes (solve_step_matrix collects a
+        # triangle first) or builds a StepMatrix.
         # catalan-shifted's certificate fails, so its report expands row 1.
         runs = [[command, "--family", family, "--rows", rows, *extra]
                 for command in ("verify", "solve-f") for rows in ("0", "1", "6")]
@@ -640,8 +640,9 @@ class TestVerifyCertificate:
             raise AssertionError("the other route")
 
         monkeypatch.setattr(reference, "solve_step_matrix", refuse)
+        monkeypatch.setattr(reference, "forward_substitute", refuse)
+        monkeypatch.setattr(dynsys, "StepMatrix", refuse)
         if FAMILIES[family].recurrence is not None:
-            monkeypatch.setattr(dynsys, "forward_substitute", refuse)
             monkeypatch.setattr(triads.Family, "phis", refuse)
             if family != "catalan-shifted":
                 monkeypatch.setattr(polynomial, "linear_combination", refuse)
