@@ -112,14 +112,14 @@ def fibonomial_inverse_rows(rows: int) -> Iterator[tuple[int, ...]]:
 
 
 def fibonomial_step_rows(rows: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0..rows of the fibonomial F (C F = E C): F[n][l] = C[n][l-1] *
-    g_{n-l+1}, plus F_{n+1} at l = n, where g_m = sum_i phi_m[i] * F_{i-1}
-    on fibonomial_inverse_rows and F_{-1} = 1, from C[j+1][l] = F_{j-l} *
-    C[j][l-1] + F_{l+1} * C[j][l] and [n j][j l-1] = [n l-1][n-l+1 j-l+1]."""
+    """Rows 0..rows of the fibonomial F (C F = E C), in one pass over C: F[n][l] = C[n][l-1] * g_{n-l+1},
+    plus F_{n+1} at l = n, from C[j+1][l] = F_{j-l} * C[j][l-1] + F_{l+1} * C[j][l] and [n j][j l-1] =
+    [n l-1][n-l+1 j-l+1].  Column 1 of C F = E C fixes g as column 0 of C C^-1 = I fixes w: sum_{k<=n}
+    C[n][k] * g_k = C[n+1][1] - C[n][1] = F_{n-1}, with F_{-1} = 1."""
     fibs = [fibonacci(i) for i in range(rows + 2)]
     shifted, g = (1, *fibs), []
-    for n, (row, phi) in enumerate(zip(fibonomial_rows(rows), fibonomial_inverse_rows(rows))):
-        g.append(sum(c * f for c, f in zip(phi, shifted)))
+    for n, row in enumerate(fibonomial_rows(rows)):
+        g.append(shifted[n] - sum(c * v for c, v in zip(row, g)))
         step = [0, *[c * g[n - k] for k, c in enumerate(row)]]
         step[n] += fibs[n + 1]
         yield tuple(step)

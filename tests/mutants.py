@@ -162,8 +162,10 @@ MUTANTS = [
      "family_step_matrix: the refusal waits for the first row, after json's header is written"),
     (DYNSYS, "(rec.down[n], rec.stay[n], rec.up[n])", "(0, rec.stay[n], rec.up[n])",
      "banded_step_matrix: the down weight is dropped"),
-    (SEQUENCES, "zip(phi, shifted)", "zip(phi, fibs)",
-     "fibonomial_step_rows: g sums phi against F_i, not F_{i-1}"),
+    (SEQUENCES, "g.append(shifted[n] -", "g.append(fibs[n] -",
+     "fibonomial_step_rows: g's sums over C equal F_n, not F_{n-1}"),
+    (SEQUENCES, "zip(row, g)", "zip(row[1:], g[1:])",
+     "fibonomial_step_rows: g's sums over C skip column 0"),
     (SEQUENCES, "step = [0, *[c * g[n - k] for k, c in enumerate(row)]]",
      "step = [*[c * g[n - k] for k, c in enumerate(row)], 0]",
      "fibonomial_step_rows: C[n][l-1] * g_{n-l+1} lands in column l - 1, not l"),

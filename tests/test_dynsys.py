@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualtriad import dynsys, reference
+from dualtriad import dynsys, reference, sequences
 from dualtriad.cli import main
 from dualtriad.dynsys import (
     FitResult,
@@ -37,7 +37,7 @@ from dualtriad.reference import (
     phi_from_step_matrix,
     solve_step_matrix,
 )
-from dualtriad.sequences import RootSequence, fibonomial_inverse_rows
+from dualtriad.sequences import RootSequence, fibonacci, fibonomial_inverse_rows
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
@@ -161,17 +161,41 @@ class TestSolveStepMatrix:
         for rows in range(41):
             assert tuple(FAMILIES[family].step_rows(rows)) == dense[: rows + 1], rows
 
-    def test_fibonomial_f_reads_g_off_phi(self):
-        # F[n][1] = C[n][0] * g_n = g_n, plus F_2 = 1 at n = 1, and
-        # g_m = sum_i phi_m[i] * F_{i-1} with F_{-1} = 1.  g_3 = 0 makes the
+    def test_fibonomial_g_solves_its_sums_over_c(self):
+        # F[n][1] = C[n][0] * g_n = g_n, plus F_2 = 1 at n = 1.  Column 1 of
+        # C F = E C reads sum_{k<=n} C[n][k] * g_k = F_{n-1} with F_{-1} = 1,
+        # so g = C^-1 (F_{n-1}), and g_m = sum_i phi_m[i] * F_{i-1} on the phi
+        # stream, a route F does not take, cross-checks it.  g_3 = 0 makes the
         # ledger's F[6][4] = C[6][3] * g_3 zero.
-        rows = list(FAMILIES["fibonomial"].step_rows(9))
+        rows = list(FAMILIES["fibonomial"].step_rows(64))
         g = [row[1] - (n == 1) for n, row in enumerate(rows)]
-        assert g == [1, -1, 1, 0, -2, 2, 36, -240, -3572, 125072]
-        fibs = (1, 0, 1, 1, 2, 3, 5, 8, 13, 21, 34)  # F_{-1}..F_9
-        assert g == [sum(c * f for c, f in zip(phi, fibs)) for phi in fibonomial_inverse_rows(9)]
+        assert g[:10] == [1, -1, 1, 0, -2, 2, 36, -240, -3572, 125072]
+        fibs = (1, *map(fibonacci, range(65)))  # F_{-1}..F_64
+        for n in range(65):
+            assert sum(fibonomial(n, k) * g[k] for k in range(n + 1)) == fibs[n], n
+        assert g == [sum(c * f for c, f in zip(phi, fibs)) for phi in fibonomial_inverse_rows(64)]
         entry = next(entry for entry in LEDGER if entry.ident == "fibonomial-step-row6-col4")
         assert rows[6][4] == int(entry.computed) == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+    def test_fibonomial_f_makes_no_phi(self, monkeypatch, fmt):
+        # solve-f fibonomial makes F in one pass over C's rows for each pass
+        # of its stream (pretty makes the stream twice): it never starts the
+        # phi stream, and its output is unchanged.
+        argv = ["solve-f", "--family", "fibonomial", "--rows", "12", "--format", fmt]
+        expected, passes, kernel = cli_output(argv), [], sequences.fibonomial_rows
+
+        def fibonomial_rows(rows):
+            passes.append(rows)
+            return kernel(rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve-f read the phi stream")
+
+        monkeypatch.setattr(sequences, "fibonomial_rows", fibonomial_rows)
+        monkeypatch.setattr(sequences, "fibonomial_inverse_rows", refuse)
+        assert cli_output(argv) == expected
+        assert passes == [12] * (2 if fmt == "pretty" else 1)
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
