@@ -218,12 +218,11 @@ def fit_banded(rows: RowSource) -> FitResult:
         # Rows n and n+1 are row/d and nxt/e: times lcm(d, e), the pair's
         # equations hold in integers.
         rhs = nxt
-        if d != e:
-            g = gcd(d, e)
-            if e != g:
-                row = [e // g * v for v in row]
-            if d != g:
-                rhs = [d // g * v for v in nxt]
+        g = gcd(d, e)
+        if e != g:
+            row = [e // g * v for v in row]
+        if d != g:
+            rhs = [d // g * v for v in nxt]
         # Unknowns per column k: (up[k-1], stay[k], down[k+1]); entry j + 1
         # of padded is c[n][j], zero outside the triangle.
         padded = (0, *row, 0, 0)

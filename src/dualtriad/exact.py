@@ -104,10 +104,7 @@ class Scaled(tuple):
         """The Scaled form of exact values, each passed through as_exact."""
         vals = [as_exact(v) for v in values]
         # as_exact leaves an int or a Fraction with denominator above 1.
-        dens = [v.denominator for v in vals if type(v) is not int]
-        if not dens:
-            return tuple.__new__(cls, (tuple(vals), 1))
-        den = lcm(*dens)
+        den = lcm(*[v.denominator for v in vals if type(v) is not int])
         # Over the least common denominator the content is already 1.
         return tuple.__new__(cls, (tuple([v.numerator * (den // v.denominator) for v in vals]), den))
 

@@ -101,18 +101,16 @@ class Polynomial:
         return coerced.__add__(-self)
 
     def __mul__(self, other: object) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            f = as_exact(other)
-            return Polynomial(tuple(c * f for c in self.coeffs))
-        if not isinstance(other, Polynomial):
+        coerced = self._coerce(other)
+        if coerced is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if not self.coeffs or not coerced.coeffs:
             return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(coerced.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(coerced.coeffs):
                 out[i + j] += a * b
         return Polynomial(out)
 

@@ -78,8 +78,6 @@ def q_binomial_inverse_rows(q: Rational, rows: int) -> Iterator[tuple[Rational, 
     a, b = q.numerator, q.denominator
     powers = [b**i for i in range(rows + 1)]
     nums = pascal_like_rows(rows, lambda n: powers[n + 1 :: -1], lambda n: (-a**n,) * (n + 2))
-    if b == 1:
-        return nums
 
     def over_denominators(row: tuple[int, ...]) -> tuple[Rational, ...]:
         # Coefficient n is 1, and the denominator of coefficient k is that

@@ -191,11 +191,9 @@ def banded_step(rec: BandedRecurrence, vec: Sequence[Rational], width: int) -> l
 
 def _cleared(rec: BandedRecurrence) -> tuple[BandedRecurrence, int]:
     """The weights of rec as integers over one positive denominator D: the
-    recurrence D * rec, and D.  Integer weights come back as rec and 1."""
+    recurrence D * rec, and D.  Integer weights give D = 1."""
     levels = len(rec.up)
     weights, den = Scaled.of(rec.up + rec.stay + rec.down)
-    if den == 1:
-        return rec, 1
     return BandedRecurrence(weights[:levels], weights[levels : 2 * levels], weights[2 * levels :]), den
 
 
@@ -300,9 +298,9 @@ class Family(Frozen):
         """The TriadReport of rows 0..rows against the phi of the dual family,
         which must exist: verify_triad's certificate on the dual's recurrence,
         or else the family's own proof over one pass of its rows and of the
-        dual's phi stream.  Only when that proof fails does verify_triad's
-        brute scan expand the rows, to report the first failing one.  A
-        family with no dual is refused before a row is made."""
+        dual's phi stream.  Only a failed proof expands the rows, as verify_triad's brute
+        scan does, in a second pass of both streams that stops at the first failing row.
+        A family with no dual is refused before a row is made."""
         dual = FAMILIES.get(self.dual)
         if dual is None:
             raise ValueError(f"family {self.name} admits no dual construction "
@@ -312,9 +310,10 @@ class Family(Frozen):
             return verify_triad(source, None, dual.recurrence(value, rows - 1))
         if self.proof(checked_rows(source), dual.phis(value, rows), rows):
             return TriadReport(rows, True, None, "certificate")
-        from .polynomial import Polynomial
+        from .polynomial import Polynomial, first_residual
 
-        return verify_triad(source, list(map(Polynomial, dual.phis(value, rows))))
+        failure = first_residual(zip(checked_rows(source), map(Polynomial, dual.phis(value, rows)), strict=True), 0, ())
+        return TriadReport(rows, failure is None, failure)
 
 
 _LAH_FROM_ZERO = partial(root_recurrence, RootSequence.arithmetic(0, -1))

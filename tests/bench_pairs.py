@@ -23,7 +23,24 @@ the peak as the largest, over the jobs, of a job's median max_rss_kib over
 its passes, and writes each pass's max_rss_kib to
 .perfbench/W-seedS-trace0.json in the tree; peak_rss_jobs counts, per side,
 the runs whose peak each job set.  It prints one line per run as it goes.
-pytest does not collect this file.
+
+Each metric of each workload gets a verdict, printed at the end and stored
+beside its numbers, against the bound and direction that BENCHMARK.json's
+end_to_end gives the metric (the file is only read; the run length is its
+run_seconds):
+
+    worse than bound  the change's median is worse than the parent's by
+                      more than the bound;
+    gain              the change reads better in at least 9 of 10 pairs
+                      (ties count for neither side) and its median is better
+                      by more than the parent's IQR;
+    unresolved        the parent's IQR exceeds the bound, and not every run
+                      of the change reads better than every run of the
+                      parent, so no regression within the bound can be told;
+    within bound      otherwise.
+
+They are taken in that order.  Failed jobs get no verdict: compare
+parent_failed with change_failed.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -38,8 +55,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-METRICS = ("total_s", "setup_s", "peak_rss_mb")
-SECONDS = 30  # BENCHMARK.json's run_seconds
+BENCHMARK = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+METRICS = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
+SECONDS = BENCHMARK["run_seconds"]
 
 
 def seeds(text: str) -> list[int]:
@@ -68,6 +86,24 @@ def peak_job(records: Path) -> str:
         passes.setdefault(record["job"], []).append(record)
     medians = {job: statistics.median(r["max_rss_kib"] or 0 for r in passes[job]) for job in sorted(passes)}
     return " ".join(passes[max(medians, key=medians.get)][0]["argv"])
+
+
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """The verdict on one metric of one workload, from its runs in pair
+    order (parent[i] and change[i] ran as one pair), as the docstring of this
+    file defines it."""
+    sign = 1 if better == "lower" else -1
+    parent, change = [sign * v for v in parent], [sign * v for v in change]
+    before, after = summary(parent), summary(change)
+    iqr = before["q3"] - before["q1"]
+    worse_by = after["median"] - before["median"]
+    if worse_by > bound:
+        return "worse than bound"
+    if 10 * sum(c < p for p, c in zip(parent, change)) >= 9 * len(parent) and -worse_by > iqr:
+        return "gain"
+    if iqr > bound and max(change) >= min(parent):
+        return "unresolved"
+    return "within bound"
 
 
 def summary(values: list[float]) -> dict:
@@ -126,6 +162,9 @@ def main() -> int:
                 "change": change,
                 "parent_iqr": parent["q3"] - parent["q1"],
                 "change_lower_in": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
+                "bound": METRICS[metric]["bound"],
+                "verdict": verdict(sides["parent"], sides["change"], METRICS[metric]["bound"],
+                                   METRICS[metric]["better"]),
             }
         for side in runs:
             entry[f"{side}_failed"] = sum(o["failed"] for o in runs[side])
@@ -135,6 +174,13 @@ def main() -> int:
                                   for side in runs}
         result["workloads"][workload] = entry
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for workload, entry in result["workloads"].items():
+        for metric in METRICS:
+            m = entry[metric]
+            print(f"{workload} {metric}: {m['parent']['median']:.4f} -> {m['change']['median']:.4f} "
+                  f"[parent IQR {m['parent_iqr']:.4f}, bound {m['bound']}, change lower in "
+                  f"{m['change_lower_in']}/{entry['pairs']}]: {m['verdict']}")
+        print(f"{workload} failed jobs: parent {entry['parent_failed']}, change {entry['change_failed']}")
     return 0
 
 

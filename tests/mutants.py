@@ -147,8 +147,7 @@ MUTANTS = [
     (TRIADS, "if self.proof(checked_rows(source), dual.phis(value, rows), rows):",
      "if self.proof(checked_rows(source), dual.phis(value, rows), rows) or True:",
      "Family.verify: a failed proof passes"),
-    (TRIADS, "return verify_triad(source, list(map(Polynomial, dual.phis(value, rows))))",
-     "return TriadReport(rows, False, None)",
+    (TRIADS, "return TriadReport(rows, failure is None, failure)", "return TriadReport(rows, False, None)",
      "Family.verify: a failed proof is reported without the brute scan's failing row"),
     (TRIADS, "dual = FAMILIES.get(self.dual)", 'dual = FAMILIES.get(self.dual, FAMILIES["pascal"])',
      "Family.verify: a family with no dual is checked against pascal's phi, not refused"),

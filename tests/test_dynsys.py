@@ -574,6 +574,15 @@ class TestFitBanded:
         assert result.recurrence.stay == roots.prefix(8)
         assert result.recurrence.down == (0,) * 8
 
+    def test_pairs_over_equal_denominators(self):
+        # Down weight 1/2 on Catalan's walk: rows 8 and 9 are over 8, rows 10
+        # and 11 over 16, so neither row of those pairs is scaled.
+        rec = BandedRecurrence.tabulate(1, 0, Fraction(1, 2), 11)
+        assert [den for _, den in scaled_banded_rows(rec, 12)][8:12] == [8, 8, 16, 16]
+        got = fit_banded(generate_from_banded(rec, 12)).recurrence
+        assert (got.up, got.stay, got.down) == ((1,) * 12, (0,) * 12, (0,) + (Fraction(1, 2),) * 11)
+        assert all(type(v) is int for v in got.up + got.stay + got.down[:1])
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError):
             fit_banded(generate_named("pascal", 3))

@@ -56,6 +56,11 @@ class TestPolynomial:
         p = (X - 1) * (X - 2)
         assert p / 2 == Polynomial((1, Fraction(-3, 2), Fraction(1, 2)))
         assert 2 * p == Polynomial((4, -6, 2))
+        for scalar, coeffs in ((3, (6, -9, 3)), (Fraction(-3, 2), (-3, Fraction(9, 2), Fraction(-3, 2))),
+                               (Fraction(4, 2), (4, -6, 2)), (True, (2, -3, 1)), (0, ())):
+            for product in (p * scalar, scalar * p):
+                assert product.coeffs == coeffs
+                assert [type(c) for c in product.coeffs] == [type(c) for c in coeffs]
         assert p + 1 == Polynomial((3, -3, 1))
         with pytest.raises(ZeroDivisionError):
             p / 0

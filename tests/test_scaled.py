@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualtriad import triads
 from dualtriad.dynsys import fit_banded
 from dualtriad.exact import Scaled, as_exact
 from dualtriad.polynomial import Polynomial
@@ -24,6 +25,7 @@ from dualtriad.reference import (
     dual_polynomials,
     generate_from_banded,
 )
+from dualtriad.sequences import RootSequence
 from dualtriad.triads import (
     FAMILIES,
     BandedRecurrence,
@@ -72,7 +74,10 @@ class TestScaledForm:
                 Scaled(nums, 0)
 
     def test_integer_vectors_have_denominator_one(self):
-        assert Scaled.of([3, -4, 0]) == ((3, -4, 0), 1)
+        for values in ([3, -4, 0], [Fraction(-8, 2), True, 10**40], []):
+            nums, den = Scaled.of(values)
+            assert (nums, den) == (tuple(values), 1)
+            assert all(type(v) is int for v in nums) and type(den) is int
         assert Scaled.of([Fraction(6, 3), Fraction(1, 2)]) == ((4, 1), 2)
         assert Scaled(()) == ((), 1) and Scaled((0, 0), 7) == ((0, 0), 1)
 
@@ -82,6 +87,15 @@ class TestScaledForm:
             assert {den for _, den in FAMILIES[name].scaled_rows(q, 20)} == {1}
         rec = banded_for_family("q-gaussian", 19, q=-3)
         assert {Scaled.of(p.coeffs)[1] for p in dual_polynomials(rec, 20)} == {1}
+        # Every family recurrence with integer weights clears to itself over 1.
+        cases = (("pascal", None), ("q-gaussian", 2), ("q-gaussian", -3), ("catalan-shifted", None),
+                 ("catalan-triad", None), ("lah", RootSequence.arithmetic(0, 1)))
+        assert {name for name, _ in cases} == {name for name, f in FAMILIES.items() if f.recurrence}
+        for name, value in cases:
+            rec = FAMILIES[name].recurrence(value, 12)
+            ints, den = triads._cleared(rec)
+            assert (ints, den) == (rec, 1)
+            assert all(type(v) is int for v in ints.up + ints.stay + ints.down), name
 
     def test_rational_rows_and_duals_equal_the_value_routes(self):
         rec = banded_for_family("q-gaussian", 15, q=Fraction(-2, 3))

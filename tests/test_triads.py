@@ -714,19 +714,31 @@ class TestFamilyProofs:
 
     @pytest.mark.parametrize("name", PROVED)
     @pytest.mark.parametrize("n,k", [(0, 0), (5, 3), (12, 12)])
-    def test_a_failed_proof_reports_the_brute_scan(self, name, n, k):
+    def test_a_failed_proof_reports_the_brute_scan(self, monkeypatch, name, n, k):
         # A Family with the registered one's proof and dual, over rows with
         # one entry changed: verify reports what the brute scan over those
-        # rows and the dual's phi reports.
+        # rows and the dual's phi reports, and the scan's pass of the dual's
+        # phi stream makes phi_0..phi_n, through the failing row only.
         rows, phis = self._inputs(name, 12)
         changed = self._changed(rows, n, k, 1)
         registered = FAMILIES[name]
+        assert registered.verify(None, 12) == TriadReport(12, True, None, "certificate")
+        made = []
+
+        def counted(value, n_max):
+            made.append(0)
+            for phi in registered.phis(value, n_max):
+                made[-1] += 1
+                yield phi
+
+        monkeypatch.setitem(FAMILIES, name, Family(name, dual=name, route=registered.route, rows=registered.rows,
+                                                   phi_rows=counted, proof=registered.proof))
         family = Family(name, dual=name, route=registered.route, proof=registered.proof,
                         rows=lambda n_max: map(tuple, changed[: n_max + 1]))
         report = family.verify(None, 12)
         assert report == verify_triad(changed, [Polynomial(p) for p in phis])
         assert (report.holds, report.first_failure[0], report.method) == (False, n, "brute")
-        assert registered.verify(None, 12) == TriadReport(12, True, None, "certificate")
+        assert len(made) == 2 and made[1] == n + 1
 
 
 # A parameter value for each family that takes one.
